@@ -74,35 +74,41 @@ class RunConfig:
         return self.parameters[key]
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite(part) for part in str(text).split(";") if part != ""]
+
+
 # Per-experiment parameter schemas: key -> (parser, default); required if
 # the default is REQUIRED.
 REQUIRED = object()
 
 _SLAB_KEYS = {
-    "core_width_um": (float, 8.0),
-    "n_core": (float, 1.50),
-    "n_clad": (float, 1.49),
-    "wavelength_um": (float, 1.55),
+    "core_width_um": (_finite, 8.0),
+    "n_core": (_finite, 1.50),
+    "n_clad": (_finite, 1.49),
+    "wavelength_um": (_finite, 1.55),
 }
 
 _NOISE_KEYS = {
-    "sigma": (float, 0.05),
-    "corr_length_um": (float, 100.0),
-    "k_ab_per_m": (float, 500.0),
+    "sigma": (_finite, 0.05),
+    "corr_length_um": (_finite, 100.0),
+    "k_ab_per_m": (_finite, 500.0),
 }
 
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in str(text).split(";") if part != ""]
-
-
 _SCHEMAS: dict[str, dict] = {
-    "modes": dict(_SLAB_KEYS, grid_points=(int, 2048), span_factor=(float, 6.0)),
-    "rates": dict(_NOISE_KEYS, delta_beta_per_m=(float, 2.0e4)),
+    "modes": dict(_SLAB_KEYS, grid_points=(int, 2048), span_factor=(_finite, 6.0)),
+    "rates": dict(_NOISE_KEYS, delta_beta_per_m=(_finite, 2.0e4)),
     "decohere": dict(
         _NOISE_KEYS,
-        delta_beta_per_m=(float, 2.0e4),
-        length_max_m=(float, 0.8192),
+        delta_beta_per_m=(_finite, 2.0e4),
+        length_max_m=(_finite, 0.8192),
         n_lengths=(int, 20),
         n_realizations=(int, 1000),
     ),
@@ -111,36 +117,36 @@ _SCHEMAS: dict[str, dict] = {
         _NOISE_KEYS,
         state=(str, "phi_plus"),
         grid_n=(int, 16),
-        delta_beta_per_m=(float, 2.0e4),
-        length_m=(float, 0.0),
+        delta_beta_per_m=(_finite, 2.0e4),
+        length_m=(_finite, 0.0),
     ),
     "delays": dict(
         **_SLAB_KEYS,
         **_NOISE_KEYS,
-        delta_beta_per_m=(float, 0.0),  # 0 means "derive from the slab spec"
-        length_max_m=(float, 1.0),
+        delta_beta_per_m=(_finite, 0.0),  # 0 means "derive from the slab spec"
+        length_max_m=(_finite, 1.0),
         n_lengths=(int, 10),
     ),
     "fig2": dict(
         _SLAB_KEYS,
         delta_n_list=(_float_list, [0.0, 1.0e-4, 2.1e-4]),
-        phase_length_um=(float, 1000.0),
-        stem_length_um=(float, 1130.0),
-        branch_half_angle_deg=(float, 0.4),
-        branch_separation_um=(float, 24.0),
-        branch_core_width_um=(float, 4.0),
-        window_um=(float, 64.0),
+        phase_length_um=(_finite, 1000.0),
+        stem_length_um=(_finite, 1130.0),
+        branch_half_angle_deg=(_finite, 0.4),
+        branch_separation_um=(_finite, 24.0),
+        branch_core_width_um=(_finite, 4.0),
+        window_um=(_finite, 64.0),
         nx=(int, 2048),
-        dz_um=(float, 1.0),
-        lead_out_um=(float, 250.0),
+        dz_um=(_finite, 1.0),
+        lead_out_um=(_finite, 250.0),
     ),
     "bpm-run": dict(
         _SLAB_KEYS,
         launch=(str, "plus"),
-        length_um=(float, 1000.0),
-        window_um=(float, 96.0),
+        length_um=(_finite, 1000.0),
+        window_um=(_finite, 96.0),
         nx=(int, 2048),
-        dz_um=(float, 0.5),
+        dz_um=(_finite, 0.5),
         snapshot_every=(int, 16),
     ),
 }
@@ -200,7 +206,7 @@ def parse_config_text(text: str) -> RunConfig:
         try:
             parameters[key] = parser(value)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
+            raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from exc
     for key, (parser, default) in schema.items():
         if key not in parameters:
             if default is REQUIRED:
@@ -244,6 +250,8 @@ def validate(config: RunConfig) -> list[Diagnostic]:
         diagnostics.append(Diagnostic("corr_length_um", "correlation length must be positive", "error"))
     if "n_core" in params and "n_clad" in params and params["n_core"] <= params["n_clad"]:
         diagnostics.append(Diagnostic("n_core", "need n_core > n_clad", "error"))
+    if config.experiment == "decohere" and params["n_lengths"] < 2:
+        diagnostics.append(Diagnostic("n_lengths", "a scan needs at least 2 lengths", "error"))
     if "n_realizations" in params and params["n_realizations"] < 1:
         diagnostics.append(Diagnostic("n_realizations", "need at least one realization", "error"))
     if "grid_n" in params and params["grid_n"] < 8:

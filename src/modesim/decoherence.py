@@ -22,8 +22,12 @@ sign convention used throughout.
 
 Step unitaries are composed as SU(2) quaternions (scalar w and vector part
 v, with U = w I - i v.sigma); this is algebraically identical to 2x2 matrix
-products but runs on real arrays.  The composition over a path is reduced
-pairwise (a balanced tree), which keeps rounding growth logarithmic.
+products but runs on real arrays.  The checkpoints of a scan cut a path into
+segments, whose step quaternions fill one block, a row per segment, padded
+with identity quaternions.  Every row is reduced pairwise (a balanced tree,
+which keeps rounding growth logarithmic) in one pass per tree level; the
+identity padding is exact, so each segment gets the bits of its own tree.
+ensemble_scan, ensemble_evolve and integrate_realization all use this reducer.
 
 Ensemble reductions use compensated (fsum) summation per matrix entry, so
 the mean is independent of scheduling order at the 1e-13 level demanded of
@@ -57,6 +61,8 @@ __all__ = [
 #: the integrator requires dz <= (2 pi / |dbeta|) / MIN_STEPS_PER_BEAT.
 MIN_STEPS_PER_BEAT = 16
 
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class EvolutionParams:
@@ -73,10 +79,10 @@ class EvolutionParams:
 
 def _apply_single_rail(entries: np.ndarray, delta_beta: float, gamma: float,
                        kappa: float, length: float) -> np.ndarray:
-    """Closed-form map extended linearly to an arbitrary 2x2 matrix."""
+    """Closed-form map extended linearly to the leading 2x2 axes of an array."""
     relax = math.exp(-2.0 * gamma * length)
     phase = np.exp((1j * (delta_beta + kappa) - gamma) * length)
-    out = np.empty((2, 2), dtype=np.complex128)
+    out = np.empty(entries.shape, dtype=np.complex128)
     out[0, 0] = 0.5 * ((1 + relax) * entries[0, 0] + (1 - relax) * entries[1, 1])
     out[1, 1] = 0.5 * ((1 - relax) * entries[0, 0] + (1 + relax) * entries[1, 1])
     out[0, 1] = entries[0, 1] * phase
@@ -93,8 +99,9 @@ def analytic_single_rail(rho0: DensityMatrix, params: EvolutionParams) -> Densit
     return DensityMatrix(out)
 
 
-def _step_quaternions(values: np.ndarray, dz: float, delta_beta: float, k_ab: complex):
-    """Per-step SU(2) components (w, x, y, z) of exp(-i H dz).
+def _step_quaternions(values: np.ndarray, dz: float, delta_beta: float,
+                      k_ab: complex) -> np.ndarray:
+    """Per-step SU(2) components (w, x, y, z) of exp(-i H dz), stacked on a new leading axis.
 
     The traceless part of H is Re(c) sx - Im(c) sy - (dbeta/2) sz with
     c = k_ab f; the global phase exp(-i dbeta dz / 2) is dropped because the
@@ -105,31 +112,46 @@ def _step_quaternions(values: np.ndarray, dz: float, delta_beta: float, k_ab: co
     c_im = values * k_ab.imag
     radius = np.sqrt(half * half + c_re * c_re + c_im * c_im)
     theta = radius * dz
-    w = np.cos(theta)
+    q = np.empty((4,) + values.shape)
+    np.cos(theta, out=q[0])
     # sin(theta)/radius, continuous at radius -> 0
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(radius > 0.0, np.sin(theta) / np.where(radius > 0.0, radius, 1.0), dz)
-    return w, scale * c_re, scale * (-c_im), scale * (-half)
+    np.multiply(scale, c_re, out=q[1])
+    np.multiply(scale, -c_im, out=q[2])
+    np.multiply(scale, -half, out=q[3])
+    return q
 
 
-def _quaternion_reduce(w, x, y, z):
-    """Ordered SU(2) product q[n-1] * ... * q[0] by pairwise reduction."""
-    while w.shape[0] > 1:
-        n = w.shape[0]
-        m = n - (n % 2)
-        w2, x2, y2, z2 = w[1:m:2], x[1:m:2], y[1:m:2], z[1:m:2]
-        w1, x1, y1, z1 = w[0:m:2], x[0:m:2], y[0:m:2], z[0:m:2]
-        nw = w2 * w1 - (x2 * x1 + y2 * y1 + z2 * z1)
-        nx = w2 * x1 + w1 * x2 + (y2 * z1 - z2 * y1)
-        ny = w2 * y1 + w1 * y2 + (z2 * x1 - x2 * z1)
-        nz = w2 * z1 + w1 * z2 + (x2 * y1 - y2 * x1)
-        if n % 2:
-            nw = np.append(nw, w[-1])
-            nx = np.append(nx, x[-1])
-            ny = np.append(ny, y[-1])
-            nz = np.append(nz, z[-1])
-        w, x, y, z = nw, nx, ny, nz
-    return float(w[0]), float(x[0]), float(y[0]), float(z[0])
+def _segment_index(marks: list[int]) -> np.ndarray:
+    """Step indices of the segments [0, m0), [m0, m1), ... as rows; -1 past a segment's end."""
+    starts = np.array([0] + marks[:-1])[:, None]
+    ends = np.array(marks)[:, None]
+    index = starts + np.arange(int((ends - starts).max()))
+    index[index >= ends] = -1
+    return index
+
+
+def _segment_products(q: np.ndarray) -> np.ndarray:
+    """Ordered SU(2) products q[:, s, n-1] * ... * q[:, s, 0] of each row s of a (4, S, n) block.
+
+    All rows are reduced pairwise (a balanced tree), one level at a time.  Rows
+    are padded with identity quaternions; pairing a row's odd last element
+    with the identity returns it unchanged (1 * a and a + 0 are exact), so
+    each row gets the same bits as its own unpadded tree.
+    """
+    while q.shape[2] > 1:
+        if q.shape[2] % 2:
+            q = np.concatenate((q, np.empty(q.shape[:2] + (1,))), axis=2)
+            q[:, :, -1] = np.array(_IDENTITY)[:, None]
+        w1, x1, y1, z1 = q[:, :, 0::2]
+        w2, x2, y2, z2 = q[:, :, 1::2]
+        q = np.empty((4,) + w1.shape)
+        np.subtract(w2 * w1, x2 * x1 + y2 * y1 + z2 * z1, out=q[0])
+        np.add(w2 * x1 + w1 * x2, y2 * z1 - z2 * y1, out=q[1])
+        np.add(w2 * y1 + w1 * y2, z2 * x1 - x2 * z1, out=q[2])
+        np.add(w2 * z1 + w1 * z2, x2 * y1 - y2 * x1, out=q[3])
+    return q[:, :, 0]
 
 
 def _quaternion_compose(a, b):
@@ -165,9 +187,19 @@ def _check_step_resolution(dz: float, delta_beta: float) -> None:
             )
 
 
-def _path_unitary(values: np.ndarray, dz: float, delta_beta: float, k_ab: complex) -> np.ndarray:
-    q = _quaternion_reduce(*_step_quaternions(values, dz, delta_beta, k_ab))
-    return _quaternion_to_matrix(q)
+def _conjugations(rho: np.ndarray, values: np.ndarray, dz: float, delta_beta: float,
+                  k_ab: complex, index: np.ndarray) -> np.ndarray:
+    """rho conjugated by the path unitary up to the end of each segment of index."""
+    block = _step_quaternions(values[index], dz, delta_beta, k_ab)
+    block[:, index < 0] = np.array(_IDENTITY)[:, None]
+    segments = _segment_products(block)
+    snapshots = np.empty((index.shape[0], 2, 2), dtype=np.complex128)
+    cumulative = _IDENTITY
+    for idx, segment in enumerate(segments.T.tolist()):
+        cumulative = _quaternion_compose(segment, cumulative)
+        unitary = _quaternion_to_matrix(cumulative)
+        snapshots[idx] = unitary @ rho @ unitary.conj().T
+    return snapshots
 
 
 def integrate_realization(rho0: DensityMatrix, path: SampledPath, delta_beta: float,
@@ -181,20 +213,32 @@ def integrate_realization(rho0: DensityMatrix, path: SampledPath, delta_beta: fl
     if rho0.rails != 1:
         raise ValueError("integrate_realization expects a single-rail 2x2 state")
     _check_step_resolution(path.dz, delta_beta)
-    unitary = _path_unitary(path.values, path.dz, delta_beta, complex(k_ab))
-    return DensityMatrix(unitary @ rho0.matrix @ unitary.conj().T)
+    return DensityMatrix(_conjugations(rho0.matrix, path.values, path.dz, delta_beta,
+                                       complex(k_ab), _segment_index([path.count]))[0])
+
+
+def _ensemble(rho: np.ndarray, model: PerturbationModel, delta_beta: float, dz: float,
+              marks: list[int], n_realizations: int, base_seed: int, n_jobs: int) -> np.ndarray:
+    """(n_realizations, len(marks), 2, 2) states at marks; realization i uses seed base_seed + i."""
+    index = _segment_index(marks)
+    k_ab = complex(model.k_ab)
+
+    def one(i: int) -> np.ndarray:
+        path = sample_path(model, dz, marks[-1], base_seed + i)
+        return _conjugations(rho, path.values, dz, delta_beta, k_ab, index)
+
+    if n_jobs > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            return np.array(list(pool.map(one, range(n_realizations))))
+    return np.array([one(i) for i in range(n_realizations)])
 
 
 def _compensated_mean(stack: np.ndarray) -> np.ndarray:
-    """Order-insensitive mean over axis 0 of a stack of small complex matrices."""
-    n, rows, cols = stack.shape
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = complex(
-                math.fsum(stack[:, i, j].real), math.fsum(stack[:, i, j].imag)
-            ) / n
-    return out
+    """Order-insensitive mean over axis 0 of a stack of complex arrays."""
+    n = stack.shape[0]
+    entries = stack.reshape(n, -1).T
+    return np.array([complex(math.fsum(e.real), math.fsum(e.imag)) / n
+                     for e in entries]).reshape(stack.shape[1:])
 
 
 def _scan_dz(model: PerturbationModel, delta_beta: float) -> float:
@@ -216,22 +260,10 @@ def ensemble_evolve(rho0: DensityMatrix, model: PerturbationModel, delta_beta: f
         raise ValueError("need at least one realization")
     if length <= 0:
         raise ValueError("length must be positive")
-    dz = _scan_dz(model, delta_beta)
-    count = max(2, int(round(length / dz)))
-    dz = length / count
-    k_ab = complex(model.k_ab)
-
-    def one(i: int) -> np.ndarray:
-        path = sample_path(model, dz, count, base_seed + i)
-        unitary = _path_unitary(path.values, dz, delta_beta, k_ab)
-        return unitary @ rho0.matrix @ unitary.conj().T
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(one, range(n_realizations)))
-    else:
-        results = [one(i) for i in range(n_realizations)]
-    return DensityMatrix(_compensated_mean(np.array(results)))
+    count = max(2, int(round(length / _scan_dz(model, delta_beta))))
+    stack = _ensemble(rho0.matrix, model, delta_beta, length / count, [count],
+                      n_realizations, base_seed, n_jobs)
+    return DensityMatrix(_compensated_mean(stack)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,32 +300,10 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     dz = length_max / total
     marks = sorted({max(1, int(round(total * (j + 1) / n_lengths))) for j in range(n_lengths)})
     lengths = np.array([m * dz for m in marks])
-    k_ab = complex(model.k_ab)
     rate_consts = rates(model, delta_beta)
+    stack = _ensemble(rho0.matrix, model, delta_beta, dz, marks, n_realizations, base_seed, n_jobs)
 
-    def one(i: int) -> np.ndarray:
-        path = sample_path(model, dz, total, base_seed + i)
-        w, x, y, z = _step_quaternions(path.values, dz, delta_beta, k_ab)
-        snapshots = np.empty((len(marks), 2, 2), dtype=np.complex128)
-        cumulative = (1.0, 0.0, 0.0, 0.0)
-        start = 0
-        for idx, mark in enumerate(marks):
-            segment = _quaternion_reduce(w[start:mark], x[start:mark], y[start:mark], z[start:mark])
-            cumulative = _quaternion_compose(segment, cumulative)
-            unitary = _quaternion_to_matrix(cumulative)
-            snapshots[idx] = unitary @ rho0.matrix @ unitary.conj().T
-            start = mark
-        return snapshots
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            stack = np.array(list(pool.map(one, range(n_realizations))))
-    else:
-        stack = np.array([one(i) for i in range(n_realizations)])
-
-    mean = np.empty((len(marks), 2, 2), dtype=np.complex128)
-    for j in range(len(marks)):
-        mean[j] = _compensated_mean(stack[:, j])
+    mean = _compensated_mean(stack)
     var = np.var(stack.real, axis=0) + np.var(stack.imag, axis=0)
     stderr = np.sqrt(var / n_realizations)
 
@@ -351,32 +361,11 @@ def _two_rail_closed_form(state: str, params: EvolutionParams) -> np.ndarray:
 
 def _two_rail_channel(state: str, params: EvolutionParams) -> np.ndarray:
     pure = bell_state("phi", "+") if state == "phi_plus" else product_state()
-    tensor4 = density_of(pure).matrix.reshape(2, 2, 2, 2)
-
-    def apply_on(tens: np.ndarray, control: bool) -> np.ndarray:
-        out = np.empty_like(tens)
-        if control:
-            blocks = [[tens[0, :, 0, :], tens[0, :, 1, :]], [tens[1, :, 0, :], tens[1, :, 1, :]]]
-        else:
-            blocks = [[tens[:, 0, :, 0], tens[:, 0, :, 1]], [tens[:, 1, :, 0], tens[:, 1, :, 1]]]
-        relax = math.exp(-2.0 * params.rates.gamma * params.length)
-        phase = np.exp((1j * (params.delta_beta + params.rates.kappa) - params.rates.gamma)
-                       * params.length)
-        new = [
-            [0.5 * ((1 + relax) * blocks[0][0] + (1 - relax) * blocks[1][1]), blocks[0][1] * phase],
-            [blocks[1][0] * np.conj(phase),
-             0.5 * ((1 - relax) * blocks[0][0] + (1 + relax) * blocks[1][1])],
-        ]
-        for a in range(2):
-            for b in range(2):
-                if control:
-                    out[a, :, b, :] = new[a][b]
-                else:
-                    out[:, a, :, b] = new[a][b]
-        return out
-
-    evolved = apply_on(apply_on(tensor4, control=True), control=False)
-    return evolved.reshape(4, 4)
+    args = (params.delta_beta, params.rates.gamma, params.rates.kappa, params.length)
+    # axes (c, t, c', t') of control and target rails; each map acts on the leading pair
+    tensor = density_of(pure).matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    tensor = _apply_single_rail(tensor, *args).transpose(2, 3, 0, 1)
+    return _apply_single_rail(tensor, *args).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def two_rail_evolve(state: str, params: EvolutionParams, mode: str = "closed_form") -> DensityMatrix:

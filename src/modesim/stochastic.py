@@ -112,14 +112,21 @@ class RateConstants:
 
 
 @functools.lru_cache(maxsize=8)
-def _circulant_eigenvalues(sigma: float, corr_length: float, dz: float, size: int) -> np.ndarray:
+def _embedding_scale(sigma: float, corr_length: float, dz: float, count: int) -> np.ndarray:
+    """sqrt(eigenvalues / size) of the smallest PSD circulant embedding of count samples."""
     # cached: an ensemble draws thousands of paths from one embedding
-    j = np.arange(size)
-    lag = np.minimum(j, size - j) * dz
-    first_row = sigma * sigma * np.exp(-((lag / corr_length) ** 2))
-    eig = np.fft.fft(first_row).real
-    eig.setflags(write=False)
-    return eig
+    size = 1 << max(1, int(math.ceil(math.log2(2 * (count - 1)))))
+    for _ in range(4):  # initial embedding plus up to 3 doublings
+        j = np.arange(size)
+        lag = np.minimum(j, size - j) * dz
+        first_row = sigma * sigma * np.exp(-((lag / corr_length) ** 2))
+        eig = np.fft.fft(first_row).real
+        if eig.min() >= -1e-12 * eig.max():
+            scale = np.sqrt(np.clip(eig, 0.0, None) / size)
+            scale.setflags(write=False)
+            return scale
+        size *= 2
+    raise NumericalError("circulant embedding not positive semidefinite after 3 doublings")
 
 
 def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> SampledPath:
@@ -145,21 +152,13 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
     if model.sigma == 0.0:
         return SampledPath(np.zeros(count), dz, seed)
 
-    size = 1 << max(1, int(math.ceil(math.log2(2 * (count - 1)))))
-    eigenvalues = None
-    for _ in range(4):  # initial embedding plus up to 3 doublings
-        eig = _circulant_eigenvalues(model.sigma, model.corr_length, dz, size)
-        if eig.min() >= -1e-12 * eig.max():
-            eigenvalues = np.clip(eig, 0.0, None)
-            break
-        size *= 2
-    if eigenvalues is None:
-        raise NumericalError("circulant embedding not positive semidefinite after 3 doublings")
-
+    scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((2, size))
-    spectrum = np.sqrt(eigenvalues / size) * (draws[0] + 1j * draws[1])
-    values = np.fft.fft(spectrum).real[:count]
+    draws = rng.standard_normal((2, scale.shape[0]))
+    spectrum = np.empty(scale.shape[0], dtype=np.complex128)
+    np.multiply(scale, draws[0], out=spectrum.real)
+    np.multiply(scale, draws[1], out=spectrum.imag)
+    values = np.fft.fft(spectrum, out=spectrum).real[:count]
     return SampledPath(values, dz, seed)
 
 

@@ -190,6 +190,25 @@ class TestMain:
         assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "experiment=rates\nsigma=nan\n",
+        "experiment=rates\ndelta_beta_per_m=inf\n",
+        "experiment=fig2\ndelta_n_list=0;1e-4;-inf\n",
+    ], ids=["sigma_nan", "delta_beta_inf", "delta_n_list_inf"])
+    def test_non_finite_float_rejected(self, tmp_path, text):
+        # these once ran: NaN rates in rates.csv, or gamma=0 with regime_ok=true
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_decohere_single_length_rejected(self, tmp_path):
+        # once a numerical failure (exit 3) after the output directory was made
+        config = write_config(tmp_path, "experiment=decohere\nn_lengths=1\nn_realizations=2\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "--quiet"]) == EXIT_CONFIG
 
