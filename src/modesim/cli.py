@@ -5,7 +5,9 @@ experiment, and writes CSV results plus a JSON manifest into the output
 directory.  Outputs are deterministic for a fixed (config, seed) and files
 are written atomically, so reruns are byte identical.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical failure.  A run builds
+and checks every domain object before it computes, and computes before it
+writes, so a config error or a numerical failure writes nothing.
 
 Config keys carry explicit units in their names (core_width_um,
 corr_length_um, length_m, ...).  Unknown keys are rejected.
@@ -23,7 +25,9 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,9 +74,6 @@ class RunConfig:
     parameters: dict
     seed: int = 0
 
-    def get(self, key: str):
-        return self.parameters[key]
-
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -85,10 +86,21 @@ def _float_list(text: str) -> list[float]:
     return [_finite(part) for part in str(text).split(";") if part != ""]
 
 
-# Per-experiment parameter schemas: key -> (parser, default); required if
-# the default is REQUIRED.
-REQUIRED = object()
+def _bounded(parse, low, strict: bool = False):
+    """Parser of a number that must be at least low (above low if strict)."""
+    def parser(text: str):
+        value = parse(text)
+        if value < low or (strict and value == low):
+            raise ValueError(f"must be {'greater than' if strict else 'at least'} {low}")
+        return value
+    return parser
 
+
+_POSITIVE = _bounded(_finite, 0.0, strict=True)
+
+# Per-experiment parameter schemas: key -> (parser, default).  Keys that a
+# domain dataclass takes are checked by that dataclass; the rest are bounded
+# here.
 _SLAB_KEYS = {
     "core_width_um": (_finite, 8.0),
     "n_core": (_finite, 1.50),
@@ -103,20 +115,21 @@ _NOISE_KEYS = {
 }
 
 _SCHEMAS: dict[str, dict] = {
-    "modes": dict(_SLAB_KEYS, grid_points=(int, 2048), span_factor=(_finite, 6.0)),
+    "modes": dict(_SLAB_KEYS, grid_points=(_bounded(int, 2), 2048),
+                  span_factor=(_POSITIVE, 6.0)),
     "rates": dict(_NOISE_KEYS, delta_beta_per_m=(_finite, 2.0e4)),
     "decohere": dict(
         _NOISE_KEYS,
         delta_beta_per_m=(_finite, 2.0e4),
-        length_max_m=(_finite, 0.8192),
-        n_lengths=(int, 20),
-        n_realizations=(int, 1000),
+        length_max_m=(_POSITIVE, 0.8192),
+        n_lengths=(_bounded(int, 2), 20),
+        n_realizations=(_bounded(int, 1), 1000),
     ),
-    "bell": {"state": (str, "phi_plus"), "theta_points": (int, 19)},
+    "bell": {"state": (str, "phi_plus"), "theta_points": (_bounded(int, 1), 19)},
     "chsh-scan": dict(
         _NOISE_KEYS,
         state=(str, "phi_plus"),
-        grid_n=(int, 16),
+        grid_n=(_bounded(int, 8), 16),
         delta_beta_per_m=(_finite, 2.0e4),
         length_m=(_finite, 0.0),
     ),
@@ -124,8 +137,8 @@ _SCHEMAS: dict[str, dict] = {
         **_SLAB_KEYS,
         **_NOISE_KEYS,
         delta_beta_per_m=(_finite, 0.0),  # 0 means "derive from the slab spec"
-        length_max_m=(_finite, 1.0),
-        n_lengths=(int, 10),
+        length_max_m=(_POSITIVE, 1.0),
+        n_lengths=(_bounded(int, 1), 10),
     ),
     "fig2": dict(
         _SLAB_KEYS,
@@ -147,7 +160,7 @@ _SCHEMAS: dict[str, dict] = {
         window_um=(_finite, 96.0),
         nx=(int, 2048),
         dz_um=(_finite, 0.5),
-        snapshot_every=(int, 16),
+        snapshot_every=(_bounded(int, 1), 16),
     ),
 }
 
@@ -158,6 +171,9 @@ _STATES = {
     "psi_minus": lambda: density_of(bell_state("psi", "-")),
     "product": lambda: density_of(product_state()),
 }
+
+#: the states chsh-scan can decohere over length_m; it ignores length_m for the rest.
+_DECOHERED_STATES = ("phi_plus", "product")
 
 _LAUNCHES = {
     "te0": [1.0, 0.0],
@@ -207,11 +223,8 @@ def parse_config_text(text: str) -> RunConfig:
             parameters[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from exc
-    for key, (parser, default) in schema.items():
-        if key not in parameters:
-            if default is REQUIRED:
-                raise ConfigError(f"missing required key {key!r}")
-            parameters[key] = default
+    for key, (_, default) in schema.items():
+        parameters.setdefault(key, default)
     return RunConfig(experiment=experiment, parameters=parameters, seed=seed)
 
 
@@ -223,225 +236,151 @@ def load_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
-def _slab_from(params: dict) -> SlabSpec:
-    return SlabSpec(
-        core_width=params["core_width_um"] * 1e-6,
-        n_core=params["n_core"],
-        n_clad=params["n_clad"],
-        wavelength=params["wavelength_um"] * 1e-6,
-    )
+def _choice(table: dict, params: dict, key: str):
+    if params[key] not in table:
+        raise ValueError(f"unknown {key} {params[key]!r}; choose from {sorted(table)}")
+    return table[params[key]]
 
 
-def _model_from(params: dict) -> PerturbationModel:
-    return PerturbationModel(
-        sigma=params["sigma"],
-        corr_length=params["corr_length_um"] * 1e-6,
-        k_ab=params["k_ab_per_m"],
-    )
+def _build(config: RunConfig) -> SimpleNamespace:
+    """Build and check the run's domain objects, one per key group; compute nothing.
+
+    A bad config raises ValueError (or ArithmeticError) here, before any output.
+    """
+    params, b = config.parameters, SimpleNamespace(rates=None)
+    if "n_core" in params:
+        b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
+                          n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
+    if "sigma" in params:
+        b.model = PerturbationModel(sigma=params["sigma"], k_ab=params["k_ab_per_m"],
+                                    corr_length=params["corr_length_um"] * 1e-6)
+        b.dbeta = params["delta_beta_per_m"]
+        if config.experiment == "delays" and b.dbeta == 0.0:  # derive it from the slab
+            b.dbeta = delta_beta(b.spec)
+        b.rates = rates(b.model, b.dbeta)
+    if "state" in params:
+        b.rho = _choice(_STATES, params, "state")()
+    if "length_m" in params:
+        b.evo = EvolutionParams(b.dbeta, b.rates, params["length_m"])
+    if "launch" in params:
+        b.coeffs = _choice(_LAUNCHES, params, "launch")
+    if "length_um" in params:
+        length = params["length_um"] * 1e-6
+    if "stem_length_um" in params:
+        b.geometry = YSplitterGeometry(
+            stem_length=params["stem_length_um"] * 1e-6,
+            branch_half_angle=math.radians(params["branch_half_angle_deg"]),
+            branch_separation_final=params["branch_separation_um"] * 1e-6,
+            core_width=params["branch_core_width_um"] * 1e-6,
+            phase_section=PhaseSection(0.0, params["phase_length_um"] * 1e-6, z_start=50e-6),
+        )
+        length = b.geometry.separation_end_z() + params["lead_out_um"] * 1e-6
+    if "window_um" in params:  # nx points across a centered window, dz steps covering length
+        window, dz = params["window_um"] * 1e-6, params["dz_um"] * 1e-6
+        nz = int(math.ceil(length / dz)) + 1
+        b.grid = Grid(-window / 2.0, window / (params["nx"] - 1), params["nx"], dz, nz)
+    return b
 
 
-def validate(config: RunConfig) -> list[Diagnostic]:
-    """Machine-readable diagnostics; errors block the run, warnings do not."""
-    diagnostics: list[Diagnostic] = []
-    params = config.parameters
-    if "sigma" in params and params["sigma"] < 0:
-        diagnostics.append(Diagnostic("sigma", "sigma must be nonnegative", "error"))
-    if "corr_length_um" in params and params["corr_length_um"] <= 0:
-        diagnostics.append(Diagnostic("corr_length_um", "correlation length must be positive", "error"))
-    if "n_core" in params and "n_clad" in params and params["n_core"] <= params["n_clad"]:
-        diagnostics.append(Diagnostic("n_core", "need n_core > n_clad", "error"))
-    if config.experiment == "decohere" and params["n_lengths"] < 2:
-        diagnostics.append(Diagnostic("n_lengths", "a scan needs at least 2 lengths", "error"))
-    if "n_realizations" in params and params["n_realizations"] < 1:
-        diagnostics.append(Diagnostic("n_realizations", "need at least one realization", "error"))
-    if "grid_n" in params and params["grid_n"] < 8:
-        diagnostics.append(Diagnostic("grid_n", "grid_n must be at least 8", "error"))
-    if "state" in params and params["state"] not in _STATES:
-        diagnostics.append(Diagnostic("state", f"unknown state {params['state']!r}", "error"))
-    if "launch" in params and params["launch"] not in _LAUNCHES:
-        diagnostics.append(Diagnostic("launch", f"unknown launch {params['launch']!r}", "error"))
-    if (config.experiment == "chsh-scan" and params.get("length_m", 0.0) > 0
-            and params.get("state") not in ("phi_plus", "product")):
-        diagnostics.append(Diagnostic(
-            "length_m", "decohered scans support only phi_plus and product states; "
-            "length_m is ignored for this state", "warning"))
-    if not any(d.severity == "error" for d in diagnostics):
-        if "sigma" in params and "delta_beta_per_m" in params and params["sigma"] > 0:
-            dbeta = params["delta_beta_per_m"]
-            if dbeta == 0.0 and config.experiment == "delays":
-                dbeta = delta_beta(_slab_from(params))  # sentinel: derive from the slab
-            rate_consts = rates(_model_from(params), dbeta)
-            if not rate_consts.regime_ok:
-                diagnostics.append(Diagnostic(
-                    "delta_beta_per_m",
-                    "perturbative regime violated: delta_beta is not large against "
-                    f"gamma={rate_consts.gamma:.3e}, kappa={rate_consts.kappa:.3e}",
-                    "warning",
-                ))
-    return diagnostics
+def _derived_rates(b: SimpleNamespace) -> dict:
+    return {"delta_beta_per_m": b.dbeta, "gamma_per_m": b.rates.gamma,
+            "kappa_per_m": b.rates.kappa, "regime_ok": b.rates.regime_ok}
 
 
-def _derived_rates(params: dict) -> dict:
-    model = _model_from(params)
-    dbeta = params["delta_beta_per_m"]
-    rate_consts = rates(model, dbeta)
-    return {
-        "delta_beta_per_m": dbeta,
-        "gamma_per_m": rate_consts.gamma,
-        "kappa_per_m": rate_consts.kappa,
-        "regime_ok": rate_consts.regime_ok,
-    }
-
-
-def _run_modes(config: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    spec = _slab_from(config.parameters)
-    modes = solve_slab_te_modes(spec, points=config.parameters["grid_points"],
+def _run_modes(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+    modes = solve_slab_te_modes(b.spec, points=config.parameters["grid_points"],
                                 span_factor=config.parameters["span_factor"])
-    files = []
-    summary_rows = []
-    for mode in modes:
-        name = f"mode{mode.index}.csv"
-        export_mode_csv(mode, out_dir / name)
-        files.append(name)
-        summary_rows.append((mode.index, mode.beta, mode.beta / spec.k))
-    write_csv(out_dir / "modes.csv", ("index", "beta_per_m", "n_eff"), summary_rows)
-    files.append("modes.csv")
+    outputs = {f"mode{mode.index}.csv": partial(export_mode_csv, mode) for mode in modes}
+    outputs["modes.csv"] = partial(write_csv, header=("index", "beta_per_m", "n_eff"),
+                                   rows=[(m.index, m.beta, m.beta / b.spec.k) for m in modes])
     derived = {"n_modes": len(modes)}
     if len(modes) >= 2:
         derived["delta_beta_per_m"] = modes[1].beta - modes[0].beta
-    return files, derived
+    return outputs, derived
 
 
-def _run_rates(config: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    derived = _derived_rates(config.parameters)
-    write_csv(out_dir / "rates.csv",
-              ("gamma_per_m", "kappa_per_m", "regime_ok"),
-              [(derived["gamma_per_m"], derived["kappa_per_m"], derived["regime_ok"])])
-    return ["rates.csv"], derived
+def _run_rates(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+    return ({"rates.csv": partial(write_csv, header=("gamma_per_m", "kappa_per_m", "regime_ok"),
+                                  rows=[(b.rates.gamma, b.rates.kappa, b.rates.regime_ok)])},
+            _derived_rates(b))
 
 
-def _run_decohere(config: RunConfig, out_dir: Path, threads: int = 1) -> tuple[list[str], dict]:
+def _run_decohere(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
     params = config.parameters
-    model = _model_from(params)
     scan = ensemble_scan(
         density_of(superpose(1.0, 1.0)),
-        model,
-        params["delta_beta_per_m"],
+        b.model,
+        b.dbeta,
         params["length_max_m"],
         params["n_lengths"],
         params["n_realizations"],
         base_seed=config.seed,
         n_jobs=threads,
     )
-    export_scan_csv(scan, out_dir / "decohere.csv")
-    return ["decohere.csv"], _derived_rates(params)
+    return {"decohere.csv": partial(export_scan_csv, scan)}, _derived_rates(b)
 
 
-def _run_bell(config: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
+def _run_bell(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
     params = config.parameters
-    rho = _STATES[params["state"]]()
     thetas = np.linspace(0.0, math.pi, params["theta_points"], endpoint=False)
-    export_bell_csv(rho, thetas, thetas, out_dir / "bell.csv")
-    return ["bell.csv"], {"state": params["state"]}
+    return {"bell.csv": partial(export_bell_csv, b.rho, thetas, thetas)}, {"state": params["state"]}
 
 
-def _chsh_state(params: dict):
-    rho = _STATES[params["state"]]()
-    if params["length_m"] > 0 and params["state"] in ("phi_plus", "product"):
-        rate_consts = rates(_model_from(params), params["delta_beta_per_m"])
-        evo = EvolutionParams(params["delta_beta_per_m"], rate_consts, params["length_m"])
-        name = "phi_plus" if params["state"] == "phi_plus" else "product"
-        rho = two_rail_evolve(name, evo, "closed_form")
-    return rho
-
-
-def _run_chsh_scan(config: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
+def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
     params = config.parameters
-    rho = _chsh_state(params)
+    rho = b.rho
+    if b.evo.length > 0 and params["state"] in _DECOHERED_STATES:
+        rho = two_rail_evolve(params["state"], b.evo, "closed_form")
     best, angles = chsh_scan(rho, params["grid_n"])
-    export_chsh_csv([(best, angles)], out_dir / "chsh_scan.csv")
     derived = {"max_abs_B": best, "state": params["state"]}
-    if params["length_m"] > 0:
-        derived.update(_derived_rates(params))
-    return ["chsh_scan.csv"], derived
+    if b.evo.length > 0:
+        derived.update(_derived_rates(b))
+    return {"chsh_scan.csv": partial(export_chsh_csv, [(best, angles)])}, derived
 
 
-def _run_delays(config: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
+def _run_delays(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
     params = config.parameters
-    spec = _slab_from(params)
-    dbeta = params["delta_beta_per_m"] or delta_beta(spec)
-    model = _model_from(params)
-    rate_consts = rates(model, dbeta)
     rows = []
     for length in np.linspace(params["length_max_m"] / params["n_lengths"],
                               params["length_max_m"], params["n_lengths"]):
-        evo = EvolutionParams(dbeta, rate_consts, float(length))
-        pair = DelayPair(group_delay(spec, 0, float(length)), group_delay(spec, 1, float(length)))
+        evo = EvolutionParams(b.dbeta, b.rates, float(length))
+        pair = DelayPair(group_delay(b.spec, 0, float(length)), group_delay(b.spec, 1, float(length)))
         cov_ent = delay_covariance(two_rail_evolve("phi_plus", evo, "closed_form"), pair)
         cov_prod = delay_covariance(two_rail_evolve("product", evo, "closed_form"), pair)
         rows.append((float(length), pair.tau0, pair.tau1, cov_ent, cov_prod))
-    write_csv(out_dir / "delays.csv",
-              ("L_m", "tau0_s", "tau1_s", "cov_entangled_s2", "cov_product_s2"), rows)
-    return ["delays.csv"], {"delta_beta_per_m": dbeta,
-                            "gamma_per_m": rate_consts.gamma,
-                            "kappa_per_m": rate_consts.kappa,
-                            "regime_ok": rate_consts.regime_ok}
+    header = ("L_m", "tau0_s", "tau1_s", "cov_entangled_s2", "cov_product_s2")
+    return {"delays.csv": partial(write_csv, header=header, rows=rows)}, _derived_rates(b)
 
 
-def _fig2_geometry(params: dict) -> tuple[SlabSpec, YSplitterGeometry, Grid]:
-    spec = _slab_from(params)
-    phase = PhaseSection(0.0, params["phase_length_um"] * 1e-6, z_start=50e-6)
-    geometry = YSplitterGeometry(
-        stem_length=params["stem_length_um"] * 1e-6,
-        branch_half_angle=math.radians(params["branch_half_angle_deg"]),
-        branch_separation_final=params["branch_separation_um"] * 1e-6,
-        core_width=params["branch_core_width_um"] * 1e-6,
-        phase_section=phase,
-    )
-    window = params["window_um"] * 1e-6
-    dz = params["dz_um"] * 1e-6
-    z_total = geometry.separation_end_z() + params["lead_out_um"] * 1e-6
-    nz = int(math.ceil(z_total / dz)) + 1
-    grid = Grid(x_min=-window / 2.0, dx=window / (params["nx"] - 1), nx=params["nx"],
-                dz=dz, nz=nz)
-    return spec, geometry, grid
+def _run_fig2(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+    rows = fig2_experiment(config.parameters["delta_n_list"], b.spec, b.geometry, b.grid)
+    return ({"fig2.csv": partial(write_csv,
+                                 header=("delta_n", "p_left", "p_right", "ratio_left", "theta_rad"),
+                                 rows=[(r.delta_n, r.power_left, r.power_right,
+                                        r.power_left / max(r.power_right, 1e-300), r.theta)
+                                       for r in rows])},
+            {"delta_beta_per_m": delta_beta(b.spec)})
 
 
-def _run_fig2(config: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    params = config.parameters
-    spec, geometry, grid = _fig2_geometry(params)
-    rows = fig2_experiment(params["delta_n_list"], spec, geometry, grid)
-    write_csv(out_dir / "fig2.csv",
-              ("delta_n", "p_left", "p_right", "ratio_left", "theta_rad"),
-              [(r.delta_n, r.power_left, r.power_right,
-                r.power_left / max(r.power_right, 1e-300), r.theta) for r in rows])
-    return ["fig2.csv"], {"delta_beta_per_m": delta_beta(spec)}
-
-
-def _run_bpm(config: RunConfig, out_dir: Path) -> tuple[list[str], dict]:
-    params = config.parameters
-    spec = _slab_from(params)
-    window = params["window_um"] * 1e-6
-    dz = params["dz_um"] * 1e-6
-    nz = int(math.ceil(params["length_um"] * 1e-6 / dz)) + 1
-    grid = Grid(-window / 2.0, window / (params["nx"] - 1), params["nx"], dz, nz)
+def _run_bpm(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+    spec, grid = b.spec, b.grid
     modes = solve_slab_te_modes(spec, grid=grid.waveguide_grid())
     if len(modes) < 2:
         raise NumericalError("straight-guide run expects a dual-mode spec")
-    coeffs = _LAUNCHES[params["launch"]]
-    launch = field_from_modes(modes[:2], coeffs, grid)
+    launch = field_from_modes(modes[:2], b.coeffs, grid)
     ri_map = straight_slab_map(grid, spec)
     snapshots = propagate(launch, ri_map, grid, spec.wavelength,
-                          snapshot_every=params["snapshot_every"],
+                          snapshot_every=config.parameters["snapshot_every"],
                           core_width_hint=spec.core_width)
-    export_field_csv(snapshots[-1], grid, out_dir / "field_final.csv")
-    export_raster(snapshots, grid, out_dir / "raster.bin")
     left, right = branch_powers(snapshots[-1], 0.0, grid)
-    return (["field_final.csv", "raster.bin"],
+    return ({"field_final.csv": partial(export_field_csv, snapshots[-1], grid),
+             "raster.bin": partial(export_raster, snapshots, grid)},
             {"power_drift": snapshots[-1].power / snapshots[0].power - 1.0,
              "branch_left": left, "branch_right": right})
 
 
+# Each runner computes from the built objects and writes nothing: it returns the
+# writer of each output file (called with its destination path) and the derived values.
 _RUNNERS = {
     "modes": _run_modes,
     "rates": _run_rates,
@@ -454,25 +393,61 @@ _RUNNERS = {
 }
 
 
+def _culprit(config: RunConfig, message: str) -> str:
+    """The key behind a build error: setting keys back to their defaults in
+    schema order, the first whose reset changes the error."""
+    trial = RunConfig(config.experiment, dict(config.parameters), config.seed)
+    for key, (_, default) in _SCHEMAS[config.experiment].items():
+        trial.parameters[key] = default
+        try:
+            _build(trial)
+        except (ValueError, ArithmeticError) as exc:
+            if str(exc) == message:
+                continue
+        return key
+    return "experiment"
+
+
+def validate(config: RunConfig) -> list[Diagnostic]:
+    """Machine-readable diagnostics; errors block the run, warnings do not."""
+    try:
+        rate_consts = _build(config).rates
+    except (ValueError, ArithmeticError) as exc:
+        return [Diagnostic(_culprit(config, str(exc)), str(exc), "error")]
+    diagnostics: list[Diagnostic] = []
+    params = config.parameters
+    if (config.experiment == "chsh-scan" and params["length_m"] > 0
+            and params["state"] not in _DECOHERED_STATES):
+        diagnostics.append(Diagnostic(
+            "length_m", "decohered scans support only phi_plus and product states; "
+            "length_m is ignored for this state", "warning"))
+    if rate_consts is not None and not rate_consts.regime_ok:
+        diagnostics.append(Diagnostic(
+            "delta_beta_per_m",
+            "perturbative regime violated: delta_beta is not large against "
+            f"gamma={rate_consts.gamma:.3e}, kappa={rate_consts.kappa:.3e}",
+            "warning",
+        ))
+    return diagnostics
+
+
 def run(config: RunConfig, out_dir, quiet: bool = False, threads: int = 1) -> dict:
     """Execute the configured experiment; returns the manifest payload."""
+    outputs, derived = _RUNNERS[config.experiment](config, _build(config), threads)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if config.experiment == "decohere":
-        files, derived = _run_decohere(config, out, threads=max(1, threads))
-    else:
-        files, derived = _RUNNERS[config.experiment](config, out)
+    for name, write in outputs.items():
+        write(out / name)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,
         "version": __version__,
         "config": {k: config.parameters[k] for k in sorted(config.parameters)},
         "derived": derived,
-        "outputs": sorted(files),
+        "outputs": sorted(outputs),
     }
     write_json(out / "manifest.json", manifest)
     if not quiet:
-        print(f"{config.experiment}: wrote {', '.join(sorted(files))} and manifest.json to {out}")
+        print(f"{config.experiment}: wrote {', '.join(sorted(outputs))} and manifest.json to {out}")
     return manifest
 
 
@@ -489,6 +464,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError("threads must be at least 1")
         config = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:

@@ -174,6 +174,8 @@ def _default_grid(core_width: float, grid: tuple[float, float, int] | None,
                   span_factor: float, points: int) -> tuple[float, float, int]:
     if grid is not None:
         return grid
+    if not span_factor > 0 or points < 2:
+        raise ValueError("need span_factor > 0 and points >= 2")
     span = span_factor * core_width
     return (-span / 2.0, span / (points - 1), points)
 

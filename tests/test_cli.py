@@ -73,6 +73,22 @@ class TestValidate:
         diags = validate(config)
         assert any(d.severity == "error" and d.key == "sigma" for d in diags)
 
+    @pytest.mark.parametrize("text,key", [
+        ("experiment=rates\ncorr_length_um=-1\n", "corr_length_um"),
+        ("experiment=rates\nsigma=-1\ncorr_length_um=-1\n", "sigma"),
+        ("experiment=modes\nn_core=1.2\nn_clad=1.6\n", "n_clad"),
+        ("experiment=bpm-run\nnx=10\n", "nx"),
+        ("experiment=bpm-run\nlaunch=sideways\n", "launch"),
+        ("experiment=fig2\ndz_um=0\n", "dz_um"),
+        ("experiment=fig2\nbranch_half_angle_deg=5\n", "branch_half_angle_deg"),
+        ("experiment=chsh-scan\nlength_m=-1\n", "length_m"),
+        ("experiment=bell\nstate=phi_zero\n", "state"),
+    ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
+            "state"])
+    def test_build_error_keyed_by_its_config_key(self, text, key):
+        diags = validate(parse_config_text(text))
+        assert [(d.key, d.severity) for d in diags] == [(key, "error")]
+
     def test_regime_violation_is_warning(self):
         config = parse_config_text(
             "experiment=rates\nsigma=0.5\nk_ab_per_m=50000\ndelta_beta_per_m=100\n")
@@ -207,6 +223,42 @@ class TestMain:
         config = write_config(tmp_path, "experiment=decohere\nn_lengths=1\nn_realizations=2\n")
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,flags", [
+        ("experiment=modes\ncore_width_um=-1\n", []),
+        ("experiment=modes\ngrid_points=1\n", []),
+        ("experiment=modes\ngrid_points=0\n", []),
+        ("experiment=modes\nspan_factor=0\n", []),
+        ("experiment=bpm-run\nnx=10\n", []),
+        ("experiment=bpm-run\nsnapshot_every=0\n", []),
+        ("experiment=delays\nn_lengths=0\n", []),
+        ("experiment=delays\nlength_max_m=-1\n", []),
+        ("experiment=bell\ntheta_points=0\n", []),
+        ("experiment=bell\ntheta_points=-3\n", []),
+        ("experiment=decohere\nlength_max_m=-1\n", []),
+        ("experiment=chsh-scan\nlength_m=-1\n", []),
+        ("experiment=fig2\ndz_um=0\n", []),
+        ("experiment=fig2\nwindow_um=-64\n", []),
+        ("experiment=fig2\nbranch_half_angle_deg=5\n", []),
+        ("experiment=chsh-scan\ngrid_n=8\n", ["--threads", "0"]),
+        ("experiment=chsh-scan\ngrid_n=8\n", ["--threads", "-2"]),
+    ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
+            "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
+            "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
+            "chsh_length", "fig2_dz", "fig2_window", "fig2_angle", "threads_0", "threads_neg"])
+    def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
+        # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet", *flags]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_numerical_failure_writes_nothing(self, tmp_path):
+        # the run computes before it writes, so a failed run leaves no directory
+        config = write_config(tmp_path, "experiment=bpm-run\ncore_width_um=3\nlength_um=20\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modesim.analyzer import intensity_split_operator
 from modesim.correlation import (
@@ -16,7 +18,7 @@ from modesim.correlation import (
     rail_embed,
 )
 from modesim.decoherence import EvolutionParams, two_rail_evolve
-from modesim.states import bell_state, density_of, maximally_mixed, product_state
+from modesim.states import DensityMatrix, bell_state, density_of, maximally_mixed, product_state, tensor
 from modesim.stochastic import RateConstants
 from modesim.waveguide import group_delay
 
@@ -24,6 +26,33 @@ PHI_PLUS = density_of(bell_state("phi", "+"))
 PRODUCT = density_of(product_state())
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 CANONICAL = ChshAngles(math.pi / 8, -math.pi / 8, 0.0, math.pi / 4)
+PAULI_XY = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]))
+
+
+def density_matrices(dim):
+    """Random dim x dim density matrices G G^H / tr(G G^H), G complex Gaussian-like."""
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=2 * dim * dim, max_size=2 * dim * dim)
+
+    def build(values):
+        flat = np.array(values[:dim * dim]) + 1j * np.array(values[dim * dim:])
+        g = flat.reshape(dim, dim)
+        m = g @ g.conj().T
+        m = (m + m.conj().T) / 2.0
+        return DensityMatrix(m / np.trace(m).real)
+
+    return parts.filter(lambda v: np.linalg.norm(v) > 0.1).map(build)
+
+
+def planar_chsh_optimum(rho):
+    """2 sqrt(s1^2 + s2^2), s the singular values of the xy block of the correlation tensor.
+
+    The analyzer observable cos(2 theta) X + sin(2 theta) Y lies in the xy plane,
+    so this is the planar Horodecki bound: the exact CHSH optimum over all angles.
+    """
+    block = np.array([[np.trace(rho.matrix @ np.kron(a, b)).real for b in PAULI_XY]
+                      for a in PAULI_XY])
+    s = np.linalg.svd(block, compute_uv=False)
+    return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
 
 
 class TestRailEmbed:
@@ -143,6 +172,31 @@ class TestChsh:
         first = chsh_scan(PHI_PLUS, 16)
         second = chsh_scan(PHI_PLUS, 16)
         assert first == second
+
+
+class TestChshProperties:
+    @given(density_matrices(4), st.floats(0.0, math.pi), st.floats(0.0, math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_correlation_bounded_by_one(self, rho, theta1, theta2):
+        assert abs(correlation_E(rho, theta1, theta2)) <= 1.0 + 1e-12
+
+    @given(density_matrices(2), density_matrices(2), st.sampled_from([8, 12, 16]))
+    @settings(max_examples=25, deadline=None)
+    def test_separable_states_never_violate(self, a, b, grid_n):
+        best, _ = chsh_scan(tensor(a, b), grid_n)
+        assert best <= 2.0 + 1e-12
+
+    @given(density_matrices(4), st.sampled_from([8, 12, 16]))
+    @settings(max_examples=25, deadline=None)
+    def test_scan_never_exceeds_planar_optimum(self, rho, grid_n):
+        best, _ = chsh_scan(rho, grid_n)
+        assert best <= planar_chsh_optimum(rho) + 1e-12
+
+    @pytest.mark.parametrize("family,sign", [("phi", "+"), ("phi", "-"), ("psi", "+"), ("psi", "-")])
+    def test_bell_states_reach_planar_optimum(self, family, sign):
+        rho = density_of(bell_state(family, sign))
+        best, _ = chsh_scan(rho, 16)
+        assert abs(best - planar_chsh_optimum(rho)) < 1e-12
 
 
 class TestDelayCovariance:

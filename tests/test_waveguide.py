@@ -109,6 +109,13 @@ class TestSlabSolver:
         spec = SlabSpec(8e-6, 1.49 + 1e-15, 1.49, 1.55e-6)
         assert solve_slab_te_modes(spec) == []
 
+    @pytest.mark.parametrize("kwargs", [dict(span_factor=0.0), dict(span_factor=-6.0),
+                                        dict(points=1), dict(points=0)])
+    def test_degenerate_default_grid_rejected(self, default_slab, kwargs):
+        # span_factor=0 once gave inf profiles; points=1 a ZeroDivisionError
+        with pytest.raises(ValueError, match="span_factor > 0 and points >= 2"):
+            solve_slab_te_modes(default_slab, **kwargs)
+
     def test_halving_wavelength_doubles_v(self, default_slab):
         doubled = SlabSpec(default_slab.core_width, default_slab.n_core,
                            default_slab.n_clad, default_slab.wavelength / 2.0)
