@@ -12,7 +12,7 @@ scripted experiment runner (:mod:`modesim.cli`).
 
 from ._errors import NumericalError
 from .analyzer import analyzer_projectors, intensities, intensity_difference_evolved, phase_op, splitter_states
-from .correlation import ChshAngles, DelayPair, chsh_B, chsh_scan, correlation_E, delay_covariance, rail_embed
+from .correlation import ChshAngles, DelayPair, chsh_B, chsh_optimum, chsh_scan, correlation_E, delay_covariance, rail_embed
 from .decoherence import (
     DecoherenceScan,
     EvolutionParams,

@@ -47,6 +47,8 @@ __all__ = [
     "FigTwoRow",
     "uniform_map",
     "straight_slab_map",
+    "check_geometry_fits",
+    "check_paraxial_dz",
     "build_geometry",
     "mode_field",
     "field_from_modes",
@@ -182,6 +184,9 @@ class YSplitterGeometry:
             raise ValueError("branch_half_angle must lie in [0, 2 deg) for paraxial validity")
         if self.branch_separation_final < self.core_width:
             raise ValueError("final separation must be at least one branch width")
+        phase = self.phase_section
+        if phase is not None and phase.z_start + phase.length > self.stem_length:
+            raise ValueError("phase section must sit inside the stem")
 
     def separation_end_z(self) -> float:
         """z where the branch centers reach their final separation."""
@@ -225,6 +230,19 @@ def straight_slab_map(grid: Grid, spec: SlabSpec, reference_n0: float | None = N
     return RIMap(np.tile(row, (grid.nz, 1)), spec.n_core if reference_n0 is None else reference_n0)
 
 
+def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
+    """Raise ValueError unless the grid holds the branches' full separation in z
+    and their outer edges, with a 5% margin, in x."""
+    sep_end = geometry.separation_end_z()
+    margin = 1.05 * (geometry.branch_separation_final / 2.0 + geometry.core_width / 2.0)
+    if sep_end > grid.z_max:
+        raise ValueError(f"geometry exceeds grid: branches separate until z={sep_end:g} m "
+                         f"but the grid ends at {grid.z_max:g} m")
+    if margin > min(-grid.x_min, grid.x_max):
+        raise ValueError(f"geometry exceeds grid: need |x| up to {margin:g} m inside "
+                         f"[{grid.x_min:g}, {grid.x_max:g}]")
+
+
 def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec,
                    reference_n0: float | None = None) -> RIMap:
     """Rasterize a Y-splitter onto the grid.
@@ -233,26 +251,12 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec,
     cells are area weighted so the raster integrates to the analytic core
     area and the discrete mode constants are free of staircase bias.
     """
+    check_geometry_fits(geometry, grid)
     x = grid.x
     z = grid.z
     stem_half = base.core_width / 2.0
     branch_half = geometry.core_width / 2.0
-    sep_end = geometry.separation_end_z()
-    margin = 1.05 * (geometry.branch_separation_final / 2.0 + branch_half)
-    if sep_end > grid.z_max:
-        raise ValueError(
-            f"geometry exceeds grid: branches separate until z={sep_end:g} m "
-            f"but the grid ends at {grid.z_max:g} m"
-        )
-    if margin > min(-grid.x_min, grid.x_max):
-        raise ValueError(
-            f"geometry exceeds grid: need |x| up to {margin:g} m inside "
-            f"[{grid.x_min:g}, {grid.x_max:g}]"
-        )
     phase = geometry.phase_section
-    if phase is not None and phase.z_start + phase.length > geometry.stem_length:
-        raise ValueError("phase section must sit inside the stem")
-
     n = np.full((grid.nz, grid.nx), base.n_clad)
     slope = math.tan(geometry.branch_half_angle)
     contrast = base.n_core - base.n_clad
@@ -294,6 +298,15 @@ def field_from_modes(modes, coefficients, grid: Grid) -> Field:
     return Field(values, 0.0, _power(values, grid.dx))
 
 
+def check_paraxial_dz(dz: float, wavelength: float, contrast: float) -> None:
+    """Raise ValueError if dz exceeds the paraxial step limit for an index
+    contrast max|n - n0|: dz <= SAFETY * wavelength / (2 contrast)."""
+    if contrast > 0:
+        dz_limit = PARAXIAL_DZ_SAFETY * wavelength / (2.0 * contrast)
+        if dz > dz_limit * (1 + 1e-12):
+            raise ValueError(f"dz={dz:g} exceeds the paraxial accuracy limit {dz_limit:g}")
+
+
 def _absorber(grid: Grid, fraction: float, strength: float) -> np.ndarray:
     width = fraction * (grid.x_max - grid.x_min)
     x = grid.x
@@ -322,13 +335,7 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
         raise ValueError("snapshot_every must be at least 1")
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    contrast = float(np.abs(ri_map.n - n0).max())
-    if contrast > 0:
-        dz_limit = PARAXIAL_DZ_SAFETY * wavelength / (2.0 * contrast)
-        if grid.dz > dz_limit * (1 + 1e-12):
-            raise ValueError(
-                f"dz={grid.dz:g} exceeds the paraxial accuracy limit {dz_limit:g}"
-            )
+    check_paraxial_dz(grid.dz, wavelength, float(np.abs(ri_map.n - n0).max()))
     if core_width_hint is not None and core_width_hint / grid.dx < MIN_POINTS_ACROSS_CORE:
         raise ValueError(
             f"dx={grid.dx:g} puts fewer than {MIN_POINTS_ACROSS_CORE} points across the core"

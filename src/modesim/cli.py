@@ -39,6 +39,8 @@ from .bpm import (
     PhaseSection,
     YSplitterGeometry,
     branch_powers,
+    check_geometry_fits,
+    check_paraxial_dz,
     export_field_csv,
     export_raster,
     field_from_modes,
@@ -46,7 +48,8 @@ from .bpm import (
     propagate,
     straight_slab_map,
 )
-from .correlation import DelayPair, chsh_scan, delay_covariance, export_bell_csv, export_chsh_csv
+from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, export_bell_csv,
+                          export_chsh_csv)
 from .decoherence import EvolutionParams, ensemble_scan, export_scan_csv, two_rail_evolve
 from .states import bell_state, density_of, product_state, superpose
 from .stochastic import PerturbationModel, rates
@@ -86,12 +89,14 @@ def _float_list(text: str) -> list[float]:
     return [_finite(part) for part in str(text).split(";") if part != ""]
 
 
-def _bounded(parse, low, strict: bool = False):
-    """Parser of a number that must be at least low (above low if strict)."""
+def _bounded(parse, low, strict: bool = False, high=None):
+    """Parser of a number of at least low (above low if strict) and at most high, if given."""
     def parser(text: str):
         value = parse(text)
         if value < low or (strict and value == low):
             raise ValueError(f"must be {'greater than' if strict else 'at least'} {low}")
+        if high is not None and value > high:
+            raise ValueError(f"must be at most {high}")
         return value
     return parser
 
@@ -125,11 +130,11 @@ _SCHEMAS: dict[str, dict] = {
         n_lengths=(_bounded(int, 2), 20),
         n_realizations=(_bounded(int, 1), 1000),
     ),
-    "bell": {"state": (str, "phi_plus"), "theta_points": (_bounded(int, 1), 19)},
+    "bell": {"state": (str, "phi_plus"), "theta_points": (_bounded(int, 1, high=1024), 19)},
     "chsh-scan": dict(
         _NOISE_KEYS,
         state=(str, "phi_plus"),
-        grid_n=(_bounded(int, 8), 16),
+        grid_n=(_bounded(int, 8, high=1024), 16),
         delta_beta_per_m=(_finite, 2.0e4),
         length_m=(_finite, 0.0),
     ),
@@ -149,7 +154,7 @@ _SCHEMAS: dict[str, dict] = {
         branch_separation_um=(_finite, 24.0),
         branch_core_width_um=(_finite, 4.0),
         window_um=(_finite, 64.0),
-        nx=(int, 2048),
+        nx=(_bounded(int, 2), 2048),  # _build divides by nx - 1
         dz_um=(_finite, 1.0),
         lead_out_um=(_finite, 250.0),
     ),
@@ -158,7 +163,7 @@ _SCHEMAS: dict[str, dict] = {
         launch=(str, "plus"),
         length_um=(_finite, 1000.0),
         window_um=(_finite, 96.0),
-        nx=(int, 2048),
+        nx=(_bounded(int, 2), 2048),  # _build divides by nx - 1
         dz_um=(_finite, 0.5),
         snapshot_every=(_bounded(int, 1), 16),
     ),
@@ -277,8 +282,14 @@ def _build(config: RunConfig) -> SimpleNamespace:
         length = b.geometry.separation_end_z() + params["lead_out_um"] * 1e-6
     if "window_um" in params:  # nx points across a centered window, dz steps covering length
         window, dz = params["window_um"] * 1e-6, params["dz_um"] * 1e-6
-        nz = int(math.ceil(length / dz)) + 1
+        nz = int(math.ceil(length / dz)) + 1 if dz > 0 else 0  # Grid rejects dz <= 0
         b.grid = Grid(-window / 2.0, window / (params["nx"] - 1), params["nx"], dz, nz)
+        # the largest |n - n_core| of the index map: the cladding, or a phase-section bump
+        contrast = max([b.spec.n_core - b.spec.n_clad]
+                       + [abs(dn) for dn in params.get("delta_n_list", [])])
+        check_paraxial_dz(dz, b.spec.wavelength, contrast)
+    if "stem_length_um" in params:
+        check_geometry_fits(b.geometry, b.grid)
     return b
 
 
@@ -332,7 +343,7 @@ def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple
     if b.evo.length > 0 and params["state"] in _DECOHERED_STATES:
         rho = two_rail_evolve(params["state"], b.evo, "closed_form")
     best, angles = chsh_scan(rho, params["grid_n"])
-    derived = {"max_abs_B": best, "state": params["state"]}
+    derived = {"max_abs_B": best, "max_abs_B_exact": chsh_optimum(rho), "state": params["state"]}
     if b.evo.length > 0:
         derived.update(_derived_rates(b))
     return {"chsh_scan.csv": partial(export_chsh_csv, [(best, angles)])}, derived

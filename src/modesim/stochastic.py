@@ -107,6 +107,8 @@ class RateConstants:
     regime_ok: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.kappa)):
+            raise ValueError(f"rates must be finite, got gamma={self.gamma!r}, kappa={self.kappa!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
 
@@ -171,9 +173,13 @@ def rates(model: PerturbationModel, delta_beta: float) -> RateConstants:
     monotonically decreasing in |dbeta|; kappa is odd.
     """
     x = model.corr_length * delta_beta / 2.0
-    coupling_sq = abs(model.k_ab) ** 2
-    gamma = math.sqrt(math.pi) * model.sigma ** 2 * model.corr_length * math.exp(-x * x) * coupling_sq
-    kappa = 2.0 * model.sigma ** 2 * model.corr_length * float(dawsn(x)) * coupling_sq
+    try:
+        coupling_sq = abs(model.k_ab) ** 2
+        gamma = math.sqrt(math.pi) * model.sigma ** 2 * model.corr_length * math.exp(-x * x) * coupling_sq
+        kappa = 2.0 * model.sigma ** 2 * model.corr_length * float(dawsn(x)) * coupling_sq
+    except OverflowError as exc:  # sigma^2 or |k_ab|^2 beyond float range
+        raise ValueError(f"rates must be finite, but gamma and kappa overflow at sigma="
+                         f"{model.sigma!r}, k_ab={model.k_ab!r}") from exc
     strongest = max(gamma, abs(kappa))
     regime_ok = strongest == 0.0 or abs(delta_beta) >= REGIME_MARGIN * strongest
     return RateConstants(gamma=gamma, kappa=kappa, regime_ok=regime_ok)

@@ -81,12 +81,11 @@ class TestGeometry:
         with pytest.raises(ValueError, match="exceeds grid"):
             build_geometry(default_geometry(), narrow, default_slab)
 
-    def test_phase_section_outside_stem_rejected(self, default_slab):
-        grid = straight_grid(nz=2001, dz=1e-6)
-        bad = YSplitterGeometry(100e-6, math.radians(0.4), 24e-6, 4e-6,
-                                phase_section=PhaseSection(1e-4, 200e-6, z_start=50e-6))
+    def test_phase_section_outside_stem_rejected(self):
+        # the geometry rejects itself, so a config check needs no raster
         with pytest.raises(ValueError, match="phase section"):
-            build_geometry(bad, grid, default_slab)
+            YSplitterGeometry(100e-6, math.radians(0.4), 24e-6, 4e-6,
+                              phase_section=PhaseSection(1e-4, 200e-6, z_start=50e-6))
 
 
 class TestPropagation:

@@ -73,21 +73,43 @@ class TestValidate:
         diags = validate(config)
         assert any(d.severity == "error" and d.key == "sigma" for d in diags)
 
-    @pytest.mark.parametrize("text,key", [
-        ("experiment=rates\ncorr_length_um=-1\n", "corr_length_um"),
-        ("experiment=rates\nsigma=-1\ncorr_length_um=-1\n", "sigma"),
-        ("experiment=modes\nn_core=1.2\nn_clad=1.6\n", "n_clad"),
-        ("experiment=bpm-run\nnx=10\n", "nx"),
-        ("experiment=bpm-run\nlaunch=sideways\n", "launch"),
-        ("experiment=fig2\ndz_um=0\n", "dz_um"),
-        ("experiment=fig2\nbranch_half_angle_deg=5\n", "branch_half_angle_deg"),
-        ("experiment=chsh-scan\nlength_m=-1\n", "length_m"),
-        ("experiment=bell\nstate=phi_zero\n", "state"),
+    @pytest.mark.parametrize("text,key,bound", [
+        ("experiment=rates\ncorr_length_um=-1\n", "corr_length_um", "positive"),
+        ("experiment=rates\nsigma=-1\ncorr_length_um=-1\n", "sigma", "nonnegative"),
+        ("experiment=modes\nn_core=1.2\nn_clad=1.6\n", "n_clad", "n_core"),
+        ("experiment=bpm-run\nnx=10\n", "nx", "at least 64"),
+        ("experiment=bpm-run\nlaunch=sideways\n", "launch", "choose from"),
+        ("experiment=fig2\ndz_um=0\n", "dz_um", "positive"),
+        ("experiment=fig2\nbranch_half_angle_deg=5\n", "branch_half_angle_deg", "2 deg"),
+        ("experiment=chsh-scan\nlength_m=-1\n", "length_m", "nonnegative"),
+        ("experiment=bell\nstate=phi_zero\n", "state", "choose from"),
+        ("experiment=bpm-run\ndz_um=0\n", "dz_um", "positive"),
+        ("experiment=bpm-run\ndz_um=50\n", "dz_um", "paraxial accuracy limit"),
+        ("experiment=fig2\nwindow_um=20\n", "window_um", "exceeds grid"),
+        ("experiment=fig2\nphase_length_um=2000\n", "phase_length_um", "inside the stem"),
+        ("experiment=rates\nsigma=1e200\n", "sigma", "must be finite"),
+        ("experiment=rates\nk_ab_per_m=1e200\n", "k_ab_per_m", "must be finite"),
+        ("experiment=rates\nsigma=1e150\nk_ab_per_m=1e100\n", "sigma", "must be finite"),
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
-            "state"])
-    def test_build_error_keyed_by_its_config_key(self, text, key):
+            "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
+            "sigma_overflow", "k_ab_overflow", "rates_inf"])
+    def test_build_error_keyed_by_its_config_key(self, text, key, bound):
+        # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
         assert [(d.key, d.severity) for d in diags] == [(key, "error")]
+        assert bound in diags[0].message
+
+    @pytest.mark.parametrize("text,bound", [
+        ("experiment=bpm-run\nnx=1\n", "at least 2"),
+        ("experiment=fig2\nnx=1\n", "at least 2"),
+        ("experiment=chsh-scan\ngrid_n=1025\n", "at most 1024"),
+        ("experiment=bell\ntheta_points=1025\n", "at most 1024"),
+    ], ids=["bpm_nx", "fig2_nx", "grid_n", "theta_points"])
+    def test_parse_bound_named(self, text, bound):
+        # nx is bounded before the grid arithmetic divides by nx - 1; scan sizes
+        # are bounded because their memory grows as n^2
+        with pytest.raises(ConfigError, match=bound):
+            parse_config_text(text)
 
     def test_regime_violation_is_warning(self):
         config = parse_config_text(
@@ -109,6 +131,22 @@ class TestMain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == "chsh-scan"
         assert abs(manifest["derived"]["max_abs_B"] - TWO_SQRT_TWO) < 1e-12
+
+    @pytest.mark.parametrize("text", [
+        "experiment=chsh-scan\ngrid_n=16\n",
+        "experiment=chsh-scan\ngrid_n=32\nlength_m=2.0\n",
+        "experiment=chsh-scan\nstate=product\ngrid_n=12\nlength_m=2.0\n",
+    ], ids=["phi_plus", "phi_plus_decohered", "product_decohered"])
+    def test_chsh_scan_reports_exact_optimum(self, tmp_path, text):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        derived = manifest["derived"]
+        assert derived["max_abs_B_exact"] >= derived["max_abs_B"]
+        if derived["state"] == "phi_plus":  # 2 sqrt(2) exp(-2 gamma L)
+            decay = math.exp(-2 * derived.get("gamma_per_m", 0.0) * manifest["config"]["length_m"])
+            assert abs(derived["max_abs_B_exact"] - TWO_SQRT_TWO * decay) < 1e-12
 
     def test_byte_identical_reruns(self, tmp_path):
         config = write_config(tmp_path, "experiment=chsh-scan\ngrid_n=12\nseed=9\n")
@@ -243,10 +281,22 @@ class TestMain:
         ("experiment=fig2\nbranch_half_angle_deg=5\n", []),
         ("experiment=chsh-scan\ngrid_n=8\n", ["--threads", "0"]),
         ("experiment=chsh-scan\ngrid_n=8\n", ["--threads", "-2"]),
+        ("experiment=fig2\nwindow_um=20\n", []),
+        ("experiment=fig2\nphase_length_um=2000\n", []),
+        ("experiment=bpm-run\ndz_um=50\n", []),
+        ("experiment=bpm-run\nnx=1\n", []),
+        ("experiment=bpm-run\ndz_um=0\n", []),
+        ("experiment=rates\nsigma=1e200\n", []),
+        ("experiment=rates\nk_ab_per_m=1e200\n", []),
+        ("experiment=chsh-scan\ngrid_n=1025\n", []),
+        ("experiment=bell\ntheta_points=1025\n", []),
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
-            "chsh_length", "fig2_dz", "fig2_window", "fig2_angle", "threads_0", "threads_neg"])
+            "chsh_length", "fig2_dz", "fig2_window", "fig2_angle", "threads_0", "threads_neg",
+            "fig2_window_narrow", "fig2_phase_outside_stem", "bpm_dz_paraxial", "bpm_nx_1",
+            "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
+            "bell_theta_points_max"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3
         config = write_config(tmp_path, text)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from modesim.analyzer import intensity_split_operator
 from modesim.correlation import (
     ChshAngles,
     DelayPair,
+    _correlation_table,
     chsh_B,
+    chsh_optimum,
     chsh_scan,
     correlation_E,
     delay_covariance,
@@ -27,6 +30,7 @@ PRODUCT = density_of(product_state())
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 CANONICAL = ChshAngles(math.pi / 8, -math.pi / 8, 0.0, math.pi / 4)
 PAULI_XY = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]))
+BELL_STATES = [density_of(bell_state(f, s)) for f in ("phi", "psi") for s in ("+", "-")]
 
 
 def density_matrices(dim):
@@ -53,6 +57,15 @@ def planar_chsh_optimum(rho):
                       for a in PAULI_XY])
     s = np.linalg.svd(block, compute_uv=False)
     return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
+
+
+def brute_chsh_scan(rho, grid_n):
+    """Reference: the full n^4 tensor B[i,j,k,l] from an E table of explicit traces."""
+    thetas = np.arange(grid_n) * math.pi / grid_n
+    diff = [intensity_split_operator(float(t)) for t in thetas]
+    e = np.array([[np.trace(rho.matrix @ np.kron(a, b)).real for b in diff] for a in diff])
+    b = (e[:, None, :, None] - e[:, None, None, :] + e[None, :, None, :] + e[None, :, :, None])
+    return float(np.abs(b).max())
 
 
 class TestRailEmbed:
@@ -191,12 +204,73 @@ class TestChshProperties:
     def test_scan_never_exceeds_planar_optimum(self, rho, grid_n):
         best, _ = chsh_scan(rho, grid_n)
         assert best <= planar_chsh_optimum(rho) + 1e-12
+        assert best <= chsh_optimum(rho) + 1e-12
 
     @pytest.mark.parametrize("family,sign", [("phi", "+"), ("phi", "-"), ("psi", "+"), ("psi", "-")])
     def test_bell_states_reach_planar_optimum(self, family, sign):
         rho = density_of(bell_state(family, sign))
         best, _ = chsh_scan(rho, 16)
         assert abs(best - planar_chsh_optimum(rho)) < 1e-12
+
+
+class TestSeparableScan:
+    """The O(n^3) scan against the n^4 brute force, and the closed-form optimum."""
+
+    def check_against_brute_force(self, rho, grid_n):
+        best, angles = chsh_scan(rho, grid_n)
+        assert abs(best - brute_chsh_scan(rho, grid_n)) <= 4e-15
+        assert abs(chsh_B(rho, angles) - best) <= 4e-15
+
+    @pytest.mark.parametrize("grid_n", [8, 12, 16])
+    @pytest.mark.parametrize("rho", BELL_STATES + [PRODUCT, maximally_mixed(2)],
+                             ids=["phi+", "phi-", "psi+", "psi-", "product", "mixed"])
+    def test_matches_brute_force(self, rho, grid_n):
+        self.check_against_brute_force(rho, grid_n)
+
+    @given(density_matrices(4), st.sampled_from([8, 12, 16]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_brute_force_on_random_states(self, rho, grid_n):
+        self.check_against_brute_force(rho, grid_n)
+
+    @pytest.mark.parametrize("grid_n", [8, 16])
+    @pytest.mark.parametrize("rho", BELL_STATES + [PRODUCT],
+                             ids=["phi+", "phi-", "psi+", "psi-", "product"])
+    def test_bit_exact_with_lexicographic_ties(self, rho, grid_n):
+        # summed as s[k] - d[l], the n^4 tensor's maximum is the scan's bit for bit, and
+        # its first flat argmax is the lexicographically smallest of the tied settings
+        thetas = np.arange(grid_n) * math.pi / grid_n
+        e = _correlation_table(rho, thetas, thetas)
+        b = np.abs((e[:, None, :, None] + e[None, :, :, None])
+                   - (e[:, None, None, :] - e[None, :, None, :]))
+        first = thetas[list(np.unravel_index(int(np.argmax(b)), b.shape))]
+        best, angles = chsh_scan(rho, grid_n)
+        assert best == b.max()
+        assert (angles.theta1, angles.theta1p, angles.theta2, angles.theta2p) == tuple(first)
+
+    @given(density_matrices(4))
+    @settings(max_examples=60, deadline=None)
+    def test_optimum_matches_svd_form(self, rho):
+        assert abs(chsh_optimum(rho) - planar_chsh_optimum(rho)) < 1e-12
+
+    def test_optimum_of_decohered_entangled_state(self):
+        # criterion 10's state: the exact optimum is 2 sqrt(2) exp(-2 gamma L)
+        gamma, kappa, dbeta, length = 0.075, 0.03, 2.5, 1.0
+        rho = two_rail_evolve("phi_plus", EvolutionParams(dbeta, RateConstants(gamma, kappa), length),
+                              "closed_form")
+        assert abs(chsh_optimum(rho) - TWO_SQRT_TWO * math.exp(-2 * gamma * length)) < 1e-12
+
+    def test_optimum_of_product_state_is_classical_bound(self):
+        assert abs(chsh_optimum(PRODUCT) - 2.0) < 1e-12
+
+    def test_scan_memory_is_quadratic(self):
+        # the n^4 tensor at grid_n = 256 would take about 34 GB
+        tracemalloc.start()
+        try:
+            chsh_scan(PHI_PLUS, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestDelayCovariance:
