@@ -17,9 +17,7 @@ from .decoherence import (
     DecoherenceScan,
     EvolutionParams,
     analytic_single_rail,
-    ensemble_evolve,
     ensemble_scan,
-    integrate_realization,
     two_rail_evolve,
 )
 from .states import (

@@ -36,7 +36,7 @@ from scipy.linalg import solve_banded
 
 from ._errors import NumericalError
 from ._io import write_bytes, write_csv
-from .waveguide import GuidedMode, SlabSpec, solve_slab_te_modes
+from .waveguide import GuidedMode, SlabSpec, delta_beta, solve_slab_te_modes
 
 __all__ = [
     "Grid",
@@ -49,6 +49,7 @@ __all__ = [
     "straight_slab_map",
     "check_geometry_fits",
     "check_paraxial_dz",
+    "check_core_resolution",
     "build_geometry",
     "mode_field",
     "field_from_modes",
@@ -151,13 +152,10 @@ class PhaseSection:
     delta_n: float
     length: float
     z_start: float = 0.0
-    side: str = "core"
 
     def __post_init__(self):
         if self.length < 0 or self.z_start < 0:
             raise ValueError("phase-section extents must be nonnegative")
-        if self.side != "core":
-            raise ValueError("only core-side phase sections are supported")
 
 
 @dataclass(frozen=True)
@@ -307,19 +305,24 @@ def check_paraxial_dz(dz: float, wavelength: float, contrast: float) -> None:
             raise ValueError(f"dz={dz:g} exceeds the paraxial accuracy limit {dz_limit:g}")
 
 
-def _absorber(grid: Grid, fraction: float, strength: float) -> np.ndarray:
-    width = fraction * (grid.x_max - grid.x_min)
+def check_core_resolution(core_width: float, grid: Grid) -> None:
+    """Raise ValueError unless the grid puts MIN_POINTS_ACROSS_CORE points across a core."""
+    if core_width / grid.dx < MIN_POINTS_ACROSS_CORE:
+        raise ValueError(
+            f"dx={grid.dx:g} puts fewer than {MIN_POINTS_ACROSS_CORE} points across the core"
+        )
+
+
+def _absorber(grid: Grid) -> np.ndarray:
+    width = DEFAULT_ABSORBER_FRACTION * (grid.x_max - grid.x_min)
     x = grid.x
     left = np.clip((grid.x_min + width - x) / width, 0.0, 1.0)
     right = np.clip((x - (grid.x_max - width)) / width, 0.0, 1.0)
-    return strength * (left ** 2 + right ** 2)
+    return DEFAULT_ABSORBER_STRENGTH * (left ** 2 + right ** 2)
 
 
 def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
-              absorber_fraction: float = DEFAULT_ABSORBER_FRACTION,
-              absorber_strength: float = DEFAULT_ABSORBER_STRENGTH,
-              snapshot_every: int = 1,
-              core_width_hint: float | None = None) -> list[Field]:
+              snapshot_every: int = 1) -> list[Field]:
     """Crank-Nicolson march of the reduced field through the index map.
 
     Returns snapshots every `snapshot_every` steps (the launch field first,
@@ -336,14 +339,10 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
     check_paraxial_dz(grid.dz, wavelength, float(np.abs(ri_map.n - n0).max()))
-    if core_width_hint is not None and core_width_hint / grid.dx < MIN_POINTS_ACROSS_CORE:
-        raise ValueError(
-            f"dx={grid.dx:g} puts fewer than {MIN_POINTS_ACROSS_CORE} points across the core"
-        )
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
-    damping = _absorber(grid, absorber_fraction, absorber_strength)
+    damping = _absorber(grid)
     half_step = 0.5j * grid.dz
 
     values = field.values.astype(np.complex128)
@@ -419,17 +418,11 @@ def _differential_phase(base: SlabSpec, delta_n: float, length: float) -> float:
     if delta_n == 0.0 or length == 0.0:
         return 0.0
     bumped = SlabSpec(base.core_width, base.n_core + delta_n, base.n_clad, base.wavelength)
-    modes_base = solve_slab_te_modes(base, points=8)
-    modes_bumped = solve_slab_te_modes(bumped, points=8)
-    if len(modes_base) < 2 or len(modes_bumped) < 2:
-        raise ValueError("phase section left the guide with fewer than two modes")
-    two_theta = ((modes_bumped[1].beta - modes_bumped[0].beta)
-                 - (modes_base[1].beta - modes_base[0].beta)) * length
-    return two_theta / 2.0
+    return (delta_beta(bumped) - delta_beta(base)) * length / 2.0
 
 
 def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
-                    grid: Grid, snapshot_every: int = 0) -> list[FigTwoRow]:
+                    grid: Grid) -> list[FigTwoRow]:
     """Branch powers of the splitter versus phase-section index bump.
 
     For each delta_n the equal superposition (TE0 + TE1)/sqrt(2) is launched
@@ -439,11 +432,11 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     """
     if geometry.phase_section is None:
         raise ValueError("fig2_experiment needs a geometry with a phase section")
+    check_core_resolution(geometry.core_width, grid)
     modes = solve_slab_te_modes(base, grid=grid.waveguide_grid())
     if len(modes) < 2:
         raise ValueError("base guide must carry two modes")
     launch = field_from_modes(modes[:2], [1 / math.sqrt(2.0), 1 / math.sqrt(2.0)], grid)
-    stride = snapshot_every if snapshot_every >= 1 else grid.nz
     rows = []
     for delta_n in delta_n_list:
         section = PhaseSection(float(delta_n), geometry.phase_section.length,
@@ -452,9 +445,7 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
                                    geometry.branch_separation_final, geometry.core_width,
                                    phase_section=section)
         ri_map = build_geometry(shaped, grid, base)
-        final = propagate(launch, ri_map, grid, base.wavelength,
-                          snapshot_every=stride,
-                          core_width_hint=geometry.core_width)[-1]
+        final = propagate(launch, ri_map, grid, base.wavelength, snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, 0.0, grid)
         theta = _differential_phase(base, float(delta_n), section.length)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))

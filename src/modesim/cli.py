@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,6 +39,7 @@ from .bpm import (
     PhaseSection,
     YSplitterGeometry,
     branch_powers,
+    check_core_resolution,
     check_geometry_fits,
     check_paraxial_dz,
     export_field_csv,
@@ -270,7 +271,7 @@ def _build(config: RunConfig) -> SimpleNamespace:
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
     if "length_um" in params:
-        length = params["length_um"] * 1e-6
+        length, core_width = params["length_um"] * 1e-6, b.spec.core_width
     if "stem_length_um" in params:
         b.geometry = YSplitterGeometry(
             stem_length=params["stem_length_um"] * 1e-6,
@@ -280,6 +281,9 @@ def _build(config: RunConfig) -> SimpleNamespace:
             phase_section=PhaseSection(0.0, params["phase_length_um"] * 1e-6, z_start=50e-6),
         )
         length = b.geometry.separation_end_z() + params["lead_out_um"] * 1e-6
+        core_width = b.geometry.core_width  # a branch, the narrowest core
+        for delta_n in params["delta_n_list"]:  # SlabSpec checks each bumped phase section
+            replace(b.spec, n_core=b.spec.n_core + delta_n)
     if "window_um" in params:  # nx points across a centered window, dz steps covering length
         window, dz = params["window_um"] * 1e-6, params["dz_um"] * 1e-6
         nz = int(math.ceil(length / dz)) + 1 if dz > 0 else 0  # Grid rejects dz <= 0
@@ -288,6 +292,7 @@ def _build(config: RunConfig) -> SimpleNamespace:
         contrast = max([b.spec.n_core - b.spec.n_clad]
                        + [abs(dn) for dn in params.get("delta_n_list", [])])
         check_paraxial_dz(dz, b.spec.wavelength, contrast)
+        check_core_resolution(core_width, b.grid)
     if "stem_length_um" in params:
         check_geometry_fits(b.geometry, b.grid)
     return b
@@ -381,8 +386,7 @@ def _run_bpm(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict,
     launch = field_from_modes(modes[:2], b.coeffs, grid)
     ri_map = straight_slab_map(grid, spec)
     snapshots = propagate(launch, ri_map, grid, spec.wavelength,
-                          snapshot_every=config.parameters["snapshot_every"],
-                          core_width_hint=spec.core_width)
+                          snapshot_every=config.parameters["snapshot_every"])
     left, right = branch_powers(snapshots[-1], 0.0, grid)
     return ({"field_final.csv": partial(export_field_csv, snapshots[-1], grid),
              "raster.bin": partial(export_raster, snapshots, grid)},

@@ -27,7 +27,7 @@ segments, whose step quaternions fill one block, a row per segment, padded
 with identity quaternions.  Every row is reduced pairwise (a balanced tree,
 which keeps rounding growth logarithmic) in one pass per tree level; the
 identity padding is exact, so each segment gets the bits of its own tree.
-ensemble_scan, ensemble_evolve and integrate_realization all use this reducer.
+ensemble_scan, the one Monte Carlo entry point, runs on this reducer.
 
 Ensemble reductions use compensated (fsum) summation per matrix entry, so
 the mean is independent of scheduling order at the 1e-13 level demanded of
@@ -43,14 +43,12 @@ import numpy as np
 
 from ._io import write_csv
 from .states import DensityMatrix, bell_state, density_of, product_state
-from .stochastic import PerturbationModel, RateConstants, SampledPath, rates, sample_path
+from .stochastic import PerturbationModel, RateConstants, rates, sample_path
 
 __all__ = [
     "EvolutionParams",
     "DecoherenceScan",
     "analytic_single_rail",
-    "integrate_realization",
-    "ensemble_evolve",
     "ensemble_scan",
     "fit_decay_rate",
     "two_rail_evolve",
@@ -58,7 +56,7 @@ __all__ = [
     "MIN_STEPS_PER_BEAT",
 ]
 
-#: the integrator requires dz <= (2 pi / |dbeta|) / MIN_STEPS_PER_BEAT.
+#: ensemble_scan takes dz <= (2 pi / |dbeta|) / MIN_STEPS_PER_BEAT, then snaps it to whole steps.
 MIN_STEPS_PER_BEAT = 16
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
@@ -178,15 +176,6 @@ def _quaternion_to_matrix(q) -> np.ndarray:
     )
 
 
-def _check_step_resolution(dz: float, delta_beta: float) -> None:
-    if delta_beta != 0.0:
-        limit = (2.0 * math.pi / abs(delta_beta)) / MIN_STEPS_PER_BEAT
-        if dz > limit * (1 + 1e-12):
-            raise ValueError(
-                f"path step dz={dz:g} does not resolve the mode beat; need dz <= {limit:g}"
-            )
-
-
 def _conjugations(rho: np.ndarray, values: np.ndarray, dz: float, delta_beta: float,
                   k_ab: complex, index: np.ndarray) -> np.ndarray:
     """rho conjugated by the path unitary up to the end of each segment of index."""
@@ -202,68 +191,12 @@ def _conjugations(rho: np.ndarray, values: np.ndarray, dz: float, delta_beta: fl
     return snapshots
 
 
-def integrate_realization(rho0: DensityMatrix, path: SampledPath, delta_beta: float,
-                          k_ab: complex) -> DensityMatrix:
-    """Evolve rho0 through one realization of the random coupling.
-
-    Each of the path's samples drives one dz step, so the result is the state
-    after length count * dz.  The per-step propagator is the exact 2x2
-    exponential, hence purity is conserved to rounding for every realization.
-    """
-    if rho0.rails != 1:
-        raise ValueError("integrate_realization expects a single-rail 2x2 state")
-    _check_step_resolution(path.dz, delta_beta)
-    return DensityMatrix(_conjugations(rho0.matrix, path.values, path.dz, delta_beta,
-                                       complex(k_ab), _segment_index([path.count]))[0])
-
-
-def _ensemble(rho: np.ndarray, model: PerturbationModel, delta_beta: float, dz: float,
-              marks: list[int], n_realizations: int, base_seed: int, n_jobs: int) -> np.ndarray:
-    """(n_realizations, len(marks), 2, 2) states at marks; realization i uses seed base_seed + i."""
-    index = _segment_index(marks)
-    k_ab = complex(model.k_ab)
-
-    def one(i: int) -> np.ndarray:
-        path = sample_path(model, dz, marks[-1], base_seed + i)
-        return _conjugations(rho, path.values, dz, delta_beta, k_ab, index)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return np.array(list(pool.map(one, range(n_realizations))))
-    return np.array([one(i) for i in range(n_realizations)])
-
-
 def _compensated_mean(stack: np.ndarray) -> np.ndarray:
     """Order-insensitive mean over axis 0 of a stack of complex arrays."""
     n = stack.shape[0]
     entries = stack.reshape(n, -1).T
     return np.array([complex(math.fsum(e.real), math.fsum(e.imag)) / n
                      for e in entries]).reshape(stack.shape[1:])
-
-
-def _scan_dz(model: PerturbationModel, delta_beta: float) -> float:
-    dz = model.corr_length / 8.0
-    if delta_beta != 0.0:
-        dz = min(dz, (2.0 * math.pi / abs(delta_beta)) / MIN_STEPS_PER_BEAT)
-    return dz
-
-
-def ensemble_evolve(rho0: DensityMatrix, model: PerturbationModel, delta_beta: float,
-                    length: float, n_realizations: int, base_seed: int,
-                    n_jobs: int = 1) -> DensityMatrix:
-    """Arithmetic mean of integrate_realization over seeded realizations.
-
-    Realization i uses seed base_seed + i; the reduction is a compensated
-    mean, so the result does not depend on completion order.
-    """
-    if n_realizations < 1:
-        raise ValueError("need at least one realization")
-    if length <= 0:
-        raise ValueError("length must be positive")
-    count = max(2, int(round(length / _scan_dz(model, delta_beta))))
-    stack = _ensemble(rho0.matrix, model, delta_beta, length / count, [count],
-                      n_realizations, base_seed, n_jobs)
-    return DensityMatrix(_compensated_mean(stack)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,13 +228,26 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
         raise ValueError("ensemble_scan expects a single-rail 2x2 state")
     if n_lengths < 2 or n_realizations < 1:
         raise ValueError("need n_lengths >= 2 and n_realizations >= 1")
-    dz = _scan_dz(model, delta_beta)
+    dz = model.corr_length / 8.0
+    if delta_beta != 0.0:
+        dz = min(dz, (2.0 * math.pi / abs(delta_beta)) / MIN_STEPS_PER_BEAT)
     total = max(n_lengths, int(round(length_max / dz)))
     dz = length_max / total
     marks = sorted({max(1, int(round(total * (j + 1) / n_lengths))) for j in range(n_lengths)})
     lengths = np.array([m * dz for m in marks])
     rate_consts = rates(model, delta_beta)
-    stack = _ensemble(rho0.matrix, model, delta_beta, dz, marks, n_realizations, base_seed, n_jobs)
+    index = _segment_index(marks)
+    k_ab = complex(model.k_ab)
+
+    def one(i: int) -> np.ndarray:
+        path = sample_path(model, dz, marks[-1], base_seed + i)
+        return _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, index)
+
+    if n_jobs > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            stack = np.array(list(pool.map(one, range(n_realizations))))
+    else:
+        stack = np.array([one(i) for i in range(n_realizations)])
 
     mean = _compensated_mean(stack)
     var = np.var(stack.real, axis=0) + np.var(stack.imag, axis=0)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from modesim import bpm
 from modesim._errors import NumericalError
 from modesim.bpm import (
     Field,
@@ -13,6 +14,7 @@ from modesim.bpm import (
     YSplitterGeometry,
     branch_powers,
     build_geometry,
+    check_core_resolution,
     decompose,
     export_field_csv,
     export_raster,
@@ -93,9 +95,9 @@ class TestPropagation:
         grid = straight_grid(nz=2001)  # 1 mm at dz = 0.5 um
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         ri_map = straight_slab_map(grid, default_slab)
+        check_core_resolution(default_slab.core_width, grid)
         snaps = propagate(mode_field(modes[0], grid), ri_map, grid,
-                          default_slab.wavelength, snapshot_every=200,
-                          core_width_hint=default_slab.core_width)
+                          default_slab.wavelength, snapshot_every=200)
         assert abs(snaps[-1].power / snaps[0].power - 1.0) < 1e-6
         coeffs, residual = decompose(snaps[-1], modes, grid)
         assert abs(coeffs[0]) >= 0.999
@@ -154,16 +156,16 @@ class TestPropagation:
         expected = 2.0 * math.pi / abs(modes[1].beta - modes[0].beta)
         assert abs(measured - expected) / expected < 0.01
 
-    def test_instability_guard_trips_on_gain(self, default_slab):
+    def test_instability_guard_trips_on_gain(self, default_slab, monkeypatch):
         # a negative absorber is gain; a wide field reaching the boundary
         # layer grows and the power monitor must abort
+        monkeypatch.setattr(bpm, "DEFAULT_ABSORBER_STRENGTH", -1e5)
         grid = straight_grid(nz=101)
         ri_map = uniform_map(grid, default_slab.n_clad)
         values = np.ones(grid.nx, dtype=complex)
         launch = Field(values, 0.0, float(np.sum(np.abs(values) ** 2) * grid.dx))
         with pytest.raises(NumericalError, match="unstable"):
-            propagate(launch, ri_map, grid, default_slab.wavelength,
-                      absorber_strength=-1e5)
+            propagate(launch, ri_map, grid, default_slab.wavelength)
 
     def test_paraxial_step_limit_enforced(self, default_slab):
         grid = Grid(-40e-6, 80e-6 / 1023, 1024, 40e-6, 100)
@@ -174,12 +176,13 @@ class TestPropagation:
 
     def test_transverse_resolution_enforced(self, default_slab):
         grid = Grid(-200e-6, 400e-6 / 127, 128, 0.5e-6, 100)
-        ri_map = straight_slab_map(grid, default_slab)
-        values = np.exp(-(grid.x / 10e-6) ** 2).astype(complex)
-        launch = Field(values, 0.0, 1.0)
         with pytest.raises(ValueError, match="points across the core"):
-            propagate(launch, ri_map, grid, default_slab.wavelength,
-                      core_width_hint=default_slab.core_width)
+            check_core_resolution(default_slab.core_width, grid)
+        # the splitter experiment checks its branch cores before it marches
+        geometry = default_geometry()
+        coarse = Grid(-32e-6, 64e-6 / 127, 128, 1e-6, int(geometry.separation_end_z() / 1e-6) + 2)
+        with pytest.raises(ValueError, match="points across the core"):
+            fig2_experiment([0.0], default_slab, geometry, coarse)
 
 
 class TestDecompose:

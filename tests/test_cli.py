@@ -90,9 +90,13 @@ class TestValidate:
         ("experiment=rates\nsigma=1e200\n", "sigma", "must be finite"),
         ("experiment=rates\nk_ab_per_m=1e200\n", "k_ab_per_m", "must be finite"),
         ("experiment=rates\nsigma=1e150\nk_ab_per_m=1e100\n", "sigma", "must be finite"),
+        ("experiment=bpm-run\nnx=64\n", "nx", "points across the core"),
+        ("experiment=fig2\nnx=128\n", "nx", "points across the core"),
+        ("experiment=fig2\ndelta_n_list=0;-0.02\n", "delta_n_list", "n_core > n_clad"),
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
-            "sigma_overflow", "k_ab_overflow", "rates_inf"])
+            "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
+            "fig2_delta_n_below_clad"])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
@@ -290,13 +294,16 @@ class TestMain:
         ("experiment=rates\nk_ab_per_m=1e200\n", []),
         ("experiment=chsh-scan\ngrid_n=1025\n", []),
         ("experiment=bell\ntheta_points=1025\n", []),
+        ("experiment=bpm-run\nnx=64\n", []),
+        ("experiment=fig2\nnx=128\n", []),
+        ("experiment=fig2\ndelta_n_list=0;-0.02\n", []),
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
             "chsh_length", "fig2_dz", "fig2_window", "fig2_angle", "threads_0", "threads_neg",
             "fig2_window_narrow", "fig2_phase_outside_stem", "bpm_dz_paraxial", "bpm_nx_1",
             "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
-            "bell_theta_points_max"])
+            "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3
         config = write_config(tmp_path, text)

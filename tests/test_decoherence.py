@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from modesim.decoherence import (
     EvolutionParams,
     analytic_single_rail,
-    ensemble_evolve,
     ensemble_scan,
     export_scan_csv,
-    integrate_realization,
     two_rail_evolve,
 )
 from modesim.decoherence import _segment_index, _segment_products
@@ -67,70 +65,79 @@ class TestAnalyticSingleRail:
         assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
 
 
+def single_realization(model, delta_beta, length, seed=0, n_lengths=2):
+    """ensemble_scan with one realization: each checkpoint mean is that realization's state."""
+    return ensemble_scan(EQUAL, model, delta_beta, length_max=length, n_lengths=n_lengths,
+                         n_realizations=1, base_seed=seed)
+
+
 class TestIntegrateRealization:
+    """The per-realization integrator, run as ensemble_scan with n_realizations=1."""
+
     def test_free_evolution_exact_phase(self, default_model):
         zero_model = PerturbationModel(0.0, default_model.corr_length, default_model.k_ab)
-        dz = default_model.corr_length / 8
-        count = 4000
-        path = sample_path(zero_model, dz, count, seed=0)
         delta_beta = 2.0 / default_model.corr_length
-        out = integrate_realization(EQUAL, path, delta_beta, default_model.k_ab)
-        expected = 0.5 * np.exp(1j * delta_beta * count * dz)
-        assert abs(out.matrix[0, 1] - expected) < 1e-12
-        assert abs(out.matrix[0, 0] - 0.5) < 1e-13
+        scan = single_realization(zero_model, delta_beta, 4000 * default_model.corr_length / 8)
+        for length, out in zip(scan.lengths, scan.mean):
+            assert abs(out[0, 1] - 0.5 * np.exp(1j * delta_beta * length)) < 1e-12
+            assert abs(out[0, 0] - 0.5) < 1e-13
 
     def test_purity_conserved_per_realization(self, default_model):
-        dz = default_model.corr_length / 8
-        path = sample_path(default_model, dz, 5000, seed=21)
-        out = integrate_realization(EQUAL, path, 2.0 / default_model.corr_length,
-                                    default_model.k_ab)
-        assert abs(purity(out) - 1.0) < 1e-12
-
-    def test_step_resolution_enforced(self, default_model):
-        dz = default_model.corr_length / 8
-        path = sample_path(default_model, dz, 2000, seed=2)
-        huge_beat = 32.0 * math.pi / dz  # needs dz 16x smaller
-        with pytest.raises(ValueError, match="resolve"):
-            integrate_realization(EQUAL, path, huge_beat, default_model.k_ab)
+        scan = single_realization(default_model, 2.0 / default_model.corr_length,
+                                  5000 * default_model.corr_length / 8, seed=21, n_lengths=5)
+        for out in scan.mean:
+            assert abs(purity(DensityMatrix(out)) - 1.0) < 1e-12
 
     def test_complex_coupling_stays_unitary(self, default_model):
         # the integrator accepts complex coupling strengths; each realization
         # remains an exact unitary conjugation
-        dz = default_model.corr_length / 8
-        path = sample_path(default_model, dz, 3000, seed=31)
-        out = integrate_realization(EQUAL, path, 2.0 / default_model.corr_length,
-                                    300.0 + 400.0j)
-        assert abs(purity(out) - 1.0) < 1e-12
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-13
+        model = PerturbationModel(default_model.sigma, default_model.corr_length, 300.0 + 400.0j)
+        scan = single_realization(model, 2.0 / default_model.corr_length,
+                                  3000 * default_model.corr_length / 8, seed=31, n_lengths=5)
+        for out in scan.mean:
+            assert abs(purity(DensityMatrix(out)) - 1.0) < 1e-12
+            assert abs(np.trace(out) - 1.0) < 1e-13
 
 
 class TestEnsemble:
     def test_single_realization_matches_integrate(self, default_model):
+        # the same path as a sequential product of per-step unitaries
+        # exp(-i H dz), from the Pauli form of H = [[0, K f], [conj(K) f, dbeta]]
         delta_beta = 2.0 / default_model.corr_length
         length = 0.01
-        out = ensemble_evolve(EQUAL, default_model, delta_beta, length, 1, base_seed=5)
-        dz = min(default_model.corr_length / 8, 2 * math.pi / delta_beta / 16)
-        count = max(2, round(length / dz))
-        path = sample_path(default_model, length / count, count, seed=5)
-        direct = integrate_realization(EQUAL, path, delta_beta, default_model.k_ab)
-        assert np.abs(out.matrix - direct.matrix).max() < 1e-13
+        scan = single_realization(default_model, delta_beta, length, seed=5, n_lengths=4)
+        count = round(length / (default_model.corr_length / 8))  # the beat needs no finer step
+        dz = length / count
+        path = sample_path(default_model, dz, count, seed=5)
+        pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                 np.array([[1, 0], [0, -1]]))
+        products = [np.eye(2)]
+        for f in path.values:
+            c = default_model.k_ab * f
+            axis = np.array([c.real, -c.imag, -delta_beta / 2.0])
+            radius = np.linalg.norm(axis)
+            generator = sum(a * p for a, p in zip(axis / radius, pauli))
+            step = math.cos(radius * dz) * np.eye(2) - 1j * math.sin(radius * dz) * generator
+            products.append(step @ products[-1])
+        for out, checkpoint in zip(scan.mean, scan.lengths):
+            unitary = products[round(checkpoint / dz)]
+            assert np.abs(out - unitary @ EQUAL.matrix @ unitary.conj().T).max() < 1e-13
 
     def test_zero_sigma_ensemble_is_free_evolution(self):
         model = PerturbationModel(0.0, 100e-6, 500.0)
         delta_beta = 2e4
-        length = 0.004
-        out = ensemble_evolve(EQUAL, model, delta_beta, length, 4, base_seed=0)
-        dz = min(model.corr_length / 8, 2 * math.pi / delta_beta / 16)
-        count = max(2, round(length / dz))
-        expected = 0.5 * np.exp(1j * delta_beta * count * (length / count))
-        assert abs(out.matrix[0, 1] - expected) < 1e-12
+        scan = ensemble_scan(EQUAL, model, delta_beta, length_max=0.004, n_lengths=2,
+                             n_realizations=4, base_seed=0)
+        expected = 0.5 * np.exp(1j * delta_beta * scan.lengths)
+        assert np.abs(scan.mean[:, 0, 1] - expected).max() < 1e-12
 
     def test_thread_schedule_invariance(self, default_model):
         delta_beta = 2.0 / default_model.corr_length
-        serial = ensemble_evolve(EQUAL, default_model, delta_beta, 0.01, 8, base_seed=77)
-        threaded = ensemble_evolve(EQUAL, default_model, delta_beta, 0.01, 8, base_seed=77,
-                                   n_jobs=4)
-        assert np.abs(serial.matrix - threaded.matrix).max() < 1e-13
+        serial = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 8, base_seed=77)
+        threaded = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 8, base_seed=77,
+                                 n_jobs=4)
+        assert np.array_equal(serial.mean, threaded.mean)
+        assert np.array_equal(serial.stderr, threaded.stderr)
 
     def test_scan_mc_error_shrinks_like_sqrt_n(self, default_model):
         # RMS entrywise error against the closed form must shrink by about
