@@ -18,6 +18,10 @@ effective index beta/k.  Mode-dependent phase error of order
 A complex absorber (imaginary potential, quadratic ramp over the outer 10%
 of the window on each side) removes radiation before it can wrap around.
 
+An index map stores each distinct transverse row once, plus a row index per
+z step.  The march LU-factors its tridiagonal step matrix (LAPACK ?gttrf) once
+per distinct pair of consecutive rows and solves each step with ?gttrs.
+
 Geometry builders rasterize symmetric Y-splitters: a dual-mode stem, an
 optional phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
@@ -32,7 +36,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from ._errors import NumericalError
 from ._io import write_bytes, write_csv
@@ -45,7 +49,6 @@ __all__ = [
     "PhaseSection",
     "YSplitterGeometry",
     "FigTwoRow",
-    "uniform_map",
     "straight_slab_map",
     "check_geometry_fits",
     "check_paraxial_dz",
@@ -112,21 +115,32 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class RIMap:
-    """Refractive-index landscape n[j, i] = n(x_i, z_j) plus reference index."""
+    """Refractive-index landscape n(x_i, z_j) = n[j, i] = rows[index[j], i] plus reference index."""
 
-    n: np.ndarray
+    rows: np.ndarray
+    index: np.ndarray
     reference_n0: float
 
     def __post_init__(self):
-        n = np.array(self.n, dtype=np.float64)
-        if n.ndim != 2:
-            raise ValueError("index map must be 2D (nz, nx)")
-        if np.any(n <= 0):
-            raise ValueError("refractive index must be positive everywhere")
-        n.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        if self.reference_n0 <= 0:
-            raise ValueError("reference_n0 must be positive")
+        rows = np.array(self.rows, dtype=np.float64)
+        index = np.array(self.index)
+        if rows.ndim != 2 or index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ValueError("index map needs 2D rows (rows, nx) and a 1D integer row index (nz,)")
+        if not np.all((0 <= index) & (index < len(rows))):
+            raise ValueError(f"row index entries must lie in [0, {len(rows)})")
+        if not (np.all(rows > 0) and self.reference_n0 > 0):
+            raise ValueError("refractive index (every row and reference_n0) must be positive")
+        for name, array in (("rows", rows), ("index", index)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @property
+    def n(self) -> np.ndarray:
+        return self.rows[self.index]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.index), self.rows.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +208,6 @@ class YSplitterGeometry:
         return self.stem_length + travel / math.tan(self.branch_half_angle)
 
 
-def uniform_map(grid: Grid, index: float, reference_n0: float | None = None) -> RIMap:
-    """Homogeneous-medium index map (free diffraction)."""
-    ref = index if reference_n0 is None else reference_n0
-    return RIMap(np.full((grid.nz, grid.nx), index), ref)
-
-
 def _coverage(x: np.ndarray, dx: float, intervals) -> np.ndarray:
     """Fraction of each cell [x - dx/2, x + dx/2] covered by the intervals.
 
@@ -225,7 +233,8 @@ def straight_slab_map(grid: Grid, spec: SlabSpec, reference_n0: float | None = N
     """z-invariant slab profile of the given spec on the grid."""
     half = spec.core_width / 2.0
     row = spec.n_clad + (spec.n_core - spec.n_clad) * _coverage(grid.x, grid.dx, [(-half, half)])
-    return RIMap(np.tile(row, (grid.nz, 1)), spec.n_core if reference_n0 is None else reference_n0)
+    return RIMap(row[np.newaxis], np.zeros(grid.nz, dtype=np.intp),
+                 spec.n_core if reference_n0 is None else reference_n0)
 
 
 def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
@@ -241,40 +250,38 @@ def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
                          f"[{grid.x_min:g}, {grid.x_max:g}]")
 
 
-def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec,
-                   reference_n0: float | None = None) -> RIMap:
-    """Rasterize a Y-splitter onto the grid.
+def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> RIMap:
+    """Rasterize a Y-splitter onto the grid, with reference index base.n_core.
 
     Core cells take n_core (plus delta_n inside the phase section); edge
     cells are area weighted so the raster integrates to the analytic core
-    area and the discrete mode constants are free of staircase bias.
+    area and the discrete mode constants are free of staircase bias.  Each
+    distinct (core value, core intervals) pair is rasterized into one row.
     """
     check_geometry_fits(geometry, grid)
     x = grid.x
-    z = grid.z
     stem_half = base.core_width / 2.0
     branch_half = geometry.core_width / 2.0
     phase = geometry.phase_section
-    n = np.full((grid.nz, grid.nx), base.n_clad)
+    keys: dict = {}
+    index = np.empty(grid.nz, dtype=np.intp)
     slope = math.tan(geometry.branch_half_angle)
     contrast = base.n_core - base.n_clad
-    for j, z_j in enumerate(z):
+    for j, z_j in enumerate(grid.z):
+        value = contrast
         if z_j < geometry.stem_length:
-            value = contrast
             if phase is not None and phase.z_start <= z_j < phase.z_start + phase.length:
                 value = contrast + phase.delta_n
-            n[j] += value * _coverage(x, grid.dx, [(-stem_half, stem_half)])
+            intervals = ((-stem_half, stem_half),)
         else:
             travel = min((z_j - geometry.stem_length) * slope,
                          (geometry.branch_separation_final - geometry.core_width) / 2.0)
             center = branch_half + travel
-            n[j] += contrast * _coverage(
-                x, grid.dx,
-                [(-center - branch_half, -center + branch_half),
-                 (center - branch_half, center + branch_half)],
-            )
-    ref = base.n_core if reference_n0 is None else reference_n0
-    return RIMap(n, ref)
+            intervals = ((-center - branch_half, -center + branch_half),
+                         (center - branch_half, center + branch_half))
+        index[j] = keys.setdefault((value, intervals), len(keys))
+    rows = [base.n_clad + value * _coverage(x, grid.dx, intervals) for value, intervals in keys]
+    return RIMap(np.array(rows), index, base.n_core)
 
 
 def _power(values: np.ndarray, dx: float) -> float:
@@ -330,7 +337,7 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     above 1e-6 per step aborts with diagnostics, and a lossless straight
     guide conserves power to rounding.
     """
-    if ri_map.n.shape != (grid.nz, grid.nx):
+    if ri_map.shape != (grid.nz, grid.nx):
         raise ValueError("index map shape does not match grid")
     if field.values.shape != (grid.nx,):
         raise ValueError("field length does not match grid")
@@ -338,31 +345,35 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
         raise ValueError("snapshot_every must be at least 1")
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    check_paraxial_dz(grid.dz, wavelength, float(np.abs(ri_map.n - n0).max()))
+    check_paraxial_dz(grid.dz, wavelength, float(np.abs(ri_map.rows - n0).max()))
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
     damping = _absorber(grid)
     half_step = 0.5j * grid.dz
+    coupling = half_step * off_diag
+    lower = np.full(grid.nx - 1, coupling)
 
     values = field.values.astype(np.complex128)
     power_prev = _power(values, grid.dx)
     snapshots = [Field(values.copy(), 0.0, power_prev)]
 
-    banded = np.zeros((3, grid.nx), dtype=np.complex128)
-    rhs = np.empty(grid.nx, dtype=np.complex128)
+    pair = None
     for j in range(grid.nz - 1):
-        n_mid = 0.5 * (ri_map.n[j] + ri_map.n[j + 1])
-        potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
-        diag = laplacian_diag + potential - 1j * damping
-        # (1 + i dz/2 A) u_next = (1 - i dz/2 A) u
-        rhs[:] = (1.0 - half_step * diag) * values
-        rhs[:-1] -= half_step * off_diag * values[1:]
-        rhs[1:] -= half_step * off_diag * values[:-1]
-        banded[0, 1:] = half_step * off_diag
-        banded[1, :] = 1.0 + half_step * diag
-        banded[2, :-1] = half_step * off_diag
-        values = solve_banded((1, 1), banded, rhs)
+        if (ri_map.index[j], ri_map.index[j + 1]) != pair:
+            # (1 + i dz/2 A) u_next = (1 - i dz/2 A) u, factored once per row pair
+            pair = (ri_map.index[j], ri_map.index[j + 1])
+            n_mid = 0.5 * (ri_map.rows[pair[0]] + ri_map.rows[pair[1]])
+            potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
+            diag = laplacian_diag + potential - 1j * damping
+            rhs_diag = 1.0 - half_step * diag
+            *factors, info = zgttrf(lower, 1.0 + half_step * diag, lower)
+            if info != 0:
+                raise NumericalError(f"singular step matrix at z={grid.dz * j:g} m (info={info})")
+        rhs = rhs_diag * values
+        rhs[:-1] -= coupling * values[1:]
+        rhs[1:] -= coupling * values[:-1]
+        values, _ = zgttrs(*factors, rhs, overwrite_b=1)
         power = _power(values, grid.dx)
         if not math.isfinite(power) or power > power_prev * (1.0 + INSTABILITY_GROWTH):
             raise NumericalError(
@@ -437,17 +448,18 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     if len(modes) < 2:
         raise ValueError("base guide must carry two modes")
     launch = field_from_modes(modes[:2], [1 / math.sqrt(2.0), 1 / math.sqrt(2.0)], grid)
+    # every bump must leave the guide dual-mode before any row is marched
+    length = geometry.phase_section.length
+    thetas = [_differential_phase(base, float(delta_n), length) for delta_n in delta_n_list]
     rows = []
-    for delta_n in delta_n_list:
-        section = PhaseSection(float(delta_n), geometry.phase_section.length,
-                               geometry.phase_section.z_start)
+    for delta_n, theta in zip(delta_n_list, thetas):
+        section = PhaseSection(float(delta_n), length, geometry.phase_section.z_start)
         shaped = YSplitterGeometry(geometry.stem_length, geometry.branch_half_angle,
                                    geometry.branch_separation_final, geometry.core_width,
                                    phase_section=section)
         ri_map = build_geometry(shaped, grid, base)
         final = propagate(launch, ri_map, grid, base.wavelength, snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, 0.0, grid)
-        theta = _differential_phase(base, float(delta_n), section.length)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))
     return rows
 

@@ -1,8 +1,10 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from modesim import bpm
 from modesim._errors import NumericalError
@@ -23,7 +25,6 @@ from modesim.bpm import (
     mode_field,
     propagate,
     straight_slab_map,
-    uniform_map,
 )
 from modesim.waveguide import SlabSpec, solve_slab_te_modes
 
@@ -32,6 +33,64 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def straight_grid(nz=801, nx=1024, window=80e-6, dz=0.5e-6):
     return Grid(-window / 2, window / (nx - 1), nx, dz, nz)
+
+
+def uniform_map(grid, index):
+    """Homogeneous-medium index map (free diffraction), referenced to its own index."""
+    return RIMap(np.full((1, grid.nx), index), np.zeros(grid.nz, dtype=int), index)
+
+
+def reference_propagate(field, ri_map, grid, wavelength, snapshot_every=1):
+    """The march as one solve_banded call per step on the materialized map:
+    the oracle that propagate's kept factorizations must match bit for bit."""
+    k = 2.0 * math.pi / wavelength
+    n0 = ri_map.reference_n0
+    n = ri_map.n
+    off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
+    laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
+    damping = bpm._absorber(grid)
+    half_step = 0.5j * grid.dz
+    values = field.values.astype(np.complex128)
+    snapshots = [values.copy()]
+    banded = np.zeros((3, grid.nx), dtype=np.complex128)
+    rhs = np.empty(grid.nx, dtype=np.complex128)
+    for j in range(grid.nz - 1):
+        n_mid = 0.5 * (n[j] + n[j + 1])
+        potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
+        diag = laplacian_diag + potential - 1j * damping
+        rhs[:] = (1.0 - half_step * diag) * values
+        rhs[:-1] -= half_step * off_diag * values[1:]
+        rhs[1:] -= half_step * off_diag * values[:-1]
+        banded[0, 1:] = half_step * off_diag
+        banded[1, :] = 1.0 + half_step * diag
+        banded[2, :-1] = half_step * off_diag
+        values = solve_banded((1, 1), banded, rhs)
+        step = j + 1
+        if step % snapshot_every == 0 or step == grid.nz - 1:
+            snapshots.append(values.copy())
+    return snapshots
+
+
+def small_splitter(default_slab, delta_n=4e-4):
+    """A short Y-splitter with a phase section, its grid and the |+> launch."""
+    geometry = YSplitterGeometry(60e-6, math.radians(1.0), 8e-6, 4e-6,
+                                 phase_section=PhaseSection(delta_n, 30e-6, z_start=10e-6))
+    grid = Grid(-24e-6, 48e-6 / 511, 512, 1e-6, int(geometry.separation_end_z() / 1e-6) + 21)
+    modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
+    launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
+    return build_geometry(geometry, grid, default_slab), grid, launch
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    original = bpm.zgttrf
+    monkeypatch.setattr(bpm, "zgttrf", counting)
+    return calls
 
 
 def default_geometry(stem_um=400.0, delta_n=0.0, phase_len_um=200.0):
@@ -183,6 +242,104 @@ class TestPropagation:
         coarse = Grid(-32e-6, 64e-6 / 127, 128, 1e-6, int(geometry.separation_end_z() / 1e-6) + 2)
         with pytest.raises(ValueError, match="points across the core"):
             fig2_experiment([0.0], default_slab, geometry, coarse)
+
+
+class TestRIMap:
+    @pytest.mark.parametrize("rows,index", [
+        (np.ones((2, 64)), [0, 2]),
+        (np.ones((2, 64)), [-1, 0]),
+        (np.ones((2, 64)), [0.0, 1.0]),
+        (np.ones((2, 64)), [[0, 1]]),
+        (np.vstack([np.ones(64), np.r_[np.ones(63), 0.0]]), [0, 1]),
+        (np.full((1, 64), np.nan), [0, 0]),
+        (np.ones(64), [0, 0]),
+    ], ids=["index_above", "index_negative", "index_float", "index_2d", "row_nonpositive",
+            "row_nan", "rows_1d"])
+    def test_invalid_map_rejected(self, rows, index):
+        with pytest.raises(ValueError):
+            RIMap(rows, index, 1.0)
+
+    def test_nonpositive_reference_rejected(self):
+        with pytest.raises(ValueError, match="reference_n0"):
+            RIMap(np.ones((1, 64)), [0, 0], 0.0)
+
+    def test_materialized_view(self):
+        rows = np.array([np.full(64, 1.49), np.full(64, 1.5)])
+        ri_map = RIMap(rows, [1, 0, 0, 1], 1.5)
+        assert ri_map.shape == (4, 64)
+        assert np.array_equal(ri_map.n, rows[[1, 0, 0, 1]])
+        assert not ri_map.rows.flags.writeable and not ri_map.index.flags.writeable
+
+    def test_splitter_stores_each_distinct_row_once(self, default_slab):
+        ri_map, grid, _ = small_splitter(default_slab)
+        assert len(np.unique(ri_map.rows, axis=0)) == len(ri_map.rows) < grid.nz
+        # stem before and after the phase section is one row
+        stem_rows = ri_map.index[grid.z < 60e-6]
+        assert stem_rows[0] == stem_rows[-1] != stem_rows[len(stem_rows) // 2]
+
+
+class TestKeptFactorization:
+    @staticmethod
+    def _case(name, default_slab):
+        if name == "splitter":
+            ri_map, grid, launch = small_splitter(default_slab)
+            return ri_map, grid, launch, default_slab.wavelength
+        if name == "straight":
+            grid = straight_grid(nz=201, nx=512)
+            modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
+            launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
+            return straight_slab_map(grid, default_slab), grid, launch, default_slab.wavelength
+        grid = Grid(-60e-6, 120e-6 / 511, 512, 0.5e-6, 201)
+        values = np.exp(-(grid.x / 6e-6) ** 2).astype(complex)
+        launch = Field(values, 0.0, float(np.sum(np.abs(values) ** 2) * grid.dx))
+        return uniform_map(grid, 1.0), grid, launch, 1.55e-6
+
+    @pytest.mark.parametrize("name", ["straight", "splitter", "free"])
+    def test_snapshots_match_solve_banded_march(self, name, default_slab):
+        ri_map, grid, launch, wavelength = self._case(name, default_slab)
+        snaps = propagate(launch, ri_map, grid, wavelength, snapshot_every=7)
+        expected = reference_propagate(launch, ri_map, grid, wavelength, snapshot_every=7)
+        assert len(snaps) == len(expected)
+        for snap, values in zip(snaps, expected):
+            assert np.array_equal(snap.values, values)
+
+    def test_straight_guide_factors_once(self, default_slab, monkeypatch):
+        ri_map, grid, launch, wavelength = self._case("straight", default_slab)
+        calls = count_factorizations(monkeypatch)
+        propagate(launch, ri_map, grid, wavelength)
+        assert len(calls) == 1
+
+    def test_splitter_factors_once_per_row_pair_change(self, default_slab, monkeypatch):
+        ri_map, grid, launch, wavelength = self._case("splitter", default_slab)
+        pairs = list(zip(ri_map.index[:-1], ri_map.index[1:]))
+        changes = 1 + sum(a != b for a, b in zip(pairs, pairs[1:]))
+        calls = count_factorizations(monkeypatch)
+        propagate(launch, ri_map, grid, wavelength)
+        assert len(calls) == changes < grid.nz - 1
+
+    def test_singular_factorization_raises(self, default_slab, monkeypatch):
+        ri_map, grid, launch, wavelength = self._case("straight", default_slab)
+        original = bpm.zgttrf
+        monkeypatch.setattr(bpm, "zgttrf", lambda *args: (*original(*args)[:-1], 5))
+        with pytest.raises(NumericalError, match="singular step matrix"):
+            propagate(launch, ri_map, grid, wavelength)
+
+    def test_bpm_run_default_map_and_march_memory(self, default_slab):
+        # bpm-run defaults: 1000 um at dz = 0.5 um across a 96 um window of 2048 points
+        nz = int(math.ceil(1000e-6 / 0.5e-6)) + 1
+        grid = Grid(-48e-6, 96e-6 / 2047, 2048, 0.5e-6, nz)
+        modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
+        launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
+        tracemalloc.start()
+        try:
+            ri_map = straight_slab_map(grid, default_slab)
+            snaps = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ri_map.rows.shape == (1, grid.nx)
+        assert len(snaps) == 127
+        assert peak < 16e6
 
 
 class TestDecompose:

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from modesim import bpm
 from modesim.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -326,6 +327,24 @@ class TestMain:
         config = write_config(tmp_path, "experiment=bpm-run\ncore_width_um=3\nlength_um=20\n")
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+
+    def test_single_mode_bump_fails_before_any_march(self, tmp_path, monkeypatch, capsys):
+        # the last bump leaves the guide single-mode; this once exited 3 only after
+        # the two rows before it had been marched
+        marches = []
+        original = bpm.propagate
+
+        def counting(*args, **kwargs):
+            marches.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bpm, "propagate", counting)
+        config = write_config(tmp_path, "experiment=fig2\ndelta_n_list=0;1e-4;-0.008\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert "need at least 2 guided modes, found 1" in capsys.readouterr().err
+        assert marches == []
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(
