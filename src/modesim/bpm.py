@@ -21,22 +21,25 @@ of the window on each side) removes radiation before it can wrap around.
 An index map stores each distinct transverse row once, plus a row index per
 z step.  The march LU-factors its tridiagonal step matrix (LAPACK ?gttrf) once
 per distinct pair of consecutive rows and solves each step with ?gttrs.
+scipy, which provides them, is imported on the first march, not with this
+module.
 
 Geometry builders rasterize symmetric Y-splitters: a dual-mode stem, an
 optional phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
-phase 2*theta controlled by delta_n.
+phase 2*theta controlled by delta_n.  The fig2 experiment rasterizes the
+splitter once per run: every delta_n shares the stem and branch-taper rows,
+and each adds only its own phase-section row.
 """
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from ._errors import NumericalError
 from ._io import write_bytes, write_csv
@@ -122,7 +125,7 @@ class RIMap:
     reference_n0: float
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
+        rows = np.asarray(self.rows, dtype=np.float64)  # no copy: a map can be tens of MB
         index = np.array(self.index)
         if rows.ndim != 2 or index.ndim != 1 or index.dtype.kind not in "iu":
             raise ValueError("index map needs 2D rows (rows, nx) and a 1D integer row index (nz,)")
@@ -258,12 +261,23 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> R
     area and the discrete mode constants are free of staircase bias.  Each
     distinct (core value, core intervals) pair is rasterized into one row.
     """
+    return _raster(geometry, grid, base)[1]
+
+
+def _raster(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec,
+            shared: tuple[dict, RIMap] | None = None) -> tuple[dict, RIMap]:
+    """build_geometry's map and its row keys, (core value, core intervals) -> row.
+
+    Given `shared`, the (keys, map) of an earlier raster on this grid and base,
+    the map starts with a copy of that map's rows and rasterizes only the keys
+    it lacks."""
     check_geometry_fits(geometry, grid)
     x = grid.x
     stem_half = base.core_width / 2.0
     branch_half = geometry.core_width / 2.0
     phase = geometry.phase_section
-    keys: dict = {}
+    keys = dict(shared[0]) if shared else {}
+    known = shared[1].rows if shared else np.empty((0, grid.nx))
     index = np.empty(grid.nz, dtype=np.intp)
     slope = math.tan(geometry.branch_half_angle)
     contrast = base.n_core - base.n_clad
@@ -280,8 +294,11 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> R
             intervals = ((-center - branch_half, -center + branch_half),
                          (center - branch_half, center + branch_half))
         index[j] = keys.setdefault((value, intervals), len(keys))
-    rows = [base.n_clad + value * _coverage(x, grid.dx, intervals) for value, intervals in keys]
-    return RIMap(np.array(rows), index, base.n_core)
+    rows = np.empty((len(keys), grid.nx))
+    rows[:len(known)] = known
+    for i, (value, intervals) in enumerate(list(keys)[len(known):], len(known)):
+        rows[i] = base.n_clad + value * _coverage(x, grid.dx, intervals)
+    return keys, RIMap(rows, index, base.n_core)
 
 
 def _power(values: np.ndarray, dx: float) -> float:
@@ -343,9 +360,13 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
         raise ValueError("field length does not match grid")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be at least 1")
+    from scipy.linalg.lapack import zgttrf, zgttrs  # deferred: importing scipy costs about 0.3 s
+
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    check_paraxial_dz(grid.dz, wavelength, float(np.abs(ri_map.rows - n0).max()))
+    # max |rows - n0|, exactly, without a map-sized temporary
+    contrast = max(ri_map.rows.max() - n0, n0 - ri_map.rows.min())
+    check_paraxial_dz(grid.dz, wavelength, float(contrast))
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
@@ -451,14 +472,14 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     # every bump must leave the guide dual-mode before any row is marched
     length = geometry.phase_section.length
     thetas = [_differential_phase(base, float(delta_n), length) for delta_n in delta_n_list]
+    shared = _raster(geometry, grid, base)
     rows = []
     for delta_n, theta in zip(delta_n_list, thetas):
-        section = PhaseSection(float(delta_n), length, geometry.phase_section.z_start)
-        shaped = YSplitterGeometry(geometry.stem_length, geometry.branch_half_angle,
-                                   geometry.branch_separation_final, geometry.core_width,
-                                   phase_section=section)
-        ri_map = build_geometry(shaped, grid, base)
-        final = propagate(launch, ri_map, grid, base.wavelength, snapshot_every=grid.nz)[-1]
+        shaped = replace(geometry, phase_section=replace(geometry.phase_section,
+                                                         delta_n=float(delta_n)))
+        # the map is not bound to a name, so it is freed before the next bump's is built
+        final = propagate(launch, _raster(shaped, grid, base, shared)[1], grid, base.wavelength,
+                          snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, 0.0, grid)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))
     return rows

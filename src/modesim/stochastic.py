@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn
 
 from ._errors import NumericalError
 from ._io import write_csv
@@ -172,6 +171,8 @@ def rates(model: PerturbationModel, delta_beta: float) -> RateConstants:
     kappa = 2 sigma^2 D F(D dbeta / 2) |K|^2 exactly.  gamma is even and
     monotonically decreasing in |dbeta|; kappa is odd.
     """
+    from scipy.special import dawsn  # deferred: importing scipy costs about 0.3 s
+
     x = model.corr_length * delta_beta / 2.0
     try:
         coupling_sq = abs(model.k_ab) ** 2

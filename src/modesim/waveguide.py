@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import speed_of_light
 
 from ._io import write_csv
 
@@ -60,6 +59,8 @@ DEFAULT_GRID_POINTS = 2048
 DEFAULT_SPAN_FACTOR = 6.0
 #: below this normalized frequency the guiding is unresolvable in float64.
 MIN_NORMALIZED_FREQUENCY = 1e-6
+#: m/s, exact by the SI definition; equals scipy.constants.speed_of_light.
+SPEED_OF_LIGHT = 299792458.0
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ def group_delay(spec: SlabSpec, mode_index: int, length: float,
             )
         betas.append(modes[mode_index].beta)
     derivative = (betas[0] - betas[1]) / (2.0 * spec.k * dk_rel)
-    return length / speed_of_light * derivative
+    return length / SPEED_OF_LIGHT * derivative
 
 
 def delta_beta(spec: SlabSpec) -> float:

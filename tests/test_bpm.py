@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 
 from modesim import bpm
@@ -88,8 +89,9 @@ def count_factorizations(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    original = bpm.zgttrf
-    monkeypatch.setattr(bpm, "zgttrf", counting)
+    # propagate imports zgttrf from scipy.linalg.lapack on each call
+    original = scipy.linalg.lapack.zgttrf
+    monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", counting)
     return calls
 
 
@@ -319,8 +321,8 @@ class TestKeptFactorization:
 
     def test_singular_factorization_raises(self, default_slab, monkeypatch):
         ri_map, grid, launch, wavelength = self._case("straight", default_slab)
-        original = bpm.zgttrf
-        monkeypatch.setattr(bpm, "zgttrf", lambda *args: (*original(*args)[:-1], 5))
+        original = scipy.linalg.lapack.zgttrf
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", lambda *args: (*original(*args)[:-1], 5))
         with pytest.raises(NumericalError, match="singular step matrix"):
             propagate(launch, ri_map, grid, wavelength)
 
@@ -441,6 +443,57 @@ def test_fig2_rows_monotone(default_slab):
     sequence = [rights[i] for i in ordered]
     assert all(a < b for a, b in zip(sequence, sequence[1:])) or all(
         a > b for a, b in zip(sequence, sequence[1:]))
+
+
+class TestFigTwoSharedRaster:
+    def test_bump_maps_match_build_geometry(self, default_slab, monkeypatch):
+        # the bumps share one raster of the geometry; each rasterizes only its own
+        # phase-section row, and its map equals build_geometry of its own geometry
+        geometry = default_geometry(stem_um=400.0, phase_len_um=300.0)
+        z_total = geometry.separation_end_z() + 200e-6
+        grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, int(z_total / 1e-6) + 1)
+        shared_rows = len(build_geometry(geometry, grid, default_slab).rows)
+        marched, rasterized = [], []
+        original_propagate, original_coverage = bpm.propagate, bpm._coverage
+
+        def recording_propagate(field, ri_map, march_grid, *args, **kwargs):
+            marched.append((ri_map.n, ri_map.reference_n0, march_grid))
+            return original_propagate(field, ri_map, march_grid, *args, **kwargs)
+
+        def counting_coverage(*args):
+            rasterized.append(1)
+            return original_coverage(*args)
+
+        monkeypatch.setattr(bpm, "propagate", recording_propagate)
+        monkeypatch.setattr(bpm, "_coverage", counting_coverage)
+        bumps = [0.0, 3e-4, 6e-4]
+        fig2_experiment(bumps, default_slab, geometry, grid)
+        assert len(rasterized) == shared_rows + 2
+        assert len(marched) == len(bumps)
+        for delta_n, (n, reference_n0, march_grid) in zip(bumps, marched):
+            alone = build_geometry(default_geometry(400.0, delta_n, 300.0), grid, default_slab)
+            assert march_grid is grid
+            assert reference_n0 == alone.reference_n0
+            assert np.array_equal(n, alone.n)
+
+    def test_map_memory_at_benchmark_size(self, default_slab):
+        # fig2 at the benchmark's bpm_splitter size: 2814 z steps of 2048 points,
+        # a 23.5 MB map per bump.  The shared raster and one bump's map are alive
+        # at once, never a third copy.  scipy.linalg is imported at the top of
+        # this module, so its import is not counted.
+        geometry = YSplitterGeometry(1130e-6, math.radians(0.4), 24e-6, 4e-6,
+                                     phase_section=PhaseSection(0.0, 1000e-6, z_start=50e-6))
+        nz = int(math.ceil((geometry.separation_end_z() + 250e-6) / 1e-6)) + 1
+        grid = Grid(-32e-6, 64e-6 / 2047, 2048, 1e-6, nz)
+        assert grid.nz == 2814
+        tracemalloc.start()
+        try:
+            rows = fig2_experiment([0.0, 1.0e-4, 2.1e-4], default_slab, geometry, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3
+        assert peak <= 60e6
 
 
 def test_export_field_csv(tmp_path, default_slab):

@@ -1,10 +1,16 @@
+import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modesim
 from modesim import bpm
 from modesim.cli import (
     EXIT_CONFIG,
@@ -14,6 +20,7 @@ from modesim.cli import (
     RunConfig,
     main,
     parse_config_text,
+    run,
     validate,
 )
 
@@ -412,3 +419,60 @@ class TestMain:
         assert len(mantissa) == 17
         # round trip exactness
         assert float(gamma_text) == float(f"{float(gamma_text):.16e}")
+
+
+# Imports modesim.cli in a fresh interpreter, then parses and validates the
+# default config of each experiment named on the command line; prints the
+# scipy modules loaded after each one, as JSON.
+_COLD_START = """
+import json, sys
+import modesim.cli as cli
+loaded = {}
+for experiment in sys.argv[1:]:
+    diagnostics = cli.validate(cli.parse_config_text(f"experiment={experiment}\\n"))
+    assert not [d for d in diagnostics if d.severity == "error"], diagnostics
+    loaded[experiment] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+class TestColdStart:
+    @staticmethod
+    def _scipy_loaded(*experiments):
+        src = str(Path(modesim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", _COLD_START, *experiments], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_short_experiments_validate_without_scipy(self):
+        loaded = self._scipy_loaded("modes", "bell", "bpm-run", "fig2")
+        assert loaded == {"modes": [], "bell": [], "bpm-run": [], "fig2": []}
+
+    def test_decohere_validates_without_scipy_linalg(self):
+        # validate computes the rates, so kappa's Dawson function loads scipy.special
+        loaded = self._scipy_loaded("decohere")["decohere"]
+        assert "scipy.special" in loaded
+        assert "scipy.linalg" not in loaded
+
+
+class TestOutputBytes:
+    """Data files keep their sha256 digests: no refactor may move a bit of output."""
+
+    @pytest.mark.parametrize("text,digests", [
+        ("experiment=fig2\ndelta_n_list=0;3e-4;6e-4\nstem_length_um=400\n"
+         "phase_length_um=300\nnx=1024\n",
+         {"fig2.csv": "f8af007d8c7ef408188065012867216df800d9f258e360b88c0348f21478e0b5"}),
+        ("experiment=bpm-run\nlaunch=te0\nlength_um=100\nnx=512\nwindow_um=64\n"
+         "snapshot_every=7\n",
+         {"field_final.csv": "d47b241996feee7998789ea3959bcd006d51fa390969e99e073a840f72334de5",
+          "raster.bin": "1d55dfeadb3e2d99f7c3be3509682273a50240bfd20c6c41fd00c94609cfb965"}),
+        # kappa's bits, through scipy's Dawson function
+        ("experiment=rates\n",
+         {"rates.csv": "78f4d8ad4bd07212f62796c6f211bb6a1ac169e379fbc5b17f6943b8cc8a58f6"}),
+    ], ids=["fig2", "bpm-run", "rates"])
+    def test_data_file_digests(self, tmp_path, text, digests):
+        run(parse_config_text(text), tmp_path, quiet=True)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -6,6 +6,7 @@ from scipy.constants import speed_of_light
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from modesim import waveguide
 from modesim.waveguide import (
     GuidedMode,
     ParabolicSpec,
@@ -185,6 +186,10 @@ class TestParabolic:
 
 
 class TestGroupDelay:
+    def test_speed_of_light_is_scipys(self):
+        # the module keeps the SI literal, so importing it does not load scipy
+        assert waveguide.SPEED_OF_LIGHT == speed_of_light
+
     def test_zero_length(self, default_slab):
         assert group_delay(default_slab, 0, 0.0) == 0.0
 
