@@ -31,19 +31,22 @@ ensemble_scan, the one Monte Carlo entry point, runs on this reducer.
 
 Ensemble reductions use compensated (fsum) summation per matrix entry, so
 the mean is independent of scheduling order at the 1e-13 level demanded of
-parallel runs.  Realization i always uses seed = base_seed + i.
+parallel runs.  Realization i always uses seed = base_seed + i; seeds 2k and
+2k + 1 share one transform in :func:`modesim.stochastic.sample_path`, so each
+parallel task runs a whole seed pair.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from ._io import write_csv
 from .states import DensityMatrix, bell_state, density_of, product_state
-from .stochastic import PerturbationModel, RateConstants, rates, sample_path
+from .stochastic import PerturbationModel, RateConstants, pair_seed, rates, sample_path
 
 __all__ = [
     "EvolutionParams",
@@ -244,8 +247,12 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
         return _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, index)
 
     if n_jobs > 1:
+        # one task per seed pair, run in order on one thread, so each pair is drawn once
+        pairs = [list(group) for _, group in
+                 groupby(range(n_realizations), key=lambda i: pair_seed(base_seed + i))]
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            stack = np.array(list(pool.map(one, range(n_realizations))))
+            batches = list(pool.map(lambda pair: [one(i) for i in pair], pairs))
+        stack = np.array([snapshots for batch in batches for snapshots in batch])
     else:
         stack = np.array([one(i) for i in range(n_realizations)])
 

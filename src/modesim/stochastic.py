@@ -16,28 +16,30 @@ evaluates the closed-form decoherence rates
 with F the Dawson function, valid in the weak-coupling regime where the
 mode-beat rate dbeta dominates both rates.
 
-Reproducibility: paths are generated with numpy's seeded PCG64 generator;
-an ensemble uses seed = base_seed + realization_index for realization i, so
-results are independent of scheduling order.
+Reproducibility: seeds s and s ^ 1 share one draw of numpy's PCG64
+generator default_rng(pair_seed(s)), pair_seed(s) = s & ~1.  The even
+seed's path is the real part of its transform (the path earlier versions
+drew from default_rng(s)), the odd seed's the independent imaginary part
+(Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1088, 1997).
 """
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._errors import NumericalError
-from ._io import write_csv
 
 __all__ = [
     "PerturbationModel",
     "SampledPath",
     "RateConstants",
+    "pair_seed",
     "sample_path",
     "rates",
-    "export_path_csv",
 ]
 
 #: dz must resolve the correlation length at least this finely.
@@ -130,13 +132,34 @@ def _embedding_scale(sigma: float, corr_length: float, dz: float, count: int) ->
     raise NumericalError("circulant embedding not positive semidefinite after 3 doublings")
 
 
+#: one-entry memo per thread: the key and the transform of the last seed pair
+_last_pair = threading.local()
+
+
+def pair_seed(seed: int) -> int:
+    """Seed of the draw that seed shares with seed ^ 1."""
+    return seed & ~1
+
+
+def _pair_transform(scale: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """First count entries of the FFT of scale-weighted complex normals from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((2, scale.shape[0]))
+    spectrum = np.empty(scale.shape[0], dtype=np.complex128)
+    np.multiply(scale, draws[0], out=spectrum.real)
+    np.multiply(scale, draws[1], out=spectrum.imag)
+    return np.fft.fft(spectrum, out=spectrum)[:count].copy()
+
+
 def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> SampledPath:
     """Sample one realization of f(z) with the Gaussian autocovariance.
 
     Uses circulant embedding: the covariance is embedded in a circulant
     matrix whose FFT gives its eigenvalues, and one FFT of scaled complex
-    white noise returns a Gaussian vector with exactly the target covariance
-    on the grid.  Deterministic for fixed (model, dz, count, seed).
+    white noise returns two independent Gaussian vectors, its real and
+    imaginary parts, each with exactly the target covariance on the grid;
+    the even seed of a pair takes the real part.  Each thread keeps its last
+    pair's transform.  Deterministic for fixed (model, dz, count, seed).
     """
     if dz <= 0 or count < 2:
         raise ValueError("need dz > 0 and count >= 2")
@@ -153,14 +176,14 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
     if model.sigma == 0.0:
         return SampledPath(np.zeros(count), dz, seed)
 
-    scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((2, scale.shape[0]))
-    spectrum = np.empty(scale.shape[0], dtype=np.complex128)
-    np.multiply(scale, draws[0], out=spectrum.real)
-    np.multiply(scale, draws[1], out=spectrum.imag)
-    values = np.fft.fft(spectrum, out=spectrum).real[:count]
-    return SampledPath(values, dz, seed)
+    pair = pair_seed(seed)
+    key = (model.sigma, model.corr_length, dz, count, pair)
+    if getattr(_last_pair, "key", None) != key:
+        scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
+        _last_pair.transform = _pair_transform(scale, count, pair)
+        _last_pair.key = key
+    transform = _last_pair.transform
+    return SampledPath(transform.imag if seed & 1 else transform.real, dz, seed)
 
 
 def rates(model: PerturbationModel, delta_beta: float) -> RateConstants:
@@ -184,9 +207,3 @@ def rates(model: PerturbationModel, delta_beta: float) -> RateConstants:
     strongest = max(gamma, abs(kappa))
     regime_ok = strongest == 0.0 or abs(delta_beta) >= REGIME_MARGIN * strongest
     return RateConstants(gamma=gamma, kappa=kappa, regime_ok=regime_ok)
-
-
-def export_path_csv(path_obj: SampledPath, destination) -> None:
-    """Write one realization as CSV with columns (z_m, f)."""
-    z = np.arange(path_obj.count) * path_obj.dz
-    write_csv(destination, ("z_m", "f"), zip(z.tolist(), path_obj.values.tolist()))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,11 +14,22 @@ from modesim.decoherence import (
     export_scan_csv,
     two_rail_evolve,
 )
+from modesim import decoherence, stochastic
 from modesim.decoherence import _segment_index, _segment_products
 from modesim.states import DensityMatrix, bell_state, density_of, product_state, purity, superpose, tensor
-from modesim.stochastic import PerturbationModel, RateConstants, rates, sample_path
+from modesim.stochastic import PerturbationModel, RateConstants, pair_seed, rates, sample_path
 
 EQUAL = density_of(superpose(1.0, 1.0))
+
+
+def single_path_draw(model, dz, count, seed):
+    """The one-path-per-seed sampler: the real part of default_rng(seed)'s embedding transform."""
+    scale = stochastic._embedding_scale(model.sigma, model.corr_length, dz, count)
+    draws = np.random.default_rng(seed).standard_normal((2, scale.shape[0]))
+    spectrum = np.empty(scale.shape[0], dtype=np.complex128)
+    spectrum.real = scale * draws[0]
+    spectrum.imag = scale * draws[1]
+    return stochastic.SampledPath(np.fft.fft(spectrum).real[:count], dz, seed)
 
 
 def params(delta_beta=2.0e4, gamma=0.04, kappa=0.067, length=1.0):
@@ -139,6 +151,26 @@ class TestEnsemble:
         assert np.array_equal(serial.mean, threaded.mean)
         assert np.array_equal(serial.stderr, threaded.stderr)
 
+    @pytest.mark.parametrize("n_jobs", [1, 4])
+    @pytest.mark.parametrize("base_seed", [40, 41])
+    def test_one_transform_per_seed_pair(self, default_model, monkeypatch, n_jobs, base_seed):
+        drawn = []
+
+        def spy(scale, count, seed):
+            drawn.append(seed)
+            return transform(scale, count, seed)
+
+        transform = stochastic._pair_transform
+        monkeypatch.setattr(stochastic, "_pair_transform", spy)
+        monkeypatch.setattr(stochastic, "_last_pair", threading.local())
+        delta_beta = 2.0 / default_model.corr_length
+        scan = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 7, base_seed=base_seed,
+                             n_jobs=n_jobs)
+        pairs = {pair_seed(base_seed + i) for i in range(7)}
+        assert sorted(drawn) == sorted(pairs)
+        serial = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 7, base_seed=base_seed)
+        assert np.array_equal(scan.mean, serial.mean)
+
     def test_scan_mc_error_shrinks_like_sqrt_n(self, default_model):
         # RMS entrywise error against the closed form must shrink by about
         # sqrt(2) per doubling of the ensemble; pooled over several
@@ -202,16 +234,26 @@ class TestSegmentReducer:
             assert abs(np.linalg.norm(products[:, s]) - 1.0) < 1e-12
             start = mark
 
-    def test_scan_bytes_pinned(self, default_model):
+    def test_scan_bytes_pinned(self, default_model, monkeypatch):
         # 1096 steps in checkpoint segments of 157 and 156 steps; the digest of
         # the mean was recorded with the per-segment reducer this block
-        # reducer replaced, whose output it must reproduce bit for bit
+        # reducer replaced, whose output it must reproduce bit for bit.  The
+        # paths are the one-path-per-seed draws it was recorded with.
+        monkeypatch.setattr(decoherence, "sample_path", single_path_draw)
         scan = ensemble_scan(EQUAL, default_model, 2.0e4, length_max=0.0137, n_lengths=7,
                              n_realizations=3, base_seed=123)
         steps = np.round(scan.lengths / (0.0137 / 1096)).astype(int)
         assert np.diff(steps, prepend=0).tolist() == [157, 156, 157, 156, 157, 156, 157]
         assert (hashlib.sha256(scan.mean.tobytes()).hexdigest()
                 == "b686ed11b15ccaef4a0c534a37d1988a55bcbb29d220dd7d1014cc806c1fa42a")
+
+    def test_scan_bytes_pinned_seed_pairs(self, default_model):
+        # the same scan on the paired sampler: seed 123 is the imaginary part
+        # of pair 122, seeds 124 and 125 the two parts of pair 124
+        scan = ensemble_scan(EQUAL, default_model, 2.0e4, length_max=0.0137, n_lengths=7,
+                             n_realizations=3, base_seed=123)
+        assert (hashlib.sha256(scan.mean.tobytes()).hexdigest()
+                == "420c0189ba5c1be0f36ae639f223de88ebff674ea2ee1b00a3f195c9802746d6")
 
 
 class TestTwoRail:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modesim.stochastic import PerturbationModel, RateConstants, export_path_csv, rates, sample_path
+from modesim.stochastic import PerturbationModel, RateConstants, _embedding_scale, rates, sample_path
 
 
 # --- independent Dawson-function oracle -------------------------------------
@@ -26,6 +26,16 @@ def dawson_series(x):
 DAWSON_AT_ONE = 0.5380795069127684  # frozen from the series oracle
 
 
+def pair_transform(model, dz, count, pair_seed):
+    """The one-path-per-seed draw: circulant-embedding transform of default_rng(pair_seed)'s normals."""
+    scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
+    draws = np.random.default_rng(pair_seed).standard_normal((2, scale.shape[0]))
+    spectrum = np.empty(scale.shape[0], dtype=np.complex128)
+    spectrum.real = scale * draws[0]
+    spectrum.imag = scale * draws[1]
+    return np.fft.fft(spectrum)[:count]
+
+
 class TestSamplePath:
     def test_zero_sigma_gives_zero_path(self):
         model = PerturbationModel(0.0, 50e-6, 100.0)
@@ -43,6 +53,41 @@ class TestSamplePath:
         a = sample_path(default_model, dz, 300, seed=11)
         b = sample_path(default_model, dz, 300, seed=12)
         assert not np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed", [0, 12, 9000])
+    def test_even_seed_is_single_path_draw(self, default_model, seed):
+        # bit for bit the path every earlier version drew from default_rng(seed)
+        dz = default_model.corr_length / 8
+        path = sample_path(default_model, dz, 300, seed)
+        assert np.array_equal(path.values, pair_transform(default_model, dz, 300, seed).real)
+
+    @pytest.mark.parametrize("seed", [1, 13, 9001])
+    def test_odd_seed_is_imaginary_part(self, default_model, seed):
+        dz = default_model.corr_length / 8
+        path = sample_path(default_model, dz, 300, seed)
+        assert np.array_equal(path.values, pair_transform(default_model, dz, 300, seed - 1).imag)
+
+    def test_values_independent_of_call_order(self, default_model):
+        dz = default_model.corr_length / 8
+        other = PerturbationModel(0.02, default_model.corr_length, 100.0)
+        calls = [(default_model, 300, 41), (default_model, 300, 40), (default_model, 300, 41),
+                 (other, 300, 40), (default_model, 300, 41), (default_model, 400, 40),
+                 (default_model, 300, 40), (default_model, 300, 40), (other, 300, 41)]
+        for model, count, seed in calls:
+            transform = pair_transform(model, dz, count, seed & ~1)
+            assert np.array_equal(sample_path(model, dz, count, seed).values,
+                                  transform.imag if seed & 1 else transform.real)
+
+    def test_pair_parts_uncorrelated(self):
+        # the real and imaginary paths of a pair are independent: the lag-0
+        # product averaged over 400 pairs stays within 4 SE of 0
+        model = PerturbationModel(0.01, 50e-6, 100.0)
+        dz = model.corr_length / 8
+        products = [float(np.mean(sample_path(model, dz, 400, 2 * k).values
+                                  * sample_path(model, dz, 400, 2 * k + 1).values))
+                    for k in range(3000, 3400)]
+        stderr = np.std(products, ddof=1) / math.sqrt(len(products))
+        assert abs(np.mean(products)) < 4.0 * stderr
 
     def test_step_too_coarse_rejected(self, default_model):
         with pytest.raises(ValueError, match="resolve"):
@@ -160,15 +205,3 @@ class TestValidation:
         reference = rates(PerturbationModel(0.05, 100e-6, 500.0), 2e4)
         assert abs(rate.gamma - reference.gamma) < 1e-12 * reference.gamma
 
-
-def test_export_path_csv(tmp_path, default_model):
-    dz = default_model.corr_length / 8
-    path = sample_path(default_model, dz, 200, seed=9)
-    target = tmp_path / "path.csv"
-    export_path_csv(path, target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "z_m,f"
-    assert len(lines) == 201
-    z1, f1 = (float(v) for v in lines[2].split(","))
-    assert abs(z1 - dz) < 1e-18
-    assert f1 == path.values[1]
