@@ -19,8 +19,9 @@ A complex absorber (imaginary potential, quadratic ramp over the outer 10%
 of the window on each side) removes radiation before it can wrap around.
 
 An index map stores each distinct transverse row once, plus a row index per
-z step.  The march LU-factors its tridiagonal step matrix (LAPACK ?gttrf) once
-per distinct pair of consecutive rows and solves each step with ?gttrs.
+z step.  The march takes its steps in runs between the same pair of
+consecutive rows: it LU-factors a run's tridiagonal step matrix once (LAPACK
+?gttrf) and solves each step with ?gttrs, or solves a one-step run with ?gtsv.
 scipy, which provides them, is imported on the first march, not with this
 module.
 
@@ -29,9 +30,9 @@ optional phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
-phase 2*theta controlled by delta_n.  The fig2 experiment rasterizes the
-splitter once per run: every delta_n shares the stem and branch-taper rows,
-and each adds only its own phase-section row.
+phase 2*theta controlled by delta_n.  The fig2 experiment rasterizes every
+delta_n into one rows array: all share the stem and branch-taper rows, each
+adds only its own phase-section row, and each marches with its own row index.
 """
 from __future__ import annotations
 
@@ -261,44 +262,43 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> R
     area and the discrete mode constants are free of staircase bias.  Each
     distinct (core value, core intervals) pair is rasterized into one row.
     """
-    return _raster(geometry, grid, base)[1]
+    rows, (index,) = _raster([geometry], grid, base)
+    return RIMap(rows, index, base.n_core)
 
 
-def _raster(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec,
-            shared: tuple[dict, RIMap] | None = None) -> tuple[dict, RIMap]:
-    """build_geometry's map and its row keys, (core value, core intervals) -> row.
+def _raster(geometries, grid: Grid, base: SlabSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """build_geometry's rows, shared by all the geometries, and each one's row index.
 
-    Given `shared`, the (keys, map) of an earlier raster on this grid and base,
-    the map starts with a copy of that map's rows and rasterizes only the keys
-    it lacks."""
-    check_geometry_fits(geometry, grid)
+    Each distinct (core value, core intervals) pair over all of them is one row."""
     x = grid.x
     stem_half = base.core_width / 2.0
-    branch_half = geometry.core_width / 2.0
-    phase = geometry.phase_section
-    keys = dict(shared[0]) if shared else {}
-    known = shared[1].rows if shared else np.empty((0, grid.nx))
-    index = np.empty(grid.nz, dtype=np.intp)
-    slope = math.tan(geometry.branch_half_angle)
     contrast = base.n_core - base.n_clad
-    for j, z_j in enumerate(grid.z):
-        value = contrast
-        if z_j < geometry.stem_length:
-            if phase is not None and phase.z_start <= z_j < phase.z_start + phase.length:
-                value = contrast + phase.delta_n
-            intervals = ((-stem_half, stem_half),)
-        else:
-            travel = min((z_j - geometry.stem_length) * slope,
-                         (geometry.branch_separation_final - geometry.core_width) / 2.0)
-            center = branch_half + travel
-            intervals = ((-center - branch_half, -center + branch_half),
-                         (center - branch_half, center + branch_half))
-        index[j] = keys.setdefault((value, intervals), len(keys))
+    keys: dict = {}
+    indices = []
+    for geometry in geometries:
+        check_geometry_fits(geometry, grid)
+        branch_half = geometry.core_width / 2.0
+        phase = geometry.phase_section
+        index = np.empty(grid.nz, dtype=np.intp)
+        slope = math.tan(geometry.branch_half_angle)
+        for j, z_j in enumerate(grid.z):
+            value = contrast
+            if z_j < geometry.stem_length:
+                if phase is not None and phase.z_start <= z_j < phase.z_start + phase.length:
+                    value = contrast + phase.delta_n
+                intervals = ((-stem_half, stem_half),)
+            else:
+                travel = min((z_j - geometry.stem_length) * slope,
+                             (geometry.branch_separation_final - geometry.core_width) / 2.0)
+                center = branch_half + travel
+                intervals = ((-center - branch_half, -center + branch_half),
+                             (center - branch_half, center + branch_half))
+            index[j] = keys.setdefault((value, intervals), len(keys))
+        indices.append(index)
     rows = np.empty((len(keys), grid.nx))
-    rows[:len(known)] = known
-    for i, (value, intervals) in enumerate(list(keys)[len(known):], len(known)):
+    for i, (value, intervals) in enumerate(keys):
         rows[i] = base.n_clad + value * _coverage(x, grid.dx, intervals)
-    return keys, RIMap(rows, index, base.n_core)
+    return rows, indices
 
 
 def _power(values: np.ndarray, dx: float) -> float:
@@ -345,6 +345,11 @@ def _absorber(grid: Grid) -> np.ndarray:
     return DEFAULT_ABSORBER_STRENGTH * (left ** 2 + right ** 2)
 
 
+def _check_nonsingular(info: int, z: float) -> None:
+    if info != 0:
+        raise NumericalError(f"singular step matrix at z={z:g} m (info={info})")
+
+
 def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
               snapshot_every: int = 1) -> list[Field]:
     """Crank-Nicolson march of the reduced field through the index map.
@@ -360,7 +365,7 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
         raise ValueError("field length does not match grid")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be at least 1")
-    from scipy.linalg.lapack import zgttrf, zgttrs  # deferred: importing scipy costs about 0.3 s
+    from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs  # deferred: importing scipy costs about 0.3 s
 
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
@@ -370,7 +375,7 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
-    damping = _absorber(grid)
+    damping = 1j * _absorber(grid)
     half_step = 0.5j * grid.dz
     coupling = half_step * off_diag
     lower = np.full(grid.nx - 1, coupling)
@@ -379,32 +384,37 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     power_prev = _power(values, grid.dx)
     snapshots = [Field(values.copy(), 0.0, power_prev)]
 
-    pair = None
-    for j in range(grid.nz - 1):
-        if (ri_map.index[j], ri_map.index[j + 1]) != pair:
-            # (1 + i dz/2 A) u_next = (1 - i dz/2 A) u, factored once per row pair
-            pair = (ri_map.index[j], ri_map.index[j + 1])
-            n_mid = 0.5 * (ri_map.rows[pair[0]] + ri_map.rows[pair[1]])
-            potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
-            diag = laplacian_diag + potential - 1j * damping
-            rhs_diag = 1.0 - half_step * diag
-            *factors, info = zgttrf(lower, 1.0 + half_step * diag, lower)
-            if info != 0:
-                raise NumericalError(f"singular step matrix at z={grid.dz * j:g} m (info={info})")
-        rhs = rhs_diag * values
-        rhs[:-1] -= coupling * values[1:]
-        rhs[1:] -= coupling * values[:-1]
-        values, _ = zgttrs(*factors, rhs, overwrite_b=1)
-        power = _power(values, grid.dx)
-        if not math.isfinite(power) or power > power_prev * (1.0 + INSTABILITY_GROWTH):
-            raise NumericalError(
-                f"propagation unstable at z={grid.dz * (j + 1):g} m: power "
-                f"{power_prev:g} -> {power:g}"
-            )
-        power_prev = power
-        step = j + 1
-        if step % snapshot_every == 0 or step == grid.nz - 1:
-            snapshots.append(Field(values.copy(), grid.dz * step, power))
+    # a run is a stretch of steps between the same pair of rows, so with one step matrix
+    before, after = ri_map.index[:-1], ri_map.index[1:]
+    starts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | (after[1:] != after[:-1])])
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [grid.nz - 1]):
+        # (1 + i dz/2 A) u_next = (1 - i dz/2 A) u, with one matrix A for the whole run
+        n_mid = 0.5 * (ri_map.rows[before[start]] + ri_map.rows[after[start]])
+        potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
+        scaled = half_step * (laplacian_diag + potential - damping)
+        rhs_diag = 1.0 - scaled
+        if stop - start > 1:
+            *factors, info = zgttrf(lower, 1.0 + scaled, lower)
+            _check_nonsingular(info, grid.dz * start)
+        for j in range(start, stop):
+            rhs = rhs_diag * values
+            rhs[:-1] -= coupling * values[1:]
+            rhs[1:] -= coupling * values[:-1]
+            if stop - start > 1:
+                values, _ = zgttrs(*factors, rhs, overwrite_b=1)
+            else:  # lower is shared by every run, so only the main diagonal is overwritten
+                *_, values, info = zgtsv(lower, 1.0 + scaled, lower, rhs, overwrite_d=1, overwrite_b=1)
+                _check_nonsingular(info, grid.dz * j)
+            power = _power(values, grid.dx)
+            if not math.isfinite(power) or power > power_prev * (1.0 + INSTABILITY_GROWTH):
+                raise NumericalError(
+                    f"propagation unstable at z={grid.dz * (j + 1):g} m: power "
+                    f"{power_prev:g} -> {power:g}"
+                )
+            power_prev = power
+            step = j + 1
+            if step % snapshot_every == 0 or step == grid.nz - 1:
+                snapshots.append(Field(values.copy(), grid.dz * step, power))
     return snapshots
 
 
@@ -472,13 +482,12 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     # every bump must leave the guide dual-mode before any row is marched
     length = geometry.phase_section.length
     thetas = [_differential_phase(base, float(delta_n), length) for delta_n in delta_n_list]
-    shared = _raster(geometry, grid, base)
+    bumps = [replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
+             for delta_n in delta_n_list]
+    raster, indices = _raster(bumps, grid, base)
     rows = []
-    for delta_n, theta in zip(delta_n_list, thetas):
-        shaped = replace(geometry, phase_section=replace(geometry.phase_section,
-                                                         delta_n=float(delta_n)))
-        # the map is not bound to a name, so it is freed before the next bump's is built
-        final = propagate(launch, _raster(shaped, grid, base, shared)[1], grid, base.wavelength,
+    for delta_n, theta, index in zip(delta_n_list, thetas, indices):
+        final = propagate(launch, RIMap(raster, index, base.n_core), grid, base.wavelength,
                           snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, 0.0, grid)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))

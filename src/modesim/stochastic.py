@@ -161,8 +161,8 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
     the even seed of a pair takes the real part.  Each thread keeps its last
     pair's transform.  Deterministic for fixed (model, dz, count, seed).
     """
-    if dz <= 0 or count < 2:
-        raise ValueError("need dz > 0 and count >= 2")
+    if not 0 < dz < math.inf or count < 2:  # a NaN dz would pass every check below
+        raise ValueError(f"need finite dz > 0 and count >= 2, got dz={dz!r}, count={count!r}")
     if dz > model.corr_length * MAX_DZ_FRACTION * (1 + 1e-12):
         raise ValueError(
             f"dz={dz:g} does not resolve the correlation length; need dz <= D/8 = "

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import tracemalloc
@@ -82,16 +83,18 @@ def small_splitter(default_slab, delta_n=4e-4):
     return build_geometry(geometry, grid, default_slab), grid, launch
 
 
-def count_factorizations(monkeypatch):
-    calls = []
+def count_lapack_calls(monkeypatch, *names):
+    """Calls of each named scipy.linalg.lapack routine; propagate imports them from there."""
+    calls = dict.fromkeys(names, 0)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def spy(name, original):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counting
 
-    # propagate imports zgttrf from scipy.linalg.lapack on each call
-    original = scipy.linalg.lapack.zgttrf
-    monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", counting)
+    for name in names:
+        monkeypatch.setattr(scipy.linalg.lapack, name, spy(name, getattr(scipy.linalg.lapack, name)))
     return calls
 
 
@@ -307,23 +310,36 @@ class TestKeptFactorization:
 
     def test_straight_guide_factors_once(self, default_slab, monkeypatch):
         ri_map, grid, launch, wavelength = self._case("straight", default_slab)
-        calls = count_factorizations(monkeypatch)
+        calls = count_lapack_calls(monkeypatch, "zgttrf", "zgtsv")
         propagate(launch, ri_map, grid, wavelength)
-        assert len(calls) == 1
+        assert calls == {"zgttrf": 1, "zgtsv": 0}
 
     def test_splitter_factors_once_per_row_pair_change(self, default_slab, monkeypatch):
+        # a run of steps between one row pair is factored once (zgttrf) when it is
+        # longer than a step, and eliminated and solved in one zgtsv call when it is not
         ri_map, grid, launch, wavelength = self._case("splitter", default_slab)
         pairs = list(zip(ri_map.index[:-1], ri_map.index[1:]))
         changes = 1 + sum(a != b for a, b in zip(pairs, pairs[1:]))
-        calls = count_factorizations(monkeypatch)
+        runs = [len(list(steps)) for _, steps in itertools.groupby(pairs)]
+        calls = count_lapack_calls(monkeypatch, "zgttrf", "zgtsv")
         propagate(launch, ri_map, grid, wavelength)
-        assert len(calls) == changes < grid.nz - 1
+        assert calls["zgttrf"] == sum(length > 1 for length in runs) > 0
+        assert calls["zgtsv"] == sum(length == 1 for length in runs) > 0
+        assert calls["zgttrf"] + calls["zgtsv"] == changes == 121 < grid.nz - 1
 
     def test_singular_factorization_raises(self, default_slab, monkeypatch):
         ri_map, grid, launch, wavelength = self._case("straight", default_slab)
         original = scipy.linalg.lapack.zgttrf
         monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", lambda *args: (*original(*args)[:-1], 5))
         with pytest.raises(NumericalError, match="singular step matrix"):
+            propagate(launch, ri_map, grid, wavelength)
+
+    def test_singular_one_step_solve_raises(self, default_slab, monkeypatch):
+        ri_map, grid, launch, wavelength = self._case("splitter", default_slab)
+        original = scipy.linalg.lapack.zgtsv
+        monkeypatch.setattr(scipy.linalg.lapack, "zgtsv",
+                            lambda *args, **kwargs: (*original(*args, **kwargs)[:-1], 3))
+        with pytest.raises(NumericalError, match="singular step matrix at z=.* m \\(info=3\\)"):
             propagate(launch, ri_map, grid, wavelength)
 
     def test_bpm_run_default_map_and_march_memory(self, default_slab):
@@ -477,10 +493,10 @@ class TestFigTwoSharedRaster:
             assert np.array_equal(n, alone.n)
 
     def test_map_memory_at_benchmark_size(self, default_slab):
-        # fig2 at the benchmark's bpm_splitter size: 2814 z steps of 2048 points,
-        # a 23.5 MB map per bump.  The shared raster and one bump's map are alive
-        # at once, never a third copy.  scipy.linalg is imported at the top of
-        # this module, so its import is not counted.
+        # fig2 at the benchmark's bpm_splitter size: 2814 z steps of 2048 points.
+        # Every bump marches on one rows array of 1437 rows, 23.5 MB; no bump
+        # copies it.  scipy.linalg is imported at the top of this module, so its
+        # import is not counted.
         geometry = YSplitterGeometry(1130e-6, math.radians(0.4), 24e-6, 4e-6,
                                      phase_section=PhaseSection(0.0, 1000e-6, z_start=50e-6))
         nz = int(math.ceil((geometry.separation_end_z() + 250e-6) / 1e-6)) + 1
@@ -493,7 +509,24 @@ class TestFigTwoSharedRaster:
         finally:
             tracemalloc.stop()
         assert len(rows) == 3
-        assert peak <= 60e6
+        assert peak <= 32e6
+
+    def test_bumps_march_on_one_rows_array(self, default_slab, monkeypatch):
+        geometry = default_geometry(stem_um=400.0, phase_len_um=300.0)
+        grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, int(geometry.separation_end_z() / 1e-6) + 201)
+        marched = []
+        original_propagate = bpm.propagate
+
+        def recording_propagate(field, ri_map, *args, **kwargs):
+            marched.append(ri_map)
+            return original_propagate(field, ri_map, *args, **kwargs)
+
+        monkeypatch.setattr(bpm, "propagate", recording_propagate)
+        fig2_experiment([0.0, 3e-4, 6e-4], default_slab, geometry, grid)
+        assert len(marched) == 3
+        assert len({len(ri_map.rows) for ri_map in marched}) == 1
+        assert all(np.shares_memory(ri_map.rows, marched[0].rows) for ri_map in marched[1:])
+        assert len({ri_map.index.tobytes() for ri_map in marched}) == 3
 
 
 def test_export_field_csv(tmp_path, default_slab):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modesim import stochastic
 from modesim.stochastic import PerturbationModel, RateConstants, _embedding_scale, rates, sample_path
 
 
@@ -97,6 +98,16 @@ class TestSamplePath:
         dz = default_model.corr_length / 8
         with pytest.raises(ValueError, match="short"):
             sample_path(default_model, dz, 100, seed=0)
+
+    @pytest.mark.parametrize("dz", [math.nan, math.inf])
+    def test_non_finite_step_rejected_before_any_transform(self, default_model, dz, monkeypatch):
+        # NaN compares false in every later guard, so this check alone keeps it
+        # from reaching the embedding
+        scaled = []
+        monkeypatch.setattr(stochastic, "_embedding_scale", lambda *args: scaled.append(args))
+        with pytest.raises(ValueError, match="dz"):
+            sample_path(default_model, dz, 400, seed=0)
+        assert scaled == []
 
     def test_lag_zero_variance(self):
         # Monte Carlo estimate of <f^2> against sigma^2 (5% tolerance)
