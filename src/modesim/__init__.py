@@ -22,14 +22,11 @@ from .decoherence import (
 )
 from .states import (
     DensityMatrix,
-    FockVector,
     ModeLabel,
     PureState,
     bell_state,
     density_of,
     expectation,
-    fock_state,
-    ladder_apply,
     maximally_mixed,
     partial_trace,
     product_state,

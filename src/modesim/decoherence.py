@@ -27,7 +27,10 @@ segments, whose step quaternions fill one block, a row per segment, padded
 with identity quaternions.  Every row is reduced pairwise (a balanced tree,
 which keeps rounding growth logarithmic) in one pass per tree level; the
 identity padding is exact, so each segment gets the bits of its own tree.
-ensemble_scan, the one Monte Carlo entry point, runs on this reducer.
+ensemble_scan, the one Monte Carlo entry point, runs on this reducer.  Each
+thread of a scan writes every realization into one workspace (the block, the
+tree levels and their intermediates), so the reduction allocates no path-sized
+array per realization.
 
 Ensemble reductions use compensated (fsum) summation per matrix entry, so
 the mean is independent of scheduling order at the 1e-13 level demanded of
@@ -38,6 +41,7 @@ parallel task runs a whole seed pair.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
@@ -100,26 +104,66 @@ def analytic_single_rail(rho0: DensityMatrix, params: EvolutionParams) -> Densit
     return DensityMatrix(out)
 
 
-def _step_quaternions(values: np.ndarray, dz: float, delta_beta: float,
+class _Workspace:
+    """One thread's buffers for every realization of a (segments, width) segment index.
+
+    levels[0] is the (4, S, W) step block and levels[k] the output of tree
+    level k.  A level of odd width above 1 has a spare column, set here to the
+    identity quaternion, which its last element pairs with.  scratch holds the
+    three partial products of a quaternion product.  The float buffers are views
+    of one allocation: with glibc, separate arrays left the FFT scratch of
+    sample_path faulting in fresh pages on every transform.
+    """
+
+    def __init__(self, index: np.ndarray):
+        segments, width = index.shape
+        self.index = index
+        self.pad = index < 0
+        self.positive = np.empty((segments, width), dtype=bool)
+        widths = [width]
+        while widths[-1] > 1:
+            widths.append((widths[-1] + 1) // 2)
+        padded = [w + w % 2 if w > 1 else w for w in widths]
+        half = segments * ((width + 1) // 2)
+        sizes = [max(segments * width, 3 * half)] + [4 * segments * p for p in padded]
+        block = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])  # one allocation
+        # the values are done with before the tree needs its scratch, so they share storage
+        self.values = block[0][:segments * width].reshape(segments, width)
+        self.scratch = block[0][:3 * half].reshape(3, half)
+        self.levels = [part.reshape(4, segments, p) for part, p in zip(block[1:], padded)]
+        for level, w in zip(self.levels, widths):
+            level[:, :, w:] = np.array(_IDENTITY)[:, None, None]
+        self.steps = self.levels[0][:, :, :width]
+
+
+def _step_quaternions(work: _Workspace, dz: float, delta_beta: float,
                       k_ab: complex) -> np.ndarray:
-    """Per-step SU(2) components (w, x, y, z) of exp(-i H dz), stacked on a new leading axis.
+    """Per-step SU(2) components (w, x, y, z) of exp(-i H dz) of work.values, into work.steps.
 
     The traceless part of H is Re(c) sx - Im(c) sy - (dbeta/2) sz with
     c = k_ab f; the global phase exp(-i dbeta dz / 2) is dropped because the
     state is conjugated by U and never sees it.
     """
     half = delta_beta / 2.0
-    c_re = values * k_ab.real
-    c_im = values * k_ab.imag
-    radius = np.sqrt(half * half + c_re * c_re + c_im * c_im)
-    theta = radius * dz
-    q = np.empty((4,) + values.shape)
+    q = work.steps
+    values = radius = work.values  # radius overwrites the values once c_re and c_im hold them
+    c_re, c_im, theta = q[1], q[2], q[3]  # each is scaled into its own component in place
+    np.multiply(values, k_ab.real, out=c_re)
+    np.multiply(values, k_ab.imag, out=c_im)
+    # radius = sqrt(half * half + c_re * c_re + c_im * c_im)
+    np.add(half * half, np.multiply(c_re, c_re, out=radius), out=radius)
+    np.add(radius, np.multiply(c_im, c_im, out=theta), out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(radius, dz, out=theta)
     np.cos(theta, out=q[0])
-    # sin(theta)/radius, continuous at radius -> 0
+    # scale = sin(theta)/radius, continuous at radius -> 0
+    positive = np.greater(radius, 0.0, out=work.positive)
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(radius > 0.0, np.sin(theta) / np.where(radius > 0.0, radius, 1.0), dz)
+        scale = np.sin(theta, out=theta)
+        np.divide(scale, radius, out=scale, where=positive)
+    np.copyto(scale, dz, where=np.logical_not(positive, out=positive))
     np.multiply(scale, c_re, out=q[1])
-    np.multiply(scale, -c_im, out=q[2])
+    np.multiply(scale, np.negative(c_im, out=c_im), out=q[2])
     np.multiply(scale, -half, out=q[3])
     return q
 
@@ -133,25 +177,31 @@ def _segment_index(marks: list[int]) -> np.ndarray:
     return index
 
 
-def _segment_products(q: np.ndarray) -> np.ndarray:
-    """Ordered SU(2) products q[:, s, n-1] * ... * q[:, s, 0] of each row s of a (4, S, n) block.
+def _segment_products(work: _Workspace) -> np.ndarray:
+    """Ordered SU(2) products q[:, s, n-1] * ... * q[:, s, 0] of each row s of work.steps.
 
     All rows are reduced pairwise (a balanced tree), one level at a time.  Rows
     are padded with identity quaternions; pairing a row's odd last element
     with the identity returns it unchanged (1 * a and a + 0 are exact), so
     each row gets the same bits as its own unpadded tree.
     """
-    while q.shape[2] > 1:
-        if q.shape[2] % 2:
-            q = np.concatenate((q, np.empty(q.shape[:2] + (1,))), axis=2)
-            q[:, :, -1] = np.array(_IDENTITY)[:, None]
-        w1, x1, y1, z1 = q[:, :, 0::2]
-        w2, x2, y2, z2 = q[:, :, 1::2]
-        q = np.empty((4,) + w1.shape)
-        np.subtract(w2 * w1, x2 * x1 + y2 * y1 + z2 * z1, out=q[0])
-        np.add(w2 * x1 + w1 * x2, y2 * z1 - z2 * y1, out=q[1])
-        np.add(w2 * y1 + w1 * y2, z2 * x1 - x2 * z1, out=q[2])
-        np.add(w2 * z1 + w1 * z2, x2 * y1 - y2 * x1, out=q[3])
+    q = work.levels[0]
+    for level in work.levels[1:]:
+        first, second = q[:, :, 0::2], q[:, :, 1::2]
+        out = level[:, :, :first.shape[2]]
+        a, b, c = (part[:out[0].size].reshape(out[0].shape) for part in work.scratch)
+        w1, w2 = first[0], second[0]
+        # w = w2 w1 - ((x2 x1 + y2 y1) + z2 z1)
+        np.add(np.multiply(second[1], first[1], out=a), np.multiply(second[2], first[2], out=b), out=a)
+        np.add(a, np.multiply(second[3], first[3], out=b), out=a)
+        np.subtract(np.multiply(w2, w1, out=b), a, out=out[0])
+        # component k of (v, p, r) = (x, y, z), (y, z, x), (z, x, y): (w2 v1 + w1 v2) + (p2 r1 - r2 p1)
+        for k, p, r in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            np.add(np.multiply(w2, first[k], out=a), np.multiply(w1, second[k], out=b), out=a)
+            np.subtract(np.multiply(second[p], first[r], out=b),
+                        np.multiply(second[r], first[p], out=c), out=b)
+            np.add(a, b, out=out[k])
+        q = level
     return q[:, :, 0]
 
 
@@ -180,12 +230,13 @@ def _quaternion_to_matrix(q) -> np.ndarray:
 
 
 def _conjugations(rho: np.ndarray, values: np.ndarray, dz: float, delta_beta: float,
-                  k_ab: complex, index: np.ndarray) -> np.ndarray:
-    """rho conjugated by the path unitary up to the end of each segment of index."""
-    block = _step_quaternions(values[index], dz, delta_beta, k_ab)
-    block[:, index < 0] = np.array(_IDENTITY)[:, None]
-    segments = _segment_products(block)
-    snapshots = np.empty((index.shape[0], 2, 2), dtype=np.complex128)
+                  k_ab: complex, work: _Workspace) -> np.ndarray:
+    """rho conjugated by the path unitary up to the end of each segment of work.index."""
+    np.take(values, work.index, out=work.values, mode="wrap")  # wrap: unbuffered, -1 as values[-1]
+    for component, identity in zip(_step_quaternions(work, dz, delta_beta, k_ab), _IDENTITY):
+        np.copyto(component, identity, where=work.pad)
+    segments = _segment_products(work)
+    snapshots = np.empty((work.index.shape[0], 2, 2), dtype=np.complex128)
     cumulative = _IDENTITY
     for idx, segment in enumerate(segments.T.tolist()):
         cumulative = _quaternion_compose(segment, cumulative)
@@ -241,10 +292,13 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     rate_consts = rates(model, delta_beta)
     index = _segment_index(marks)
     k_ab = complex(model.k_ab)
+    local = threading.local()  # one workspace per thread, for this call only
 
     def one(i: int) -> np.ndarray:
         path = sample_path(model, dz, marks[-1], base_seed + i)
-        return _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, index)
+        if not hasattr(local, "work"):  # built after the first path and its embedding's temporaries
+            local.work = _Workspace(index)
+        return _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, local.work)
 
     if n_jobs > 1:
         # one task per seed pair, run in order on one thread, so each pair is drawn once

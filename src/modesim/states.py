@@ -1,4 +1,4 @@
-"""Two-mode state algebra: pure states, density matrices, and the Fock ladder.
+"""Two-mode state algebra: pure states and density matrices.
 
 The two guided modes TE0 and TE1 of a dual-mode waveguide form a two-level
 basis.  Two waveguides (a control and a target rail) give the 4-dimensional
@@ -22,10 +22,8 @@ __all__ = [
     "ModeLabel",
     "PureState",
     "DensityMatrix",
-    "FockVector",
     "superpose",
     "density_of",
-    "fock_state",
     "bell_state",
     "product_state",
     "tensor",
@@ -33,8 +31,6 @@ __all__ = [
     "expectation",
     "purity",
     "maximally_mixed",
-    "ladder_apply",
-    "ladder_matrix",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -108,34 +104,6 @@ class DensityMatrix:
     @property
     def rails(self) -> int:
         return 1 if self.matrix.shape[0] == 2 else 2
-
-
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """Coefficients over the truncated Fock ladder |0> ... |n_max>."""
-
-    coefficients: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        coeffs = np.array(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.n_max + 1,):
-            raise ValueError(f"expected {self.n_max + 1} coefficients, got shape {coeffs.shape}")
-        object.__setattr__(self, "coefficients", _freeze(coeffs))
-
-
-DEFAULT_FOCK_TRUNCATION = 16
-
-
-def fock_state(level: int, n_max: int = DEFAULT_FOCK_TRUNCATION) -> FockVector:
-    """The basis vector |level> on the truncated ladder."""
-    if not 0 <= level <= n_max:
-        raise ValueError(f"level must lie in [0, {n_max}]")
-    coeffs = np.zeros(n_max + 1, dtype=np.complex128)
-    coeffs[level] = 1.0
-    return FockVector(coeffs, n_max)
 
 
 def superpose(c0: complex, c1: complex) -> PureState:
@@ -218,34 +186,3 @@ def purity(rho: DensityMatrix) -> float:
 def maximally_mixed(rails: int = 1) -> DensityMatrix:
     dim = 2 ** rails
     return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
-
-
-def ladder_matrix(kind: str, n_max: int) -> np.ndarray:
-    """Matrix of a ladder operator on the truncated Fock space |0>..|n_max>."""
-    dim = n_max + 1
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    roots = np.sqrt(np.arange(1, dim))
-    if kind == "create":
-        mat[np.arange(1, dim), np.arange(dim - 1)] = roots
-    elif kind == "annihilate":
-        mat[np.arange(dim - 1), np.arange(1, dim)] = roots
-    elif kind == "number":
-        mat[np.arange(dim), np.arange(dim)] = np.arange(dim)
-    else:
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    return mat
-
-
-def ladder_apply(kind: str, vector: FockVector) -> FockVector:
-    """Apply a ladder operator linearly to a truncated Fock vector.
-
-    create: sqrt(n+1)|n+1>, annihilate: sqrt(n)|n-1>, number: n|n>.
-    Raising from the top truncation level would silently lose amplitude, so
-    create with nonzero amplitude at n_max is a truncation-overflow error.
-    """
-    if kind == "create" and vector.coefficients[vector.n_max] != 0:
-        raise ValueError(
-            f"truncation overflow: create on occupied level n_max={vector.n_max}"
-        )
-    mat = ladder_matrix(kind, vector.n_max)
-    return FockVector(mat @ vector.coefficients, vector.n_max)

@@ -144,10 +144,11 @@ def pair_seed(seed: int) -> int:
 def _pair_transform(scale: np.ndarray, count: int, seed: int) -> np.ndarray:
     """First count entries of the FFT of scale-weighted complex normals from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((2, scale.shape[0]))
     spectrum = np.empty(scale.shape[0], dtype=np.complex128)
-    np.multiply(scale, draws[0], out=spectrum.real)
-    np.multiply(scale, draws[1], out=spectrum.imag)
+    draws = np.empty(scale.shape[0])  # one row at a time: the stream of standard_normal((2, n))
+    for part in (spectrum.real, spectrum.imag):
+        np.multiply(scale, rng.standard_normal(out=draws), out=part)
+    del draws  # freed before the transform's own scratch is taken
     return np.fft.fft(spectrum, out=spectrum)[:count].copy()
 
 
@@ -179,6 +180,7 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
     pair = pair_seed(seed)
     key = (model.sigma, model.corr_length, dz, count, pair)
     if getattr(_last_pair, "key", None) != key:
+        _last_pair.key = _last_pair.transform = None  # freed before the next pair is drawn
         scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
         _last_pair.transform = _pair_transform(scale, count, pair)
         _last_pair.key = key

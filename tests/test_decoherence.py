@@ -15,7 +15,7 @@ from modesim.decoherence import (
     two_rail_evolve,
 )
 from modesim import decoherence, stochastic
-from modesim.decoherence import _segment_index, _segment_products
+from modesim.decoherence import _segment_index, _segment_products, _Workspace
 from modesim.states import DensityMatrix, bell_state, density_of, product_state, purity, superpose, tensor
 from modesim.stochastic import PerturbationModel, RateConstants, pair_seed, rates, sample_path
 
@@ -171,6 +171,33 @@ class TestEnsemble:
         serial = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 7, base_seed=base_seed)
         assert np.array_equal(scan.mean, serial.mean)
 
+    def test_reused_buffers_leave_no_trace(self, default_model):
+        # on one thread: a path, then a scan at shape A, one at shape B (other
+        # segments, odd widths) and A again; nothing returned earlier may move
+        delta_beta = 2.0 / default_model.corr_length
+        dz = default_model.corr_length / 8
+        path = sample_path(default_model, dz, 400, seed=10)
+        path_values = path.values.copy()
+
+        def scan(length, n_lengths):
+            result = ensemble_scan(EQUAL, default_model, delta_beta, length, n_lengths, 5,
+                                   base_seed=300)
+            return result, np.diff(np.round(result.lengths / dz), prepend=0).tolist()
+
+        first, steps_a = scan(0.01, 4)
+        kept = [a.copy() for a in (first.lengths, first.mean, first.stderr, first.analytic)]
+        _, steps_b = scan(0.0137, 7)
+        third, _ = scan(0.01, 4)
+        assert steps_a == [200] * 4
+        assert steps_b == [157, 156, 157, 156, 157, 156, 157]
+        assert np.array_equal(third.mean, first.mean)
+        assert np.array_equal(third.stderr, first.stderr)
+        for now, before in zip((first.lengths, first.mean, first.stderr, first.analytic), kept):
+            assert np.array_equal(now, before)
+        for seed in (11, 12, 15):  # the rest of pair 10, then later pairs
+            sample_path(default_model, dz, 400, seed)
+        assert np.array_equal(path.values, path_values)
+
     def test_scan_mc_error_shrinks_like_sqrt_n(self, default_model):
         # RMS entrywise error against the closed form must shrink by about
         # sqrt(2) per doubling of the ensemble; pooled over several
@@ -218,13 +245,16 @@ def su2_matrix(q) -> np.ndarray:
 class TestSegmentReducer:
     @given(segmented_steps())
     @example((unit_steps(0, 7), [1, 2, 3, 7]))
+    @example((unit_steps(1, 5), [1, 2, 3, 4, 5]))  # width 1: no tree level
+    @example((unit_steps(2, 29), [5, 18, 29]))  # widths 13 and 7 take the spare identity column
     @settings(max_examples=60, deadline=None)
     def test_matches_sequential_product(self, case):
         steps, marks = case
         index = _segment_index(marks)
-        block = steps[:, index]
-        block[:, index < 0] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
-        products = _segment_products(block)
+        work = _Workspace(index)
+        work.steps[...] = steps[:, index]
+        work.steps[:, index < 0] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
+        products = _segment_products(work)
         start = 0
         for s, mark in enumerate(marks):
             expected = np.eye(2)

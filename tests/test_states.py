@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from modesim.states import (
-    DEFAULT_FOCK_TRUNCATION,
     DensityMatrix,
-    FockVector,
     ModeLabel,
     bell_state,
     density_of,
     expectation,
-    fock_state,
-    ladder_apply,
-    ladder_matrix,
     maximally_mixed,
     partial_trace,
     product_state,
@@ -176,49 +171,6 @@ class TestDensityMatrixValidation:
         assert ModeLabel.TE0.value == 0
         assert ModeLabel.TE1.value == 1
         assert len(ModeLabel) == 2
-
-
-class TestLadder:
-    def test_default_truncation(self):
-        vac = fock_state(0)
-        assert vac.n_max == DEFAULT_FOCK_TRUNCATION == 16
-        with pytest.raises(ValueError):
-            fock_state(17)
-
-    def test_annihilate_vacuum(self):
-        out = ladder_apply("annihilate", fock_state(0))
-        assert np.allclose(out.coefficients, 0.0)
-
-    def test_create_on_two(self):
-        out = ladder_apply("create", fock_state(2))
-        expected = np.zeros(17)
-        expected[3] = math.sqrt(3.0)
-        assert np.allclose(out.coefficients, expected)
-
-    def test_number_on_superposition(self):
-        coeffs = np.zeros(17)
-        coeffs[1] = coeffs[3] = INV_SQRT2
-        out = ladder_apply("number", FockVector(coeffs, 16))
-        expected = np.zeros(17)
-        expected[1] = 1.0 * INV_SQRT2
-        expected[3] = 3.0 * INV_SQRT2
-        assert np.allclose(out.coefficients, expected)
-
-    def test_create_at_truncation_overflows(self):
-        coeffs = np.zeros(5)
-        coeffs[4] = 1.0
-        with pytest.raises(ValueError, match="truncation"):
-            ladder_apply("create", FockVector(coeffs, 4))
-
-    def test_commutator_below_truncation(self):
-        n_max = 16
-        create = ladder_matrix("create", n_max)
-        annihilate = ladder_matrix("annihilate", n_max)
-        commutator = annihilate @ create - create @ annihilate
-        below = np.diag(commutator)[:n_max]
-        assert np.allclose(below, 1.0, atol=1e-14)
-        off_diag = commutator - np.diag(np.diag(commutator))
-        assert np.abs(off_diag).max() < 1e-14
 
 
 class TestPurity:
