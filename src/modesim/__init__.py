@@ -1,7 +1,7 @@
 """Classical simulation of mode-entangled states in dual-mode waveguides.
 
-Subsystems: mode-basis state algebra (:mod:`modesim.states`), slab and
-parabolic mode solvers (:mod:`modesim.waveguide`), random-perturbation
+Subsystems: mode-basis state algebra (:mod:`modesim.states`), the slab
+mode solver (:mod:`modesim.waveguide`), random-perturbation
 statistics and decoherence rates (:mod:`modesim.stochastic`), closed-form
 and Monte Carlo density-matrix evolution (:mod:`modesim.decoherence`), the
 phase-controller/Y-splitter measurement algebra (:mod:`modesim.analyzer`),
@@ -22,7 +22,6 @@ from .decoherence import (
 )
 from .states import (
     DensityMatrix,
-    ModeLabel,
     PureState,
     bell_state,
     density_of,
@@ -35,6 +34,6 @@ from .states import (
     tensor,
 )
 from .stochastic import PerturbationModel, RateConstants, SampledPath, rates, sample_path
-from .waveguide import GuidedMode, ParabolicSpec, SlabSpec, delta_beta, group_delay, mode_overlap, parabolic_modes, solve_slab_te_modes
+from .waveguide import GuidedMode, SlabSpec, delta_beta, group_delay, solve_slab_te_modes
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ from . import __version__
 from ._errors import NumericalError
 from ._io import write_csv, write_json
 from .bpm import (
+    MIN_POINTS_ACROSS_CORE,
     Grid,
     PhaseSection,
     YSplitterGeometry,
@@ -257,6 +258,11 @@ def _build(config: RunConfig) -> SimpleNamespace:
     if "n_core" in params:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
+    if "span_factor" in params:  # modes: grid_points samples over span_factor core widths
+        if params["grid_points"] - 1 < MIN_POINTS_ACROSS_CORE * params["span_factor"]:
+            raise ValueError(f"the grid puts fewer than {MIN_POINTS_ACROSS_CORE} points across the "
+                             "core; need (grid_points - 1) / span_factor >= "
+                             f"{MIN_POINTS_ACROSS_CORE}")
     if "sigma" in params:
         b.model = PerturbationModel(sigma=params["sigma"], k_ab=params["k_ab_per_m"],
                                     corr_length=params["corr_length_um"] * 1e-6)

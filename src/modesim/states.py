@@ -12,14 +12,12 @@ depend on it.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ModeLabel",
     "PureState",
     "DensityMatrix",
     "superpose",
@@ -38,13 +36,6 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PURITY_CEILING = 1.0 + 1e-12
 NORMALIZATION_TOL = 1e-12
-
-
-class ModeLabel(enum.Enum):
-    """Transverse-mode labels; TE0 indexes component 0, TE1 component 1."""
-
-    TE0 = 0
-    TE1 = 1
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:

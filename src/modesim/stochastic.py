@@ -14,7 +14,8 @@ evaluates the closed-form decoherence rates
     kappa = 2 sigma^2 D F(D dbeta / 2) |K|^2
 
 with F the Dawson function, valid in the weak-coupling regime where the
-mode-beat rate dbeta dominates both rates.
+mode-beat rate dbeta dominates both rates.  F is summed in 40-digit decimal
+arithmetic and correctly rounded to float64.
 
 Reproducibility: seeds s and s ^ 1 share one draw of numpy's PCG64
 generator default_rng(pair_seed(s)), pair_seed(s) = s & ~1.  The even
@@ -24,6 +25,7 @@ drew from default_rng(s)), the odd seed's the independent imaginary part
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import threading
@@ -188,6 +190,53 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
     return SampledPath(transform.imag if seed & 1 else transform.real, dz, seed)
 
 
+#: 40 digits: float64 needs 17, the rest absorbs the rounding of up to 330 series terms
+_DAWSON_CONTEXT = decimal.Context(prec=40)
+#: from here on the asymptotic series is used; its smallest term, ~exp(-x^2), is below 1e-62
+_DAWSON_ASYMPTOTIC_X = 12.0
+
+
+def _dawson(x: float) -> float:
+    """Dawson's integral F(x) = exp(-x^2) int_0^x exp(t^2) dt, correctly rounded to float64.
+
+    Below |x| = 12: exp(-x^2) sum_n x^(2n+1) / (n! (2n+1)), all terms positive;
+    above: the asymptotic series (1/2x) sum_k (2k-1)!! / (2x^2)^k.  F is odd and
+    F(+-inf) = +-0.
+    """
+    if math.isinf(x):
+        return math.copysign(0.0, x)
+    if x == 0.0 or math.isnan(x):  # a zero keeps its sign
+        return x
+    return math.copysign(_dawson_positive(abs(x)), x)
+
+
+@functools.lru_cache(maxsize=64)
+def _dawson_positive(x: float) -> float:
+    # cached by x > 0 (a cache would not tell -0.0 from 0.0): one sum costs up to about 0.4 ms
+    with decimal.localcontext(_DAWSON_CONTEXT):
+        d = decimal.Decimal(x)  # exact
+        xx = d * d
+        if x < _DAWSON_ASYMPTOTIC_X:
+            power = total = d  # the n = 0 term
+            n = 0
+            while True:  # the terms fall past n ~ x^2 < 144; converged within 330
+                n += 1
+                power = power * xx / n  # x^(2n+1) / n!
+                grown = total + power / (2 * n + 1)
+                if grown == total:
+                    return float((-xx).exp() * total)
+                total = grown
+        term = total = 1 / (2 * d)
+        k = 0
+        while True:  # the terms fall below 1e-40 of the sum within 41
+            k += 1
+            term = term * (2 * k - 1) / (2 * xx)
+            grown = total + term
+            if grown == total:
+                return float(total)
+            total = grown
+
+
 def rates(model: PerturbationModel, delta_beta: float) -> RateConstants:
     """Closed-form decoherence rates for a given mode-beat rate delta_beta.
 
@@ -196,13 +245,11 @@ def rates(model: PerturbationModel, delta_beta: float) -> RateConstants:
     kappa = 2 sigma^2 D F(D dbeta / 2) |K|^2 exactly.  gamma is even and
     monotonically decreasing in |dbeta|; kappa is odd.
     """
-    from scipy.special import dawsn  # deferred: importing scipy costs about 0.3 s
-
     x = model.corr_length * delta_beta / 2.0
     try:
         coupling_sq = abs(model.k_ab) ** 2
         gamma = math.sqrt(math.pi) * model.sigma ** 2 * model.corr_length * math.exp(-x * x) * coupling_sq
-        kappa = 2.0 * model.sigma ** 2 * model.corr_length * float(dawsn(x)) * coupling_sq
+        kappa = 2.0 * model.sigma ** 2 * model.corr_length * _dawson(x) * coupling_sq
     except OverflowError as exc:  # sigma^2 or |k_ab|^2 beyond float range
         raise ValueError(f"rates must be finite, but gamma and kappa overflow at sigma="
                          f"{model.sigma!r}, k_ab={model.k_ab!r}") from exc

@@ -1,4 +1,4 @@
-"""Guided transverse eigenmodes of symmetric slab and parabolic-index guides.
+"""Guided transverse eigenmodes of symmetric slab guides.
 
 Slab TE modes
 -------------
@@ -16,12 +16,6 @@ Both residual forms are continuous with opposite signs at the branch ends,
 so plain bisection brackets every root with no spurious solutions.  The
 propagation constant is beta = sqrt((k n_co)^2 - kappa^2), strictly between
 k n_cl and k n_co.
-
-Parabolic-index guides
-----------------------
-A profile with n0^2 - n^2(x) = g x^2 maps onto a harmonic oscillator whose
-eigenmodes are Hermite-Gauss profiles with equally spaced dimensionless
-eigenvalues w_n = (n + 1/2) sqrt(g)/k and beta_n = k sqrt(n0^2 - 2 w_n).
 
 Group delays are computed from the numerical dispersion beta(k) with a
 central difference; material dispersion is ignored (n independent of k), so
@@ -42,14 +36,10 @@ from ._io import write_csv
 
 __all__ = [
     "SlabSpec",
-    "ParabolicSpec",
     "GuidedMode",
     "solve_slab_te_modes",
-    "parabolic_modes",
-    "mode_overlap",
     "group_delay",
     "delta_beta",
-    "dispersion_residual",
     "export_mode_csv",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_SPAN_FACTOR",
@@ -86,23 +76,6 @@ class SlabSpec:
     def v_number(self) -> float:
         half = self.core_width / 2.0
         return self.k * half * math.sqrt(self.n_core ** 2 - self.n_clad ** 2)
-
-
-@dataclass(frozen=True)
-class ParabolicSpec:
-    """Parabolic-index profile n0^2 - n^2(x) = gradient * x^2 (gradient in 1/m^2)."""
-
-    n0: float
-    gradient: float
-    wavelength: float
-
-    def __post_init__(self):
-        if self.n0 <= 0 or self.gradient <= 0 or self.wavelength <= 0:
-            raise ValueError("n0, gradient and wavelength must be positive")
-
-    @property
-    def k(self) -> float:
-        return 2.0 * math.pi / self.wavelength
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +137,6 @@ def _solve_branch(m: int, v_number: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def dispersion_residual(spec: SlabSpec, beta: float, mode_index: int) -> float:
-    """Normalized slab dispersion-relation residual at a candidate beta."""
-    half = spec.core_width / 2.0
-    u = half * math.sqrt(max((spec.k * spec.n_core) ** 2 - beta ** 2, 0.0))
-    return float(_branch_residual(mode_index, np.array(u), spec.v_number))
-
-
 def _default_grid(core_width: float, grid: tuple[float, float, int] | None,
                   span_factor: float, points: int) -> tuple[float, float, int]:
     if grid is not None:
@@ -226,52 +192,6 @@ def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = 
                                 grid=(x_min, dx, count)))
         m += 1
     return modes
-
-
-def parabolic_modes(spec: ParabolicSpec, count: int,
-                    grid: tuple[float, float, int] | None = None,
-                    points: int = DEFAULT_GRID_POINTS) -> list[GuidedMode]:
-    """The first `count` Hermite-Gauss modes of a parabolic-index guide."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    k = spec.k
-    omega_step = math.sqrt(spec.gradient) / k
-    top_omega = (count - 1 + 0.5) * omega_step
-    if top_omega >= spec.n0 ** 2 / 2.0:
-        raise ValueError(
-            f"mode not guided: eigenvalue {top_omega:g} >= n0^2/2 = {spec.n0 ** 2 / 2.0:g}"
-        )
-    alpha = math.sqrt(k * math.sqrt(spec.gradient))  # 1/m, Gaussian width scale
-    if grid is None:
-        y_max = math.sqrt(2.0 * count + 1.0) + 6.0
-        x_max = y_max / alpha
-        grid = (-x_max, 2.0 * x_max / (points - 1), points)
-    x_min, dx, n_points = grid
-    x = x_min + dx * np.arange(n_points)
-    y = alpha * x
-    envelope = np.exp(-0.5 * y * y)
-    h_prev = np.ones_like(y)
-    h_curr = 2.0 * y
-    modes: list[GuidedMode] = []
-    for n in range(count):
-        hermite = h_prev if n == 0 else h_curr
-        omega_n = (n + 0.5) * omega_step
-        beta = k * math.sqrt(spec.n0 ** 2 - 2.0 * omega_n)
-        modes.append(GuidedMode(index=n, beta=beta,
-                                profile=_normalized(hermite * envelope, dx),
-                                grid=grid))
-        if n >= 1:
-            # H_{n+1} = 2 y H_n - 2 n H_{n-1}
-            h_prev, h_curr = h_curr, 2.0 * y * h_curr - 2.0 * n * h_prev
-    return modes
-
-
-def mode_overlap(a: GuidedMode, b: GuidedMode) -> complex:
-    """Trapezoid overlap integral <a|b> on the shared grid."""
-    if a.grid != b.grid:
-        raise ValueError("modes live on different grids")
-    dx = a.grid[1]
-    return complex(np.trapezoid(np.conj(a.profile) * b.profile, dx=dx))
 
 
 def group_delay(spec: SlabSpec, mode_index: int, length: float,

@@ -101,10 +101,12 @@ class TestValidate:
         ("experiment=bpm-run\nnx=64\n", "nx", "points across the core"),
         ("experiment=fig2\nnx=128\n", "nx", "points across the core"),
         ("experiment=fig2\ndelta_n_list=0;-0.02\n", "delta_n_list", "n_core > n_clad"),
+        ("experiment=modes\nspan_factor=1e6\ngrid_points=64\n", "span_factor", "across the core"),
+        ("experiment=modes\ngrid_points=64\n", "grid_points", "across the core"),
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
-            "fig2_delta_n_below_clad"])
+            "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core"])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
@@ -305,19 +307,34 @@ class TestMain:
         ("experiment=bpm-run\nnx=64\n", []),
         ("experiment=fig2\nnx=128\n", []),
         ("experiment=fig2\ndelta_n_list=0;-0.02\n", []),
+        ("experiment=modes\nspan_factor=1e6\ngrid_points=64\n", []),
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
             "chsh_length", "fig2_dz", "fig2_window", "fig2_angle", "threads_0", "threads_neg",
             "fig2_window_narrow", "fig2_phase_outside_stem", "bpm_dz_paraxial", "bpm_nx_1",
             "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
-            "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad"])
+            "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad",
+            "modes_grid_over_core"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out), "--quiet", *flags]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_modes_grid_must_resolve_the_core(self, tmp_path):
+        # span_factor=1e6 at grid_points=64 once exited 0 with NaN in both mode
+        # CSVs: the grid stepped over the core and every profile sample underflowed
+        config = write_config(tmp_path, "experiment=modes\nspan_factor=1e6\ngrid_points=64\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+        # 2048 intervals over 128 core widths: 16 points across the core, the least allowed
+        config = write_config(tmp_path, "experiment=modes\nspan_factor=128\ngrid_points=2049\n")
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
+        for name in ("mode0.csv", "mode1.csv"):
+            assert np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)).all()
 
     def test_numerical_failure_writes_nothing(self, tmp_path):
         # the run computes before it writes, so a failed run leaves no directory
@@ -422,15 +439,19 @@ class TestMain:
 
 
 # Imports modesim.cli in a fresh interpreter, then parses and validates the
-# default config of each experiment named on the command line; prints the
+# default config of each experiment named after the first argument, and runs it
+# into <first argument>/<experiment> unless that argument is empty; prints the
 # scipy modules loaded after each one, as JSON.
 _COLD_START = """
 import json, sys
 import modesim.cli as cli
-loaded = {}
-for experiment in sys.argv[1:]:
-    diagnostics = cli.validate(cli.parse_config_text(f"experiment={experiment}\\n"))
+out, loaded = sys.argv[1], {}
+for experiment in sys.argv[2:]:
+    config = cli.parse_config_text(f"experiment={experiment}\\n")
+    diagnostics = cli.validate(config)
     assert not [d for d in diagnostics if d.severity == "error"], diagnostics
+    if out:
+        cli.run(config, f"{out}/{experiment}", quiet=True)
     loaded[experiment] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(loaded))
 """
@@ -438,11 +459,11 @@ print(json.dumps(loaded))
 
 class TestColdStart:
     @staticmethod
-    def _scipy_loaded(*experiments):
+    def _scipy_loaded(*experiments, out=""):
         src = str(Path(modesim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run([sys.executable, "-c", _COLD_START, *experiments], env=env,
-                                capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-c", _COLD_START, str(out), *experiments],
+                                env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout)
 
@@ -450,11 +471,17 @@ class TestColdStart:
         loaded = self._scipy_loaded("modes", "bell", "bpm-run", "fig2")
         assert loaded == {"modes": [], "bell": [], "bpm-run": [], "fig2": []}
 
-    def test_decohere_validates_without_scipy_linalg(self):
-        # validate computes the rates, so kappa's Dawson function loads scipy.special
-        loaded = self._scipy_loaded("decohere")["decohere"]
-        assert "scipy.special" in loaded
-        assert "scipy.linalg" not in loaded
+    def test_every_experiment_validates_without_scipy(self):
+        # kappa's Dawson function is the standard library's decimal arithmetic,
+        # so validating the rate-based experiments loads no scipy either
+        experiments = ("modes", "bell", "rates", "decohere", "chsh-scan", "delays", "fig2", "bpm-run")
+        assert self._scipy_loaded(*experiments) == {experiment: [] for experiment in experiments}
+
+    def test_rate_based_runs_without_scipy(self, tmp_path):
+        experiments = ("rates", "chsh-scan", "delays")
+        loaded = self._scipy_loaded(*experiments, out=tmp_path)
+        assert loaded == {experiment: [] for experiment in experiments}
+        assert all((tmp_path / experiment / "manifest.json").exists() for experiment in experiments)
 
 
 class TestOutputBytes:
@@ -468,7 +495,7 @@ class TestOutputBytes:
          "snapshot_every=7\n",
          {"field_final.csv": "d47b241996feee7998789ea3959bcd006d51fa390969e99e073a840f72334de5",
           "raster.bin": "1d55dfeadb3e2d99f7c3be3509682273a50240bfd20c6c41fd00c94609cfb965"}),
-        # kappa's bits, through scipy's Dawson function
+        # kappa's bits, through the correctly rounded Dawson function
         ("experiment=rates\n",
          {"rates.csv": "78f4d8ad4bd07212f62796c6f211bb6a1ac169e379fbc5b17f6943b8cc8a58f6"}),
     ], ids=["fig2", "bpm-run", "rates"])

@@ -5,7 +5,6 @@ import pytest
 
 from modesim.states import (
     DensityMatrix,
-    ModeLabel,
     bell_state,
     density_of,
     expectation,
@@ -166,11 +165,6 @@ class TestDensityMatrixValidation:
         rho = maximally_mixed(1)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
-
-    def test_mode_labels(self):
-        assert ModeLabel.TE0.value == 0
-        assert ModeLabel.TE1.value == 1
-        assert len(ModeLabel) == 2
 
 
 class TestPurity:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import dawsn
 
 from modesim import stochastic
-from modesim.stochastic import PerturbationModel, RateConstants, _embedding_scale, rates, sample_path
+from modesim.stochastic import PerturbationModel, RateConstants, _dawson, _embedding_scale, rates, sample_path
 
 
 # --- independent Dawson-function oracle -------------------------------------
@@ -25,6 +28,43 @@ def dawson_series(x):
 
 
 DAWSON_AT_ONE = 0.5380795069127684  # frozen from the series oracle
+
+# F(x) correctly rounded to float64, frozen from a 256-bit x 1F1(1; 3/2; -x^2)
+# evaluation (mpmath, checked against the erfi form).  The comments give
+# scipy.special.dawsn's distance, in ulp, at the time the table was made.
+DAWSON_TABLE = [
+    (5e-324, 5e-324),  # subnormal
+    (2.2250738585072014e-308, 2.2250738585072014e-308),  # smallest normal
+    (1e-300, 1e-300),
+    (1e-10, 1e-10),
+    (0.001, 0.0009999993333336),
+    (0.05, 0.04991674994050925),  # scipy 4 ulp
+    (0.1, 0.09933599239785286),  # scipy 3 ulp
+    (0.19, 0.18549268702269875),
+    (0.5, 0.4244363835020223),
+    (0.9241388730045916, 0.5410442246351816),  # the maximum of F; scipy 1 ulp
+    (0.9999999999999999, 0.5380795069127684),  # the default rates config
+    (1.0, 0.5380795069127684),
+    (1.5, 0.4282490710853986),  # scipy 1 ulp
+    (2.0, 0.30134038892379195),  # scipy 1 ulp
+    (3.0, 0.1782710306105583),  # scipy 1 ulp
+    (4.0, 0.12934800123600512),  # scipy 1 ulp
+    (5.0, 0.10213407442427684),  # scipy 1 ulp
+    (6.0, 0.08454268897454385),  # scipy 2 ulp
+    (7.5, 0.06727581164463062),
+    (10.0, 0.05025384718759853),  # scipy 1 ulp
+    (11.999999999999998, 0.04181287645398827),  # last point of the Maclaurin branch
+    (12.0, 0.04181287645398826),  # first point of the asymptotic branch
+    (15.0, 0.033407906808639226),
+    (20.0, 0.02503136792640367),  # scipy 6 ulp
+    (25.9, 0.019319440936356447),
+    (26.0, 0.019245024851840636),  # scipy 2 ulp
+    (50.0, 0.010002001201201684),
+    (1000.0, 0.000500000250000375),
+    (1e9, 5e-10),
+    (1e300, 5e-301),  # scipy 1 ulp
+]
+DAWSON_MAX = 0.5410442246351816  # F(0.9241388730045916), correctly rounded
 
 
 def pair_transform(model, dz, count, pair_seed):
@@ -171,8 +211,8 @@ class TestRates:
         assert abs(dawson_series(1.0) - DAWSON_AT_ONE) < 1e-15
 
     def test_dawson_matches_series_on_grid(self, default_model):
-        # the closed form uses scipy's Dawson function; the series is an
-        # independent route and both must agree to 1e-12
+        # the closed form uses the module's decimal Dawson function; the
+        # alternating float series is an independent route and both must agree to 1e-12
         scale = 2.0 * default_model.sigma ** 2 * default_model.corr_length * abs(default_model.k_ab) ** 2
         for x in np.linspace(-2.0, 2.0, 41):
             dbeta = 2.0 * x / default_model.corr_length
@@ -199,6 +239,39 @@ class TestRates:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             RateConstants(gamma=-1.0, kappa=0.0)
+
+
+class TestDawson:
+    @pytest.mark.parametrize("x,value", DAWSON_TABLE, ids=[repr(x) for x, _ in DAWSON_TABLE])
+    def test_correctly_rounded_table(self, x, value):
+        assert _dawson(x) == value
+        assert _dawson(-x) == -value
+
+    def test_agrees_with_scipy(self):
+        # scipy's dawsn is off by up to about 100 ulp below 0.2 and 6 ulp above
+        grid = np.concatenate([-np.geomspace(1e-300, 60.0, 300), np.linspace(-60.0, 60.0, 1201),
+                               np.geomspace(60.0, 1e300, 300)])
+        for x in grid.tolist():
+            assert _dawson(x) == pytest.approx(float(dawsn(x)), rel=2e-14, abs=0.0), x
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.inf, -math.inf])
+    def test_zero_and_infinity_give_signed_zero(self, x):
+        value = _dawson(x)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == math.copysign(1.0, x)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 2.2250738585072009e-308])
+    def test_subnormals_are_their_own_value(self, x):
+        # F(x) = x - 2x^3/3 + ..., and 2x^3/3 is far below half an ulp of x
+        assert _dawson(x) == x
+        assert _dawson(-x) == -x
+
+    @given(st.floats(allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_odd_and_bounded(self, x):
+        value = _dawson(x)
+        assert _dawson(-x) == -value
+        assert abs(value) <= DAWSON_MAX
 
 
 class TestValidation:

@@ -9,16 +9,31 @@ from scipy.optimize import brentq
 from modesim import waveguide
 from modesim.waveguide import (
     GuidedMode,
-    ParabolicSpec,
     SlabSpec,
     delta_beta,
-    dispersion_residual,
     export_mode_csv,
     group_delay,
-    mode_overlap,
-    parabolic_modes,
     solve_slab_te_modes,
 )
+
+
+# --- oracles on the solver's output ----------------------------------------
+
+def dispersion_residual(spec, beta, mode_index):
+    """Slab dispersion residual at beta: u sin u - v cos u (even m), u cos u + v sin u (odd m)."""
+    half = spec.core_width / 2.0
+    u = half * math.sqrt(max((spec.k * spec.n_core) ** 2 - beta ** 2, 0.0))
+    v = math.sqrt(max(spec.v_number ** 2 - u ** 2, 0.0))
+    if mode_index % 2 == 0:
+        return u * math.sin(u) - v * math.cos(u)
+    return u * math.cos(u) + v * math.sin(u)
+
+
+def mode_overlap(a, b):
+    """Trapezoid overlap integral <a|b> on the shared grid."""
+    if a.grid != b.grid:
+        raise ValueError("modes live on different grids")
+    return complex(np.trapezoid(np.conj(a.profile) * b.profile, dx=a.grid[1]))
 
 
 # --- independent shooting-method oracle ------------------------------------
@@ -150,39 +165,6 @@ class TestModeOverlap:
         other = solve_slab_te_modes(default_slab, points=1024)[0]
         with pytest.raises(ValueError, match="grid"):
             mode_overlap(mode, other)
-
-
-class TestParabolic:
-    def spec(self):
-        # ground-state width ~ 6 um at 1.55 um wavelength
-        return ParabolicSpec(n0=1.5, gradient=4.0e8, wavelength=1.55e-6)
-
-    def test_ground_state_gaussian_no_sign_changes(self):
-        mode = parabolic_modes(self.spec(), 1)[0]
-        body = mode.profile[np.abs(mode.profile) > 1e-9 * np.abs(mode.profile).max()]
-        assert np.all(body > 0) or np.all(body < 0)
-
-    def test_eigenvalue_spacing_constant(self):
-        spec = self.spec()
-        modes = parabolic_modes(spec, 5)
-        k = spec.k
-        omegas = [(spec.n0 ** 2 - (m.beta / k) ** 2) / 2.0 for m in modes]
-        spacings = np.diff(omegas)
-        assert np.allclose(spacings, spacings[0], rtol=1e-9)
-
-    def test_orthogonality(self):
-        modes = parabolic_modes(self.spec(), 4)
-        assert abs(mode_overlap(modes[0], modes[1])) < 1e-10
-        for i, a in enumerate(modes):
-            for j, b in enumerate(modes):
-                assert abs(mode_overlap(a, b) - (1.0 if i == j else 0.0)) < 1e-8
-
-    def test_unguided_mode_rejected(self):
-        weak = ParabolicSpec(n0=1.5, gradient=4.0e8, wavelength=1.55e-6)
-        # eigenvalue (n + 1/2) sqrt(g)/k exceeds n0^2/2 for large n
-        limit = int(weak.n0 ** 2 / 2.0 * weak.k / math.sqrt(weak.gradient))
-        with pytest.raises(ValueError, match="not guided"):
-            parabolic_modes(weak, limit + 2)
 
 
 class TestGroupDelay:
