@@ -25,7 +25,6 @@ drew from default_rng(s)), the odd seed's the independent imaginary part
 """
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 import threading
@@ -190,8 +189,8 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
     return SampledPath(transform.imag if seed & 1 else transform.real, dz, seed)
 
 
-#: 40 digits: float64 needs 17, the rest absorbs the rounding of up to 330 series terms
-_DAWSON_CONTEXT = decimal.Context(prec=40)
+#: digits of _dawson's sums: float64 needs 17, the rest absorbs the rounding of up to 330 terms
+_DAWSON_DIGITS = 40
 #: from here on the asymptotic series is used; its smallest term, ~exp(-x^2), is below 1e-62
 _DAWSON_ASYMPTOTIC_X = 12.0
 
@@ -213,7 +212,8 @@ def _dawson(x: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _dawson_positive(x: float) -> float:
     # cached by x > 0 (a cache would not tell -0.0 from 0.0): one sum costs up to about 0.4 ms
-    with decimal.localcontext(_DAWSON_CONTEXT):
+    import decimal  # deferred: runs that compute no rate skip its 0.3 MB of resident memory
+    with decimal.localcontext(decimal.Context(prec=_DAWSON_DIGITS)):
         d = decimal.Decimal(x)  # exact
         xx = d * d
         if x < _DAWSON_ASYMPTOTIC_X:
