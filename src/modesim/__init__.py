@@ -11,8 +11,8 @@ scripted experiment runner (:mod:`modesim.cli`).
 """
 
 from ._errors import NumericalError
-from .analyzer import analyzer_projectors, intensities, intensity_difference_evolved, phase_op, splitter_states
-from .correlation import ChshAngles, DelayPair, chsh_B, chsh_optimum, chsh_scan, correlation_E, delay_covariance, rail_embed
+from .analyzer import analyzer_projectors, intensity_difference_evolved
+from .correlation import ChshAngles, DelayPair, chsh_B, chsh_optimum, chsh_scan, correlation_E, delay_covariance
 from .decoherence import (
     DecoherenceScan,
     EvolutionParams,
@@ -26,12 +26,9 @@ from .states import (
     bell_state,
     density_of,
     expectation,
-    maximally_mixed,
-    partial_trace,
     product_state,
     purity,
     superpose,
-    tensor,
 )
 from .stochastic import PerturbationModel, RateConstants, SampledPath, rates, sample_path
 from .waveguide import GuidedMode, SlabSpec, delta_beta, group_delay, solve_slab_te_modes

@@ -7,10 +7,13 @@ a float64 round trip.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from ._errors import NumericalError
 
 
 def format_value(value) -> str:
@@ -19,6 +22,8 @@ def format_value(value) -> str:
     if isinstance(value, (int,)):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite value {value!r} in an output")
         return f"{value:.16e}"
     return str(value)
 
@@ -45,7 +50,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write_bytes(Path(path), (text + "\n").encode("utf-8"))
 
 

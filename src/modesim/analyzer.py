@@ -22,29 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._io import write_csv
 from .decoherence import EvolutionParams, analytic_single_rail
-from .states import DensityMatrix, PureState, density_of, expectation, superpose
+from .states import density_of, expectation, superpose
 
 __all__ = [
-    "phase_op",
-    "splitter_states",
     "analyzer_projectors",
     "intensity_split_operator",
-    "intensities",
     "intensity_difference_evolved",
-    "export_theta_scan_csv",
 ]
-
-
-def phase_op(theta: float) -> np.ndarray:
-    """Phase-controller unitary diag(e^{+i theta}, e^{-i theta})."""
-    return np.diag([np.exp(1j * theta), np.exp(-1j * theta)]).astype(np.complex128)
-
-
-def splitter_states() -> tuple[PureState, PureState]:
-    """The symmetric and antisymmetric branch states (|+>, |->)."""
-    return superpose(1.0, 1.0), superpose(1.0, -1.0)
 
 
 def analyzer_projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -63,12 +48,6 @@ def intensity_split_operator(theta: float) -> np.ndarray:
     """The intensity-difference observable I+(theta) - I-(theta)."""
     plus, minus = analyzer_projectors(theta)
     return plus - minus
-
-
-def intensities(rho: DensityMatrix, theta: float) -> tuple[float, float]:
-    """Branch intensities (Tr rho I+, Tr rho I-); nonnegative, summing to 1."""
-    plus, minus = analyzer_projectors(theta)
-    return float(expectation(rho, plus).real), float(expectation(rho, minus).real)
 
 
 def intensity_difference_evolved(c0: complex, c1: complex, params: EvolutionParams,
@@ -90,15 +69,3 @@ def intensity_difference_evolved(c0: complex, c1: complex, params: EvolutionPara
     rho0 = density_of(superpose(c0, c1))
     evolved = analytic_single_rail(rho0, params)
     return float(expectation(evolved, intensity_split_operator(theta)).real)
-
-
-def export_theta_scan_csv(rho: DensityMatrix, thetas, destination) -> None:
-    """Write an analyzer-angle scan as CSV.
-
-    Columns: theta_rad, I_plus, I_minus, difference.
-    """
-    rows = []
-    for theta in thetas:
-        plus, minus = intensities(rho, float(theta))
-        rows.append((float(theta), plus, minus, plus - minus))
-    write_csv(destination, ("theta_rad", "I_plus", "I_minus", "difference"), rows)

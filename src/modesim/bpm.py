@@ -139,10 +139,6 @@ class RIMap:
             object.__setattr__(self, name, array)
 
     @property
-    def n(self) -> np.ndarray:
-        return self.rows[self.index]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (len(self.index), self.rows.shape[1])
 
@@ -507,13 +503,13 @@ def export_field_csv(field: Field, grid: Grid, destination) -> None:
 
 def export_raster(snapshots, grid: Grid, destination) -> None:
     """Write an intensity raster: header (int64 nx, int64 nz, float64 dx,
-    float64 dz), then nz rows of nx row-major float64 intensities.
+    float64 dz), then nz rows of nx row-major float64 intensity values.
 
     nz here is the number of snapshots and dz their z spacing (snapshot
     stride times the grid step for uniform snapshots).
     """
-    intensities = np.vstack([np.abs(s.values) ** 2 for s in snapshots])
-    nz = intensities.shape[0]
+    raster = np.vstack([np.abs(s.values) ** 2 for s in snapshots])
+    nz = raster.shape[0]
     dz_out = snapshots[1].z - snapshots[0].z if nz > 1 else grid.dz
     header = struct.pack("<qqdd", grid.nx, nz, grid.dx, dz_out)
-    write_bytes(destination, header + intensities.astype("<f8").tobytes(order="C"))
+    write_bytes(destination, header + raster.astype("<f8").tobytes(order="C"))

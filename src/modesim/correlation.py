@@ -16,7 +16,8 @@ is monotone): O(n^3) time and O(n^2) memory.  D(theta) = cos 2theta X +
 sin 2theta Y sweeps the Bloch xy plane, so the exact optimum is the planar
 Horodecki bound 2 ||T||_F, T the xy correlation block (PLA 200, 340 (1995)).
 
-Group delays diag(tau0, tau1): their covariance tells entangled from product.
+Group delays diag(tau0, tau1): their covariance, Delta^2 (p11 - p_c(1) p_t(1)) on
+rho's diagonal p with Delta = tau1 - tau0 exact, tells entangled from product.
 """
 from __future__ import annotations
 
@@ -27,12 +28,11 @@ import numpy as np
 
 from ._io import write_csv
 from .analyzer import intensity_split_operator
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix
 
 __all__ = [
     "ChshAngles",
     "DelayPair",
-    "rail_embed",
     "correlation_E",
     "chsh_B",
     "chsh_scan",
@@ -59,22 +59,6 @@ class DelayPair:
 
     tau0: float
     tau1: float
-
-
-def rail_embed(op: np.ndarray, rail: str) -> np.ndarray:
-    """Embed a single-rail operator into the two-rail space.
-
-    rail "c" gives op (x) I (control is the left tensor factor), rail "t"
-    gives I (x) op.
-    """
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
-    if rail == "c":
-        return np.kron(op, np.eye(2, dtype=np.complex128))
-    if rail == "t":
-        return np.kron(np.eye(2, dtype=np.complex128), op)
-    raise ValueError(f"rail must be 'c' or 't', got {rail!r}")
 
 
 def _correlation_table(rho4: DensityMatrix, thetas1, thetas2) -> np.ndarray:
@@ -130,19 +114,19 @@ def chsh_optimum(rho4: DensityMatrix) -> float:
 
 
 def delay_covariance(rho4: DensityMatrix, delays: DelayPair) -> float:
-    """Covariance <tau_c tau_t> - <tau_c><tau_t> of the two rails' delays.
+    """Covariance of the two rails' delays diag(tau0, tau1): Delta^2 (p11 - p_c(1) p_t(1)).
 
-    The single-rail delay operator is diag(tau0, tau1); the means are taken
-    from the partial traces of the state.
+    p is rho's diagonal over |ct>, p_c(1) = p10 + p11 and p_t(1) = p01 + p11; the
+    delays are diagonal, and a covariance ignores their common shift tau0.  Delta =
+    tau1 - tau0 is exact for tau1 / tau0 in [1/2, 2] (Sterbenz's lemma; a slab's two
+    modes give about 1.0006), so phi_plus gives Delta^2 / 4 with one rounding and the
+    product state exactly 0.
     """
     if rho4.rails != 2:
         raise ValueError("delay_covariance expects a two-rail 4x4 state")
-    tau_op = np.diag([delays.tau0, delays.tau1]).astype(np.complex128)
-    joint = rail_embed(tau_op, "c") @ rail_embed(tau_op, "t")
-    mean_joint = float(np.trace(rho4.matrix @ joint).real)
-    mean_c = float(np.trace(partial_trace(rho4, "c").matrix @ tau_op).real)
-    mean_t = float(np.trace(partial_trace(rho4, "t").matrix @ tau_op).real)
-    return mean_joint - mean_c * mean_t
+    p = np.diag(rho4.matrix).real.tolist()
+    delta = delays.tau1 - delays.tau0
+    return float(delta * delta * (p[3] - (p[2] + p[3]) * (p[1] + p[3])))
 
 
 def export_bell_csv(rho4: DensityMatrix, thetas1, thetas2, destination) -> None:

@@ -80,6 +80,8 @@ class EvolutionParams:
     def __post_init__(self):
         if self.length < 0:
             raise ValueError("length must be nonnegative")
+        if not math.isfinite(2.0 * (self.delta_beta + self.rates.kappa) * self.length):
+            raise ValueError("phase overflow: 2 (delta_beta + kappa) length is not finite")
 
 
 def _apply_single_rail(entries: np.ndarray, delta_beta: float, gamma: float,
@@ -370,9 +372,9 @@ def _two_rail_channel(state: str, params: EvolutionParams) -> np.ndarray:
     pure = bell_state("phi", "+") if state == "phi_plus" else product_state()
     args = (params.delta_beta, params.rates.gamma, params.rates.kappa, params.length)
     # axes (c, t, c', t') of control and target rails; each map acts on the leading pair
-    tensor = density_of(pure).matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    tensor = _apply_single_rail(tensor, *args).transpose(2, 3, 0, 1)
-    return _apply_single_rail(tensor, *args).transpose(2, 0, 3, 1).reshape(4, 4)
+    joint = density_of(pure).matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    joint = _apply_single_rail(joint, *args).transpose(2, 3, 0, 1)
+    return _apply_single_rail(joint, *args).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def two_rail_evolve(state: str, params: EvolutionParams, mode: str = "closed_form") -> DensityMatrix:

@@ -2,7 +2,7 @@
 
 The two guided modes TE0 and TE1 of a dual-mode waveguide form a two-level
 basis.  Two waveguides (a control and a target rail) give the 4-dimensional
-basis {|00>, |01>, |10>, |11>} with the control rail as the left tensor
+basis {|00>, |01>, |10>, |11>} with the control rail as the left Kronecker
 factor, so |01> means TE0 in the control rail and TE1 in the target rail.
 
 Operators are plain complex ndarrays of matching dimension; states and
@@ -24,11 +24,8 @@ __all__ = [
     "density_of",
     "bell_state",
     "product_state",
-    "tensor",
-    "partial_trace",
     "expectation",
     "purity",
-    "maximally_mixed",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -57,10 +54,6 @@ class PureState:
         if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
         object.__setattr__(self, "coefficients", _freeze(coeffs))
-
-    @property
-    def rails(self) -> int:
-        return 1 if self.coefficients.shape[0] == 2 else 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,27 +133,6 @@ def product_state() -> PureState:
     return PureState(np.full(4, 0.5, dtype=np.complex128))
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker composition of two single-rail density matrices (control left)."""
-    if a.rails != 1 or b.rails != 1:
-        raise ValueError("tensor expects two single-rail (2x2) density matrices")
-    return DensityMatrix(np.kron(a.matrix, b.matrix))
-
-
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduce a two-rail density matrix to the kept rail ("c" or "t")."""
-    if rho.rails != 2:
-        raise ValueError("partial_trace expects a two-rail (4x4) density matrix")
-    if keep not in ("c", "t"):
-        raise ValueError(f"keep must be 'c' or 't', got {keep!r}")
-    tensor4 = rho.matrix.reshape(2, 2, 2, 2)
-    if keep == "c":
-        reduced = np.einsum("ijkj->ik", tensor4)
-    else:
-        reduced = np.einsum("ijil->jl", tensor4)
-    return DensityMatrix(reduced)
-
-
 def expectation(rho: DensityMatrix, operator: np.ndarray) -> complex:
     """Tr(rho Q); real to within 1e-12 when Q is Hermitian."""
     op = np.asarray(operator, dtype=np.complex128)
@@ -172,8 +144,3 @@ def expectation(rho: DensityMatrix, operator: np.ndarray) -> complex:
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
     return float(np.trace(rho.matrix @ rho.matrix).real)
-
-
-def maximally_mixed(rails: int = 1) -> DensityMatrix:
-    dim = 2 ** rails
-    return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)

@@ -86,15 +86,6 @@ class SampledPath:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def count(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def length(self) -> float:
-        """Propagation length covered when each sample drives one dz step."""
-        return self.count * self.dz
-
 
 @dataclass(frozen=True)
 class RateConstants:

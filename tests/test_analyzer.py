@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from modesim.analyzer import (
-    analyzer_projectors,
-    export_theta_scan_csv,
-    intensities,
-    intensity_difference_evolved,
-    intensity_split_operator,
-    phase_op,
-    splitter_states,
-)
+from modesim.analyzer import (analyzer_projectors, intensity_difference_evolved,
+                              intensity_split_operator)
 from modesim.decoherence import EvolutionParams
-from modesim.states import DensityMatrix, density_of, maximally_mixed, superpose
+from modesim.states import DensityMatrix, density_of, superpose
 from modesim.stochastic import RateConstants
 
 
@@ -22,6 +15,21 @@ def closed_form_difference(c0, c1, dbeta, gamma, kappa, length, theta):
     term = (c0 * np.conj(c1) * np.exp(1j * (dbeta + kappa) * length)
             * np.exp(2j * theta))
     return math.exp(-gamma * length) * float((term + np.conj(term)).real)
+
+
+def phase_op(theta):
+    """Oracle: the phase-controller unitary P(theta) = diag(e^{+i theta}, e^{-i theta})."""
+    return np.diag([np.exp(1j * theta), np.exp(-1j * theta)]).astype(np.complex128)
+
+
+def splitter_states():
+    """Oracle: the symmetric and antisymmetric branch states (|+>, |->)."""
+    return superpose(1.0, 1.0), superpose(1.0, -1.0)
+
+
+def branch_intensities(rho, theta):
+    """Branch intensities (Tr rho I+, Tr rho I-) from the analyzer projectors."""
+    return tuple(float(np.trace(rho.matrix @ op).real) for op in analyzer_projectors(theta))
 
 
 class TestPhaseOp:
@@ -101,28 +109,28 @@ class TestIntensities:
     def test_phased_input_cos_sin_split(self, rng):
         for theta in rng.uniform(-2, 2, size=25):
             state = superpose(np.exp(-1j * theta), np.exp(1j * theta))
-            plus, minus = intensities(density_of(state), 0.0)
+            plus, minus = branch_intensities(density_of(state), 0.0)
             assert abs(plus - math.cos(theta) ** 2) < 1e-12
             assert abs(minus - math.sin(theta) ** 2) < 1e-12
 
     def test_incoherent_mixture_always_half(self, rng):
-        mixed = maximally_mixed(1)
+        mixed = DensityMatrix(np.eye(2) / 2)
         for theta in rng.uniform(-4, 4, size=25):
-            plus, minus = intensities(mixed, theta)
+            plus, minus = branch_intensities(mixed, theta)
             assert abs(plus - 0.5) < 1e-12
             assert abs(minus - 0.5) < 1e-12
 
     def test_basis_state_splits_evenly(self, rng):
         rho = density_of(superpose(1.0, 0.0))
         for theta in rng.uniform(-4, 4, size=10):
-            plus, minus = intensities(rho, theta)
+            plus, minus = branch_intensities(rho, theta)
             assert abs(plus - 0.5) < 1e-12 and abs(minus - 0.5) < 1e-12
 
     def test_nonnegative_and_sum_one_random_states(self, rng):
         for _ in range(1000):
             raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = DensityMatrix((raw @ raw.conj().T) / np.trace(raw @ raw.conj().T))
-            plus, minus = intensities(rho, float(rng.uniform(-4, 4)))
+            plus, minus = branch_intensities(rho, float(rng.uniform(-4, 4)))
             assert plus >= -1e-12 and minus >= -1e-12
             assert abs(plus + minus - 1.0) < 1e-12
 
@@ -176,15 +184,3 @@ def test_split_operator_is_difference():
     theta = 0.7
     plus_op, minus_op = analyzer_projectors(theta)
     assert np.allclose(intensity_split_operator(theta), plus_op - minus_op)
-
-
-def test_export_theta_scan_csv(tmp_path):
-    rho = density_of(superpose(1.0, 1.0))
-    thetas = np.linspace(0, math.pi, 8, endpoint=False)
-    target = tmp_path / "scan.csv"
-    export_theta_scan_csv(rho, thetas, target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "theta_rad,I_plus,I_minus,difference"
-    assert len(lines) == 9
-    first = [float(v) for v in lines[1].split(",")]
-    assert abs(first[1] - 1.0) < 1e-12  # |+> fully in the + branch at theta 0

@@ -37,6 +37,11 @@ def straight_grid(nz=801, nx=1024, window=80e-6, dz=0.5e-6):
     return Grid(-window / 2, window / (nx - 1), nx, dz, nz)
 
 
+def full_map(ri_map):
+    """The (nz, nx) index map that ri_map stores as distinct rows plus a row index."""
+    return ri_map.rows[ri_map.index]
+
+
 def uniform_map(grid, index):
     """Homogeneous-medium index map (free diffraction), referenced to its own index."""
     return RIMap(np.full((1, grid.nx), index), np.zeros(grid.nz, dtype=int), index)
@@ -47,7 +52,7 @@ def reference_propagate(field, ri_map, grid, wavelength, snapshot_every=1):
     the oracle that propagate's kept factorizations must match bit for bit."""
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    n = ri_map.n
+    n = full_map(ri_map)
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
     damping = bpm._absorber(grid)
@@ -114,14 +119,14 @@ class TestGeometry:
         geometry = YSplitterGeometry(stem_length=10e-6, branch_half_angle=0.0,
                                      branch_separation_final=4e-6, core_width=4e-6)
         ri_map = build_geometry(geometry, grid, default_slab)
-        assert np.abs(ri_map.n - ri_map.n[0]).max() < 1e-15
+        assert np.abs(full_map(ri_map) - full_map(ri_map)[0]).max() < 1e-15
 
     def test_zero_delta_n_matches_no_phase_section(self, default_slab):
         grid = straight_grid(nz=2101, dz=1e-6)
         with_section = build_geometry(default_geometry(delta_n=0.0), grid, default_slab)
         without = build_geometry(
             YSplitterGeometry(400e-6, math.radians(0.4), 24e-6, 4e-6), grid, default_slab)
-        assert np.abs(with_section.n - without.n).max() < 1e-15
+        assert np.abs(full_map(with_section) - full_map(without)).max() < 1e-15
 
     def test_raster_area_matches_analytic(self, default_slab):
         # area-weighted rasterization integrates to the analytic core area
@@ -131,7 +136,7 @@ class TestGeometry:
         assert geometry.separation_end_z() < grid.z_max
         ri_map = build_geometry(geometry, grid, default_slab)
         contrast = default_slab.n_core - default_slab.n_clad
-        raster_area = float(np.sum(ri_map.n - default_slab.n_clad) / contrast) * grid.dx * grid.dz
+        raster_area = float(np.sum(full_map(ri_map) - default_slab.n_clad) / contrast) * grid.dx * grid.dz
         analytic = (geometry.stem_length * default_slab.core_width
                     + (grid.nz * grid.dz - geometry.stem_length) * 2 * geometry.core_width)
         cell_row = default_slab.core_width * grid.dz
@@ -272,7 +277,7 @@ class TestRIMap:
         rows = np.array([np.full(64, 1.49), np.full(64, 1.5)])
         ri_map = RIMap(rows, [1, 0, 0, 1], 1.5)
         assert ri_map.shape == (4, 64)
-        assert np.array_equal(ri_map.n, rows[[1, 0, 0, 1]])
+        assert np.array_equal(full_map(ri_map), rows[[1, 0, 0, 1]])
         assert not ri_map.rows.flags.writeable and not ri_map.index.flags.writeable
 
     def test_splitter_stores_each_distinct_row_once(self, default_slab):
@@ -473,7 +478,7 @@ class TestFigTwoSharedRaster:
         original_propagate, original_coverage = bpm.propagate, bpm._coverage
 
         def recording_propagate(field, ri_map, march_grid, *args, **kwargs):
-            marched.append((ri_map.n, ri_map.reference_n0, march_grid))
+            marched.append((full_map(ri_map), ri_map.reference_n0, march_grid))
             return original_propagate(field, ri_map, march_grid, *args, **kwargs)
 
         def counting_coverage(*args):
@@ -490,7 +495,7 @@ class TestFigTwoSharedRaster:
             alone = build_geometry(default_geometry(400.0, delta_n, 300.0), grid, default_slab)
             assert march_grid is grid
             assert reference_n0 == alone.reference_n0
-            assert np.array_equal(n, alone.n)
+            assert np.array_equal(n, full_map(alone))
 
     def test_map_memory_at_benchmark_size(self, default_slab):
         # fig2 at the benchmark's bpm_splitter size: 2814 z steps of 2048 points.

@@ -12,6 +12,8 @@ import pytest
 
 import modesim
 from modesim import bpm
+from modesim._errors import NumericalError
+from modesim._io import format_value, write_json
 from modesim.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -103,10 +105,13 @@ class TestValidate:
         ("experiment=fig2\ndelta_n_list=0;-0.02\n", "delta_n_list", "n_core > n_clad"),
         ("experiment=modes\nspan_factor=1e6\ngrid_points=64\n", "span_factor", "across the core"),
         ("experiment=modes\ngrid_points=64\n", "grid_points", "across the core"),
+        ("experiment=chsh-scan\ndelta_beta_per_m=1e308\nlength_m=2\n", "delta_beta_per_m",
+         "phase overflow"),
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
-            "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core"])
+            "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
+            "chsh_phase_overflow"])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
@@ -196,17 +201,19 @@ class TestMain:
             assert math.hypot(values[1] - values[4], values[2] - values[5]) < 0.05
 
     def test_delays_covariance_columns(self, tmp_path):
-        config = write_config(tmp_path, "experiment=delays\nlength_max_m=1.0\nn_lengths=4\n")
-        out = tmp_path / "out"
-        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
-        rows = [[float(v) for v in line.split(",")]
-                for line in (out / "delays.csv").read_text().splitlines()[1:]]
-        for length, tau0, tau1, cov_ent, cov_prod in rows:
-            expected = 0.25 * (tau1 - tau0) ** 2
-            assert abs(cov_ent - expected) <= 1e-10 * (tau0 ** 2 + tau1 ** 2)
-            assert abs(cov_prod) <= 1e-12 * (tau0 ** 2 + tau1 ** 2)
-        # quadratic growth along the scan: L doubles from row 1 to row 3
-        assert abs(rows[3][3] / rows[1][3] - 4.0) < 1e-9
+        for text in ("experiment=delays\nlength_max_m=1.0\nn_lengths=4\n", "experiment=delays\n"):
+            config = write_config(tmp_path, text)
+            out = tmp_path / "out"
+            assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
+            rows = [[float(v) for v in line.split(",")]
+                    for line in (out / "delays.csv").read_text().splitlines()[1:]]
+            for length, tau0, tau1, cov_ent, cov_prod in rows:
+                # read from rho's diagonal: once about 2.3e-9 off and +-6e-33 where 0 is exact
+                expected = 0.25 * (tau1 - tau0) ** 2
+                assert abs(cov_ent - expected) <= 1e-14 * expected
+                assert cov_prod == 0.0
+            # quadratic growth along the scan: L doubles from row 1 to row 3
+            assert abs(rows[3][3] / rows[1][3] - 4.0) < 1e-9
 
     def test_modes_outputs(self, tmp_path):
         config = write_config(tmp_path, "experiment=modes\n")
@@ -308,6 +315,7 @@ class TestMain:
         ("experiment=fig2\nnx=128\n", []),
         ("experiment=fig2\ndelta_n_list=0;-0.02\n", []),
         ("experiment=modes\nspan_factor=1e6\ngrid_points=64\n", []),
+        ("experiment=chsh-scan\ndelta_beta_per_m=1e308\nlength_m=2\n", []),
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
@@ -315,7 +323,7 @@ class TestMain:
             "fig2_window_narrow", "fig2_phase_outside_stem", "bpm_dz_paraxial", "bpm_nx_1",
             "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
             "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad",
-            "modes_grid_over_core"])
+            "modes_grid_over_core", "chsh_phase_overflow"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3
         config = write_config(tmp_path, text)
@@ -335,6 +343,14 @@ class TestMain:
         assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
         for name in ("mode0.csv", "mode1.csv"):
             assert np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)).all()
+
+    def test_non_finite_output_exits_3_and_writes_nothing(self, tmp_path):
+        # length_max_m=1e300 once exited 0 with NaN in delays.csv; (tau1 - tau0)^2 overflows,
+        # and the CSV is formatted before its file, or the directory, is made
+        config = write_config(tmp_path, "experiment=delays\nlength_max_m=1e300\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert not out.exists()
 
     def test_numerical_failure_writes_nothing(self, tmp_path):
         # the run computes before it writes, so a failed run leaves no directory
@@ -498,8 +514,25 @@ class TestOutputBytes:
         # kappa's bits, through the correctly rounded Dawson function
         ("experiment=rates\n",
          {"rates.csv": "78f4d8ad4bd07212f62796c6f211bb6a1ac169e379fbc5b17f6943b8cc8a58f6"}),
-    ], ids=["fig2", "bpm-run", "rates"])
+        # the delay covariance from rho's diagonal: cov_entangled is exactly (tau1 - tau0)^2 / 4
+        ("experiment=delays\n",
+         {"delays.csv": "a32ac2ae44eb1abf328a637a0462661f8e65d0ee4fe01d7081bb3d91ddb44693"}),
+    ], ids=["fig2", "bpm-run", "rates", "delays"])
     def test_data_file_digests(self, tmp_path, text, digests):
         run(parse_config_text(text), tmp_path, quiet=True)
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestOutputValues:
+    """No NaN or inf reaches an output file."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_format_value_rejects_non_finite(self, value):
+        with pytest.raises(NumericalError, match="non-finite"):
+            format_value(value)
+
+    def test_json_rejects_nan_and_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "out" / "manifest.json", {"derived": {"x": math.nan}})
+        assert not (tmp_path / "out").exists()

@@ -18,10 +18,9 @@ from modesim.correlation import (
     delay_covariance,
     export_bell_csv,
     export_chsh_csv,
-    rail_embed,
 )
 from modesim.decoherence import EvolutionParams, two_rail_evolve
-from modesim.states import DensityMatrix, bell_state, density_of, maximally_mixed, product_state, tensor
+from modesim.states import DensityMatrix, bell_state, density_of, product_state
 from modesim.stochastic import RateConstants
 from modesim.waveguide import group_delay
 
@@ -31,6 +30,7 @@ TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 CANONICAL = ChshAngles(math.pi / 8, -math.pi / 8, 0.0, math.pi / 4)
 PAULI_XY = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]))
 BELL_STATES = [density_of(bell_state(f, s)) for f in ("phi", "psi") for s in ("+", "-")]
+MIXED = DensityMatrix(np.eye(4) / 4)
 
 
 def density_matrices(dim):
@@ -69,32 +69,18 @@ def brute_chsh_scan(rho, grid_n):
 
 
 class TestRailEmbed:
-    def test_identity_embeds_to_identity(self):
-        assert np.allclose(rail_embed(np.eye(2), "c"), np.eye(4))
-        assert np.allclose(rail_embed(np.eye(2), "t"), np.eye(4))
-
-    def test_rails_commute(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            left = rail_embed(a, "c") @ rail_embed(b, "t")
-            right = rail_embed(b, "t") @ rail_embed(a, "c")
-            assert np.abs(left - right).max() < 1e-12
+    """The control rail is the left Kronecker factor."""
 
     def test_split_operator_embedding_is_ladder_form(self, rng):
         # the embedded intensity difference has exactly the two-rail ladder
         # structure: off * |TE0><TE1| (x) I plus its conjugate, nothing else
         for theta in rng.uniform(-3, 3, size=10):
-            embedded = rail_embed(intensity_split_operator(theta), "c")
+            embedded = np.kron(intensity_split_operator(theta), np.eye(2))
             off = np.exp(-2j * theta)
             ladder = np.zeros((4, 4), dtype=complex)
             ladder[0, 2] = ladder[1, 3] = off
             ladder[2, 0] = ladder[3, 1] = np.conj(off)
             assert np.abs(embedded - ladder).max() < 1e-14
-
-    def test_bad_rail_rejected(self):
-        with pytest.raises(ValueError):
-            rail_embed(np.eye(2), "x")
 
 
 class TestCorrelationE:
@@ -126,7 +112,7 @@ class TestCorrelationE:
             assert abs(correlation_E(rho, t1, t2) - law) < 1e-12
 
     def test_bounded_by_one(self, rng):
-        for rho in (PHI_PLUS, PRODUCT, maximally_mixed(2)):
+        for rho in (PHI_PLUS, PRODUCT, MIXED):
             for _ in range(50):
                 t1, t2 = rng.uniform(-4, 4, size=2)
                 assert abs(correlation_E(rho, t1, t2)) <= 1.0 + 1e-12
@@ -174,7 +160,7 @@ class TestChsh:
         assert best <= 2.0 + 1e-9
 
     def test_scan_maximally_mixed_is_zero(self):
-        best, _ = chsh_scan(maximally_mixed(2), 16)
+        best, _ = chsh_scan(MIXED, 16)
         assert best < 1e-12
 
     def test_scan_grid_requirement(self):
@@ -196,7 +182,7 @@ class TestChshProperties:
     @given(density_matrices(2), density_matrices(2), st.sampled_from([8, 12, 16]))
     @settings(max_examples=25, deadline=None)
     def test_separable_states_never_violate(self, a, b, grid_n):
-        best, _ = chsh_scan(tensor(a, b), grid_n)
+        best, _ = chsh_scan(DensityMatrix(np.kron(a.matrix, b.matrix)), grid_n)
         assert best <= 2.0 + 1e-12
 
     @given(density_matrices(4), st.sampled_from([8, 12, 16]))
@@ -222,7 +208,7 @@ class TestSeparableScan:
         assert abs(chsh_B(rho, angles) - best) <= 4e-15
 
     @pytest.mark.parametrize("grid_n", [8, 12, 16])
-    @pytest.mark.parametrize("rho", BELL_STATES + [PRODUCT, maximally_mixed(2)],
+    @pytest.mark.parametrize("rho", BELL_STATES + [PRODUCT, MIXED],
                              ids=["phi+", "phi-", "psi+", "psi-", "product", "mixed"])
     def test_matches_brute_force(self, rho, grid_n):
         self.check_against_brute_force(rho, grid_n)
@@ -275,8 +261,8 @@ class TestSeparableScan:
 
 class TestDelayCovariance:
     def test_entangled_quarter_square(self, rng):
-        # tolerance scales with tau^2: the covariance subtracts two numbers
-        # of that size, so 1e-12 of it is the honest exactness scale
+        # delays drawn apart by up to 1e4x: Delta = tau1 - tau0 may round,
+        # and 1e-12 of tau^2 bounds that rounding
         for _ in range(20):
             tau0, tau1 = rng.uniform(1e-12, 1e-8, size=2)
             params = EvolutionParams(4.0, RateConstants(0.5, 0.1), float(rng.uniform(0, 2)))
@@ -299,6 +285,17 @@ class TestDelayCovariance:
             rho = two_rail_evolve("product", params, "closed_form")
             value = delay_covariance(rho, DelayPair(tau0, tau1))
             assert abs(value) <= 1e-12 * (tau0 ** 2 + tau1 ** 2)
+
+    def test_exact_when_delays_within_factor_two(self, rng):
+        # Delta is exact (Sterbenz), so phi_plus gives Delta^2 / 4 bit for bit and product 0
+        for _ in range(50):
+            tau0 = float(rng.uniform(1e-12, 1e-8))
+            tau1 = tau0 * float(rng.uniform(0.5, 2.0))
+            params = EvolutionParams(4.0, RateConstants(0.5, 0.1), float(rng.uniform(0, 2)))
+            pair = DelayPair(tau0, tau1)
+            entangled = delay_covariance(two_rail_evolve("phi_plus", params, "closed_form"), pair)
+            assert entangled == 0.25 * (tau1 - tau0) ** 2
+            assert delay_covariance(two_rail_evolve("product", params, "closed_form"), pair) == 0.0
 
     def test_degenerate_delays_give_zero(self, rng):
         params = EvolutionParams(4.0, RateConstants(0.5, 0.1), 1.0)

@@ -16,7 +16,7 @@ from modesim.decoherence import (
 )
 from modesim import decoherence, stochastic
 from modesim.decoherence import _segment_index, _segment_products, _Workspace
-from modesim.states import DensityMatrix, bell_state, density_of, product_state, purity, superpose, tensor
+from modesim.states import DensityMatrix, bell_state, density_of, product_state, purity, superpose
 from modesim.stochastic import PerturbationModel, RateConstants, pair_seed, rates, sample_path
 
 EQUAL = density_of(superpose(1.0, 1.0))
@@ -75,6 +75,62 @@ class TestAnalyticSingleRail:
         magnitudes = [abs(analytic_single_rail(EQUAL, params(length=L)).matrix[0, 1])
                       for L in np.linspace(0.0, 40.0, 15)]
         assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
+
+
+def bloch_states():
+    """Single-rail states (I + r.sigma) / 2 over Bloch vectors r with |r| <= 1."""
+    def build(r):
+        x, y, z = np.array(r) / max(1.0, math.hypot(*r))
+        return DensityMatrix(0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]))
+
+    return st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(build)
+
+
+evolution_params = st.builds(
+    lambda dbeta, gamma, kappa, length: EvolutionParams(dbeta, RateConstants(gamma, kappa), length),
+    st.floats(-1e5, 1e5), st.floats(0.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 10.0))
+
+
+def min_eigenvalue(matrix):
+    return float(np.linalg.eigvalsh(matrix).min())
+
+
+class TestChannelProperties:
+    """Trace and positivity of the closed-form maps over gamma, kappa, dbeta, L."""
+
+    @given(bloch_states(), evolution_params)
+    @settings(max_examples=200, deadline=None)
+    def test_single_rail_keeps_trace_and_positivity(self, rho, p):
+        out = analytic_single_rail(rho, p).matrix
+        assert abs(np.trace(out) - 1.0) < 1e-14
+        assert min_eigenvalue(out) >= -1e-14
+
+    @given(evolution_params)
+    @settings(max_examples=200, deadline=None)
+    def test_single_rail_choi_matrix_is_psd(self, p):
+        # the map on every |i><j| at once: units[:, :, i, j] = |i><j|
+        units = np.eye(4, dtype=np.complex128).reshape(2, 2, 2, 2)
+        images = decoherence._apply_single_rail(units, p.delta_beta, p.rates.gamma,
+                                                p.rates.kappa, p.length)
+        choi = images.transpose(2, 0, 3, 1).reshape(4, 4)  # sum |i><j| (x) map(|i><j|)
+        assert np.abs(choi - choi.conj().T).max() < 1e-15
+        assert min_eigenvalue(choi) >= -1e-14
+
+    @given(st.sampled_from(["phi_plus", "product"]),
+           st.sampled_from(["closed_form", "channel_composition"]), evolution_params)
+    @settings(max_examples=200, deadline=None)
+    def test_two_rail_keeps_trace_and_positivity(self, state, mode, p):
+        out = two_rail_evolve(state, p, mode).matrix
+        assert abs(np.trace(out) - 1.0) < 1e-14
+        assert min_eigenvalue(out) >= -1e-14
+
+    def test_phase_overflow_rejected(self):
+        # 2 (dbeta + kappa) L overflowed to inf, and the evolved state to NaN
+        with pytest.raises(ValueError, match="phase overflow"):
+            EvolutionParams(1e308, RateConstants(0.0, 0.0), 2.0)
+        with pytest.raises(ValueError, match="phase overflow"):
+            EvolutionParams(0.0, RateConstants(0.0, 0.0), math.inf)
+        assert EvolutionParams(1e307, RateConstants(0.0, 0.0), 2.0).length == 2.0
 
 
 def single_realization(model, delta_beta, length, seed=0, n_lengths=2):
@@ -312,7 +368,7 @@ class TestTwoRail:
     def test_product_channel_composition_is_tensor_of_rails(self):
         p = params(length=1.3)
         single = analytic_single_rail(EQUAL, p)
-        expected = tensor(single, single)
+        expected = DensityMatrix(np.kron(single.matrix, single.matrix))
         composed = two_rail_evolve("product", p, "channel_composition")
         assert np.abs(composed.matrix - expected.matrix).max() < 1e-13
 

@@ -178,8 +178,8 @@ class TestSamplePath:
     def test_length_property(self, default_model):
         dz = default_model.corr_length / 8
         path = sample_path(default_model, dz, 256, seed=1)
-        assert path.count == 256
-        assert abs(path.length - 256 * dz) < 1e-18
+        assert path.values.shape == (256,)
+        assert path.dz == dz
 
 
 class TestRates:
