@@ -32,20 +32,23 @@ __all__ = [
 ]
 
 
-def analyzer_projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
+def analyzer_projectors(theta) -> tuple[np.ndarray, np.ndarray]:
     """Branch projectors (I+, I-) of the phase controller plus Y-splitter.
 
     Each is Hermitian and idempotent, I+ + I- is the identity, and
-    I+- (theta) = P(theta)^dag |+-><+-| P(theta) holds entrywise.
+    I+- (theta) = P(theta)^dag |+-><+-| P(theta) holds entrywise.  A 1-D array of
+    theta gives (n, 2, 2) stacks, equal bit for bit to each angle's 2x2 matrices.
     """
-    off = np.exp(-2j * theta)
-    plus = 0.5 * np.array([[1.0, off], [np.conj(off), 1.0]], dtype=np.complex128)
-    minus = 0.5 * np.array([[1.0, -off], [-np.conj(off), 1.0]], dtype=np.complex128)
+    off = np.exp(-2j * np.asarray(theta, dtype=np.float64))
+    one = np.ones_like(off)
+    plus = 0.5 * np.stack([one, off, np.conj(off), one], axis=-1).reshape(off.shape + (2, 2))
+    minus = 0.5 * np.stack([one, -off, -np.conj(off), one], axis=-1).reshape(off.shape + (2, 2))
     return plus, minus
 
 
-def intensity_split_operator(theta: float) -> np.ndarray:
-    """The intensity-difference observable I+(theta) - I-(theta)."""
+def intensity_split_operator(theta) -> np.ndarray:
+    """The intensity-difference observable I+(theta) - I-(theta), exactly
+    [[0, e^{-2i theta}], [e^{+2i theta}, 0]]; a stack for a 1-D array of theta."""
     plus, minus = analyzer_projectors(theta)
     return plus - minus
 

@@ -508,7 +508,10 @@ def export_raster(snapshots, grid: Grid, destination) -> None:
     nz here is the number of snapshots and dz their z spacing (snapshot
     stride times the grid step for uniform snapshots).
     """
-    raster = np.vstack([np.abs(s.values) ** 2 for s in snapshots])
+    with np.errstate(over="ignore"):  # a finite field's |v|^2 may overflow: refused below
+        raster = np.vstack([np.abs(s.values) ** 2 for s in snapshots])
+    if not np.isfinite(raster).all():
+        raise NumericalError("raster intensity overflows float64")
     nz = raster.shape[0]
     dz_out = snapshots[1].z - snapshots[0].z if nz > 1 else grid.dz
     header = struct.pack("<qqdd", grid.nx, nz, grid.dx, dz_out)

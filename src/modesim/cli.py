@@ -274,6 +274,8 @@ def _build(config: RunConfig) -> SimpleNamespace:
         b.rho = _choice(_STATES, params, "state")()
     if "length_m" in params:
         b.evo = EvolutionParams(b.dbeta, b.rates, params["length_m"])
+    if "length_max_m" in params:  # the phase grows with length, so the longest checks every row
+        EvolutionParams(b.dbeta, b.rates, params["length_max_m"])
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
     if "length_um" in params:

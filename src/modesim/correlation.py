@@ -6,13 +6,14 @@ The normalized correlation of the two analyzers is
 
 whose denominator is Tr rho at every setting (I+ + I- = 1): one division, no
 check (DensityMatrix holds Tr rho to 1e-12).  One einsum contracts the state
-with D = I+ - I- of every setting pair; E, CHSH and the Bell surface read it.
+with a stack of D = I+ - I- per axis; E, CHSH and the Bell surface read it.
 
 CHSH, |E(t1,t2) - E(t1,t2') + E(t1',t2') + E(t1',t2)|, reaches 2 sqrt(2) for
 the maximally entangled state and stays <= 2 for the product state.  On a
 grid, with s = E[i] + E[j] and d = E[i] - E[j], B[i,j,k,l] = s[k] - d[l], so
 max |B| over (k, l) is max(max s - min d, max d - min s) bit for bit (rounding
-is monotone): O(n^3) time and O(n^2) memory.  D(theta) = cos 2theta X +
+is monotone).  chsh_scan reduces s and d over k for fixed-size blocks of i,
+with no loop over i: O(n^3) time and O(n^2) memory.  D(theta) = cos 2theta X +
 sin 2theta Y sweeps the Bloch xy plane, so the exact optimum is the planar
 Horodecki bound 2 ||T||_F, T the xy correlation block (PLA 200, 340 (1995)).
 
@@ -65,8 +66,7 @@ def _correlation_table(rho4: DensityMatrix, thetas1, thetas2) -> np.ndarray:
     """E[i, k] = Tr rho (D(thetas1[i]) (x) D(thetas2[k])) / Tr rho for every setting pair."""
     if rho4.rails != 2:
         raise ValueError("correlations need a two-rail 4x4 state")
-    diff1 = np.stack([intensity_split_operator(float(t)) for t in thetas1])
-    diff2 = np.stack([intensity_split_operator(float(t)) for t in thetas2])
+    diff1, diff2 = intensity_split_operator(thetas1), intensity_split_operator(thetas2)
     # rho[(a,b),(c,d)] against (D1 (x) D2)[(c,d),(a,b)] = D1[c,a] D2[d,b]
     table = np.einsum("abcd,ica,kdb->ik", rho4.matrix.reshape(2, 2, 2, 2), diff1, diff2).real
     return table / np.trace(rho4.matrix).real
@@ -93,18 +93,20 @@ def chsh_scan(rho4: DensityMatrix, grid_n: int) -> tuple[float, ChshAngles]:
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     thetas = np.arange(grid_n) * math.pi / grid_n
-    table = _correlation_table(rho4, thetas, thetas)
-    best, best_ij = -1.0, (0, 0)
-    for i in range(grid_n):
-        s, d = table[i] + table, table[i] - table  # s[j, k], d[j, l]
-        row = np.maximum(s.max(axis=1) - d.min(axis=1), d.max(axis=1) - s.min(axis=1))
-        j = int(np.argmax(row))
-        if row[j] > best:
-            best, best_ij = float(row[j]), (i, j)
-    i, j = best_ij
-    s, d = table[i] + table[j], table[i] - table[j]
+    cols = _correlation_table(rho4, thetas, thetas).T.copy()  # cols[k, i] = E[i, k]
+    row = np.empty((grid_n, grid_n))  # row[i, j] = max |B| over (k, l)
+    step = max(1, 2 ** 17 // grid_n ** 2)  # i rows per block of 2^17 floats (1 MB), at least one
+    for lo in range(0, grid_n, step):
+        block = cols[:, lo:lo + step, None]
+        cube = block + cols[:, None, :]  # s[k, i, j]
+        s_max, s_min = cube.max(axis=0), cube.min(axis=0)
+        d = np.subtract(block, cols[:, None, :], out=cube)  # d[l, i, j], in s's memory
+        row[lo:lo + step] = np.maximum(s_max - d.min(axis=0), d.max(axis=0) - s_min)
+    i, j = divmod(int(np.argmax(row)), grid_n)
+    s, d = cols[:, i] + cols[:, j], cols[:, i] - cols[:, j]
     k, l = np.unravel_index(int(np.argmax(np.abs(s[:, None] - d[None, :]))), (grid_n, grid_n))
-    return best, ChshAngles(float(thetas[i]), float(thetas[j]), float(thetas[k]), float(thetas[l]))
+    return float(row[i, j]), ChshAngles(float(thetas[i]), float(thetas[j]),
+                                        float(thetas[k]), float(thetas[l]))
 
 
 def chsh_optimum(rho4: DensityMatrix) -> float:

@@ -344,9 +344,7 @@ def fit_decay_rate(scan: DecoherenceScan) -> float:
 
 
 def _two_rail_closed_form(state: str, params: EvolutionParams) -> np.ndarray:
-    gamma = params.rates.gamma
-    kappa = params.rates.kappa
-    length = params.length
+    gamma, kappa, length = params.rates.gamma, params.rates.kappa, params.length
     single = np.exp((1j * (params.delta_beta + kappa) - gamma) * length)
     double = np.exp(2.0 * (1j * (params.delta_beta + kappa) - gamma) * length)
     relax = math.exp(-2.0 * gamma * length)
@@ -356,7 +354,7 @@ def _two_rail_closed_form(state: str, params: EvolutionParams) -> np.ndarray:
         out[0, 3] = 0.5 * double
         out[3, 0] = 0.5 * np.conj(double)
         return out
-    out = 0.25 * np.array(
+    return 0.25 * np.array(
         [
             [1.0, single, single, double],
             [np.conj(single), 1.0, relax, single],
@@ -365,7 +363,6 @@ def _two_rail_closed_form(state: str, params: EvolutionParams) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
-    return out
 
 
 def _two_rail_channel(state: str, params: EvolutionParams) -> np.ndarray:
@@ -402,18 +399,10 @@ def export_scan_csv(scan: DecoherenceScan, destination) -> None:
 
     Columns: L_m, re_rho01, im_rho01, purity, analytic_re, analytic_im.
     """
-    rows = []
-    for j, length in enumerate(scan.lengths):
-        mean = scan.mean[j]
-        pur = float(np.trace(mean @ mean).real)
-        rows.append((
-            float(length),
-            float(mean[0, 1].real),
-            float(mean[0, 1].imag),
-            pur,
-            float(scan.analytic[j][0, 1].real),
-            float(scan.analytic[j][0, 1].imag),
-        ))
+    rows = [(float(length), float(mean[0, 1].real), float(mean[0, 1].imag),
+             float(np.trace(mean @ mean).real), float(analytic[0, 1].real),
+             float(analytic[0, 1].imag))
+            for length, mean, analytic in zip(scan.lengths, scan.mean, scan.analytic)]
     write_csv(destination,
               ("L_m", "re_rho01", "im_rho01", "purity", "analytic_re", "analytic_im"),
               rows)

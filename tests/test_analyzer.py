@@ -27,6 +27,14 @@ def splitter_states():
     return superpose(1.0, 1.0), superpose(1.0, -1.0)
 
 
+def projectors_oracle(theta):
+    """Oracle: (I+, I-) of one angle, written out as 2x2 arrays."""
+    off = np.exp(-2j * theta)
+    plus = 0.5 * np.array([[1.0, off], [np.conj(off), 1.0]], dtype=np.complex128)
+    minus = 0.5 * np.array([[1.0, -off], [-np.conj(off), 1.0]], dtype=np.complex128)
+    return plus, minus
+
+
 def branch_intensities(rho, theta):
     """Branch intensities (Tr rho I+, Tr rho I-) from the analyzer projectors."""
     return tuple(float(np.trace(rho.matrix @ op).real) for op in analyzer_projectors(theta))
@@ -184,3 +192,20 @@ def test_split_operator_is_difference():
     theta = 0.7
     plus_op, minus_op = analyzer_projectors(theta)
     assert np.allclose(intensity_split_operator(theta), plus_op - minus_op)
+
+
+def test_split_operator_stack_matches_each_angle():
+    # the (n, 2, 2) stack holds each angle's plus - minus bit for bit, signed zeros too
+    thetas = np.concatenate([[0.0, math.pi / 4, math.pi / 2, math.pi / 8, 3 * math.pi / 4],
+                             np.nextafter(math.pi, 0.0) - np.arange(5) * 1e-16,
+                             np.random.default_rng(13).uniform(0.0, math.pi, 990)])
+    pairs = [projectors_oracle(float(t)) for t in thetas]
+    stack = intensity_split_operator(thetas)
+    assert stack.shape == (len(thetas), 2, 2)
+    assert np.array_equal(stack.view(np.int64), np.stack([p - m for p, m in pairs]).view(np.int64))
+    plus, minus = analyzer_projectors(thetas)
+    assert np.array_equal(plus, np.stack([p for p, _ in pairs]))
+    assert np.array_equal(minus, np.stack([m for _, m in pairs]))
+    for theta, (p, m) in zip(thetas[:20], pairs):
+        scalar = analyzer_projectors(float(theta))
+        assert np.array_equal(scalar[0], p) and np.array_equal(scalar[1], m)

@@ -559,3 +559,14 @@ def test_export_raster_round_trip(tmp_path, default_slab):
     assert dx == grid.dx
     data = np.frombuffer(blob, dtype="<f8", offset=32).reshape(nz, nx)
     assert np.allclose(data[0], np.abs(snaps[0].values) ** 2)
+
+
+def test_export_raster_refuses_overflowing_intensity(tmp_path):
+    # a Field guarantees finite amplitudes only: |1e200|^2 overflows to inf
+    grid = straight_grid(nz=41, nx=64, window=80e-6)
+    values = np.full(grid.nx, 1e200 + 1e200j)
+    snaps = [Field(values, 0.0, 1.0), Field(values, grid.dz, 1.0)]
+    target = tmp_path / "raster.bin"
+    with pytest.raises(NumericalError, match="raster"):
+        export_raster(snaps, grid, target)
+    assert list(tmp_path.iterdir()) == []

@@ -107,11 +107,13 @@ class TestValidate:
         ("experiment=modes\ngrid_points=64\n", "grid_points", "across the core"),
         ("experiment=chsh-scan\ndelta_beta_per_m=1e308\nlength_m=2\n", "delta_beta_per_m",
          "phase overflow"),
+        ("experiment=delays\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
+        ("experiment=decohere\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
             "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
-            "chsh_phase_overflow"])
+            "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow"])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
@@ -316,6 +318,8 @@ class TestMain:
         ("experiment=fig2\ndelta_n_list=0;-0.02\n", []),
         ("experiment=modes\nspan_factor=1e6\ngrid_points=64\n", []),
         ("experiment=chsh-scan\ndelta_beta_per_m=1e308\nlength_m=2\n", []),
+        ("experiment=delays\ndelta_beta_per_m=1e308\n", []),
+        ("experiment=decohere\ndelta_beta_per_m=1e308\n", []),
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
@@ -323,7 +327,8 @@ class TestMain:
             "fig2_window_narrow", "fig2_phase_outside_stem", "bpm_dz_paraxial", "bpm_nx_1",
             "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
             "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad",
-            "modes_grid_over_core", "chsh_phase_overflow"])
+            "modes_grid_over_core", "chsh_phase_overflow", "delays_phase_overflow",
+            "decohere_phase_overflow"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3
         config = write_config(tmp_path, text)
@@ -517,7 +522,17 @@ class TestOutputBytes:
         # the delay covariance from rho's diagonal: cov_entangled is exactly (tau1 - tau0)^2 / 4
         ("experiment=delays\n",
          {"delays.csv": "a32ac2ae44eb1abf328a637a0462661f8e65d0ee4fe01d7081bb3d91ddb44693"}),
-    ], ids=["fig2", "bpm-run", "rates", "delays"])
+        # the CHSH table from one stacked analyzer operator per axis, and the blocked maximum
+        ("experiment=bell\n",
+         {"bell.csv": "2779f36749aec353b1f805b6cd71fb7712cd5ec38f03732a2f1dc4bb94ba4e5b"}),
+        ("experiment=bell\nstate=product\n",
+         {"bell.csv": "14c2823c3753533b3797c301df1602fa27db92a0ffeb7605db8d3539f9c600ff"}),
+        ("experiment=chsh-scan\n",
+         {"chsh_scan.csv": "14234ccf77a8b59a181410315fc6999aff7d1e25503dcef55a5b22d9fb68dea1"}),
+        ("experiment=chsh-scan\nstate=product\nlength_m=2.0\n",
+         {"chsh_scan.csv": "a68279065cdbab6d6e009340fb42bc85c1296a436c0934d206bc21e6cb1539b0"}),
+    ], ids=["fig2", "bpm-run", "rates", "delays", "bell", "bell-product", "chsh-scan",
+            "chsh-scan-product"])
     def test_data_file_digests(self, tmp_path, text, digests):
         run(parse_config_text(text), tmp_path, quiet=True)
         for name, digest in digests.items():

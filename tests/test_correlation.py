@@ -68,6 +68,23 @@ def brute_chsh_scan(rho, grid_n):
     return float(np.abs(b).max())
 
 
+def loop_chsh_scan(rho, grid_n):
+    """Oracle: the per-theta1 loop over the table, its ties to the smallest (i, j), then (k, l)."""
+    thetas = np.arange(grid_n) * math.pi / grid_n
+    table = _correlation_table(rho, thetas, thetas)
+    best, best_ij = -1.0, (0, 0)
+    for i in range(grid_n):
+        s, d = table[i] + table, table[i] - table  # s[j, k], d[j, l]
+        row = np.maximum(s.max(axis=1) - d.min(axis=1), d.max(axis=1) - s.min(axis=1))
+        j = int(np.argmax(row))
+        if row[j] > best:
+            best, best_ij = float(row[j]), (i, j)
+    i, j = best_ij
+    s, d = table[i] + table[j], table[i] - table[j]
+    k, l = np.unravel_index(int(np.argmax(np.abs(s[:, None] - d[None, :]))), (grid_n, grid_n))
+    return best, ChshAngles(float(thetas[i]), float(thetas[j]), float(thetas[k]), float(thetas[l]))
+
+
 class TestRailEmbed:
     """The control rail is the left Kronecker factor."""
 
@@ -197,6 +214,31 @@ class TestChshProperties:
         rho = density_of(bell_state(family, sign))
         best, _ = chsh_scan(rho, 16)
         assert abs(best - planar_chsh_optimum(rho)) < 1e-12
+
+
+class TestBlockedScan:
+    """The blocked, loop-free scan against the per-theta1 loop, bit for bit.
+
+    Blocks hold 2^17 // grid_n^2 rows of theta1: grid 8 and 48 scan in one block,
+    64 in 2 and 100 in 8, the last one short.
+    """
+
+    @pytest.mark.parametrize("grid_n", [8, 48, 64, 100])
+    @pytest.mark.parametrize("rho", [PHI_PLUS, PRODUCT, MIXED], ids=["phi+", "product", "mixed"])
+    def test_matches_loop(self, rho, grid_n):
+        # the maximally mixed state ties every setting at 0: both take the first
+        assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
+
+    def test_decohered_state_matches_loop(self):
+        params = EvolutionParams(2.0e4, RateConstants(0.3, 0.01), 2.0)
+        rho = two_rail_evolve("phi_plus", params, "closed_form")
+        for grid_n in (48, 100):
+            assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
+
+    @given(density_matrices(4), st.sampled_from([8, 48, 64, 100]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_loop_on_random_states(self, rho, grid_n):
+        assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
 
 
 class TestSeparableScan:
