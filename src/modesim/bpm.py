@@ -353,7 +353,8 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     Returns snapshots every `snapshot_every` steps (the launch field first,
     the final field always).  Power is tracked each step; relative growth
     above 1e-6 per step aborts with diagnostics, and a lossless straight
-    guide conserves power to rounding.
+    guide conserves power to rounding.  A step allocates nothing, and the
+    monitor is one dot product; each snapshot's power is the exact _power.
     """
     if ri_map.shape != (grid.nz, grid.nx):
         raise ValueError("index map shape does not match grid")
@@ -371,37 +372,48 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
-    damping = 1j * _absorber(grid)
-    half_step = 0.5j * grid.dz
-    coupling = half_step * off_diag
+    coupling = 0.5j * grid.dz * off_diag
     lower = np.full(grid.nx - 1, coupling)
+    # (1 + i dz/2 A) u' = (1 - i dz/2 A) u: real diagonal parts 1 +/- (dz/2) absorber in every run
+    half_absorber = 0.5 * grid.dz * _absorber(grid)
+    rhs_diag = (1.0 - half_absorber).astype(np.complex128)
+    diag, scaled = np.empty_like(rhs_diag), np.empty(grid.nx)  # scaled: a run's imaginary part
 
-    values = field.values.astype(np.complex128)
-    power_prev = _power(values, grid.dx)
-    snapshots = [Field(values.copy(), 0.0, power_prev)]
+    values = np.array(field.values, dtype=np.complex128)
+    rhs, coupled = np.empty_like(values), np.empty_like(values)
+    snapshots = [Field(values, 0.0, _power(values, grid.dx))]
+    power_prev = snapshots[0].power
 
     # a run is a stretch of steps between the same pair of rows, so with one step matrix
     before, after = ri_map.index[:-1], ri_map.index[1:]
     starts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | (after[1:] != after[:-1])])
     for start, stop in zip(starts.tolist(), starts[1:].tolist() + [grid.nz - 1]):
-        # (1 + i dz/2 A) u_next = (1 - i dz/2 A) u, with one matrix A for the whole run
-        n_mid = 0.5 * (ri_map.rows[before[start]] + ri_map.rows[after[start]])
-        potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
-        scaled = half_step * (laplacian_diag + potential - damping)
-        rhs_diag = 1.0 - scaled
+        # n_mid = (row_before + row_after) / 2; potential = k / (2 n0) (n0^2 - n_mid^2)
+        np.add(ri_map.rows[before[start]], ri_map.rows[after[start]], out=scaled)
+        scaled *= 0.5
+        np.multiply(scaled, scaled, out=scaled)
+        np.subtract(n0 * n0, scaled, out=scaled)
+        scaled *= k / (2.0 * n0)
+        scaled += laplacian_diag
+        scaled *= 0.5 * grid.dz
+        np.subtract(0.0, scaled, out=rhs_diag.imag)  # 0 - x and 0 + x: the zeros of 1 -/+ i x
+        np.add(1.0, half_absorber, out=diag.real)  # a one-step run's zgtsv overwrites diag
+        np.add(0.0, scaled, out=diag.imag)
         if stop - start > 1:
-            *factors, info = zgttrf(lower, 1.0 + scaled, lower)
+            *factors, info = zgttrf(lower, diag, lower)
             _check_nonsingular(info, grid.dz * start)
         for j in range(start, stop):
-            rhs = rhs_diag * values
-            rhs[:-1] -= coupling * values[1:]
-            rhs[1:] -= coupling * values[:-1]
+            np.multiply(rhs_diag, values, out=rhs)
+            np.multiply(coupling, values, out=coupled)
+            rhs[:-1] -= coupled[1:]
+            rhs[1:] -= coupled[:-1]
             if stop - start > 1:
-                values, _ = zgttrs(*factors, rhs, overwrite_b=1)
+                solved, _ = zgttrs(*factors, rhs, overwrite_b=1)
             else:  # lower is shared by every run, so only the main diagonal is overwritten
-                *_, values, info = zgtsv(lower, 1.0 + scaled, lower, rhs, overwrite_d=1, overwrite_b=1)
+                *_, solved, info = zgtsv(lower, diag, lower, rhs, overwrite_d=1, overwrite_b=1)
                 _check_nonsingular(info, grid.dz * j)
-            power = _power(values, grid.dx)
+            values, rhs = solved, values
+            power = np.vdot(values, values).real * grid.dx
             if not math.isfinite(power) or power > power_prev * (1.0 + INSTABILITY_GROWTH):
                 raise NumericalError(
                     f"propagation unstable at z={grid.dz * (j + 1):g} m: power "
@@ -410,7 +422,7 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
             power_prev = power
             step = j + 1
             if step % snapshot_every == 0 or step == grid.nz - 1:
-                snapshots.append(Field(values.copy(), grid.dz * step, power))
+                snapshots.append(Field(values, grid.dz * step, _power(values, grid.dx)))
     return snapshots
 
 

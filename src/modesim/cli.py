@@ -52,7 +52,7 @@ from .bpm import (
 )
 from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, export_bell_csv,
                           export_chsh_csv)
-from .decoherence import EvolutionParams, ensemble_scan, export_scan_csv, two_rail_evolve
+from .decoherence import EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv, two_rail_evolve
 from .states import bell_state, density_of, product_state, superpose
 from .stochastic import PerturbationModel, rates
 from .waveguide import SlabSpec, delta_beta, export_mode_csv, group_delay, solve_slab_te_modes
@@ -60,6 +60,8 @@ from .waveguide import SlabSpec, delta_beta, export_mode_csv, group_delay, solve
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+#: bytes a run may hold, by _build's upper-bound estimate from the config; more is a config error
+MEMORY_BUDGET = 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -252,9 +254,9 @@ def _choice(table: dict, params: dict, key: str):
 def _build(config: RunConfig) -> SimpleNamespace:
     """Build and check the run's domain objects, one per key group; compute nothing.
 
-    A bad config raises ValueError (or ArithmeticError) here, before any output.
+    A bad or over-budget config raises ValueError (or ArithmeticError) here, before any output.
     """
-    params, b = config.parameters, SimpleNamespace(rates=None)
+    params, b = config.parameters, SimpleNamespace(rates=None, memory=0)
     if "n_core" in params:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
@@ -276,6 +278,8 @@ def _build(config: RunConfig) -> SimpleNamespace:
         b.evo = EvolutionParams(b.dbeta, b.rates, params["length_m"])
     if "length_max_m" in params:  # the phase grows with length, so the longest checks every row
         EvolutionParams(b.dbeta, b.rates, params["length_max_m"])
+    if "n_realizations" in params:  # decohere: about 190 B per Monte Carlo step, measured
+        b.memory = 190.0 * ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"])
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
     if "length_um" in params:
@@ -301,8 +305,16 @@ def _build(config: RunConfig) -> SimpleNamespace:
                        + [abs(dn) for dn in params.get("delta_n_list", [])])
         check_paraxial_dz(dz, b.spec.wavelength, contrast)
         check_core_resolution(core_width, b.grid)
-    if "stem_length_um" in params:
+        b.memory = 256 * b.grid.nx  # the march's work arrays
+    if "snapshot_every" in params:  # bpm-run: snapshots at 16 B a cell, and 4 copies at 8 B in
+        b.memory += ((b.grid.nz - 1) // params["snapshot_every"] + 2) * b.grid.nx * 48  # export_raster
+    if "stem_length_um" in params:  # fig2: at most nz + bumps distinct rows, a row index per bump
         check_geometry_fits(b.geometry, b.grid)
+        bumps = len(params["delta_n_list"])
+        b.memory += ((b.grid.nz + bumps) * b.grid.nx + bumps * b.grid.nz) * 8
+    if b.memory > MEMORY_BUDGET:
+        raise ValueError(f"the run needs about {b.memory / 1e9:.3g} GB, over the "
+                         f"{MEMORY_BUDGET / 1e9:g} GB budget")
     return b
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "DecoherenceScan",
     "analytic_single_rail",
     "ensemble_scan",
+    "ensemble_steps",
     "fit_decay_rate",
     "two_rail_evolve",
     "export_scan_csv",
@@ -272,6 +273,17 @@ class DecoherenceScan:
     n_realizations: int
 
 
+def ensemble_steps(model: PerturbationModel, delta_beta: float, length_max: float, n_lengths: int) -> int:
+    """The step count of ensemble_scan: dz resolves D/8 and the beat, then snaps to length_max."""
+    dz = model.corr_length / 8.0
+    if delta_beta != 0.0:
+        dz = min(dz, (2.0 * math.pi / abs(delta_beta)) / MIN_STEPS_PER_BEAT)
+    steps = length_max / dz
+    if not math.isfinite(steps):
+        raise ValueError(f"length_max={length_max:g} m is not a finite number of {dz:g} m steps")
+    return max(n_lengths, int(round(steps)))
+
+
 def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: float,
                   length_max: float, n_lengths: int, n_realizations: int,
                   base_seed: int, n_jobs: int = 1) -> DecoherenceScan:
@@ -284,10 +296,7 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
         raise ValueError("ensemble_scan expects a single-rail 2x2 state")
     if n_lengths < 2 or n_realizations < 1:
         raise ValueError("need n_lengths >= 2 and n_realizations >= 1")
-    dz = model.corr_length / 8.0
-    if delta_beta != 0.0:
-        dz = min(dz, (2.0 * math.pi / abs(delta_beta)) / MIN_STEPS_PER_BEAT)
-    total = max(n_lengths, int(round(length_max / dz)))
+    total = ensemble_steps(model, delta_beta, length_max, n_lengths)
     dz = length_max / total
     marks = sorted({max(1, int(round(total * (j + 1) / n_lengths))) for j in range(n_lengths)})
     lengths = np.array([m * dz for m in marks])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 import tracemalloc
 
@@ -76,6 +77,59 @@ def reference_propagate(field, ri_map, grid, wavelength, snapshot_every=1):
         if step % snapshot_every == 0 or step == grid.nz - 1:
             snapshots.append(values.copy())
     return snapshots
+
+
+def step_loop_propagate(field, ri_map, grid, wavelength, snapshot_every=1):
+    """propagate's earlier step loop, kept as the oracle of the allocation-free one:
+    the step matrix's complex diagonal built per run, a right-hand side from fresh
+    temporaries, and the exact _power at every step for the stability guard."""
+    from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+
+    k = 2.0 * math.pi / wavelength
+    n0 = ri_map.reference_n0
+    off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
+    laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
+    damping = 1j * bpm._absorber(grid)
+    half_step = 0.5j * grid.dz
+    coupling = half_step * off_diag
+    lower = np.full(grid.nx - 1, coupling)
+    values = field.values.astype(np.complex128)
+    power_prev = bpm._power(values, grid.dx)
+    snapshots = [Field(values.copy(), 0.0, power_prev)]
+    before, after = ri_map.index[:-1], ri_map.index[1:]
+    starts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | (after[1:] != after[:-1])])
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [grid.nz - 1]):
+        n_mid = 0.5 * (ri_map.rows[before[start]] + ri_map.rows[after[start]])
+        potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
+        scaled = half_step * (laplacian_diag + potential - damping)
+        rhs_diag = 1.0 - scaled
+        if stop - start > 1:
+            *factors, info = zgttrf(lower, 1.0 + scaled, lower)
+            assert info == 0
+        for j in range(start, stop):
+            rhs = rhs_diag * values
+            rhs[:-1] -= coupling * values[1:]
+            rhs[1:] -= coupling * values[:-1]
+            if stop - start > 1:
+                values, _ = zgttrs(*factors, rhs, overwrite_b=1)
+            else:
+                *_, values, info = zgtsv(lower, 1.0 + scaled, lower, rhs, overwrite_d=1, overwrite_b=1)
+                assert info == 0
+            power = bpm._power(values, grid.dx)
+            if not math.isfinite(power) or power > power_prev * (1.0 + bpm.INSTABILITY_GROWTH):
+                raise NumericalError(f"propagation unstable at z={grid.dz * (j + 1):g} m")
+            power_prev = power
+            step = j + 1
+            if step % snapshot_every == 0 or step == grid.nz - 1:
+                snapshots.append(Field(values.copy(), grid.dz * step, power))
+    return snapshots
+
+
+def unstable_at(march, *args):
+    """The z (as printed) at which a march's stability guard aborts."""
+    with pytest.raises(NumericalError, match="unstable") as caught:
+        march(*args)
+    return re.search(r"at z=(\S+) m", str(caught.value)).group(1)
 
 
 def small_splitter(default_slab, delta_n=4e-4):
@@ -227,14 +281,15 @@ class TestPropagation:
 
     def test_instability_guard_trips_on_gain(self, default_slab, monkeypatch):
         # a negative absorber is gain; a wide field reaching the boundary
-        # layer grows and the power monitor must abort
+        # layer grows and the power monitor must abort, at the step where the
+        # exact per-step _power of the step-loop oracle aborts
         monkeypatch.setattr(bpm, "DEFAULT_ABSORBER_STRENGTH", -1e5)
         grid = straight_grid(nz=101)
         ri_map = uniform_map(grid, default_slab.n_clad)
         values = np.ones(grid.nx, dtype=complex)
         launch = Field(values, 0.0, float(np.sum(np.abs(values) ** 2) * grid.dx))
-        with pytest.raises(NumericalError, match="unstable"):
-            propagate(launch, ri_map, grid, default_slab.wavelength)
+        args = (launch, ri_map, grid, default_slab.wavelength)
+        assert unstable_at(propagate, *args) == unstable_at(step_loop_propagate, *args)
 
     def test_paraxial_step_limit_enforced(self, default_slab):
         grid = Grid(-40e-6, 80e-6 / 1023, 1024, 40e-6, 100)
@@ -346,6 +401,47 @@ class TestKeptFactorization:
                             lambda *args, **kwargs: (*original(*args, **kwargs)[:-1], 3))
         with pytest.raises(NumericalError, match="singular step matrix at z=.* m \\(info=3\\)"):
             propagate(launch, ri_map, grid, wavelength)
+
+    @pytest.mark.parametrize("every", [1, 3, "nz"])
+    def test_snapshots_match_step_loop_oracle(self, every, default_slab):
+        # the splitter's runs mix one-step (zgtsv) and multi-step (zgttrf + zgttrs) runs
+        ri_map, grid, launch = small_splitter(default_slab)
+        self._assert_matches_step_loop(launch, ri_map, grid, default_slab.wavelength,
+                                       grid.nz if every == "nz" else every)
+
+    def test_lossless_straight_guide_matches_step_loop_oracle(self, default_slab, monkeypatch):
+        monkeypatch.setattr(bpm, "DEFAULT_ABSORBER_STRENGTH", 0.0)
+        ri_map, grid, launch, wavelength = self._case("straight", default_slab)
+        self._assert_matches_step_loop(launch, ri_map, grid, wavelength, 5)
+
+    @staticmethod
+    def _assert_matches_step_loop(launch, ri_map, grid, wavelength, every):
+        snaps = propagate(launch, ri_map, grid, wavelength, snapshot_every=every)
+        expected = step_loop_propagate(launch, ri_map, grid, wavelength, snapshot_every=every)
+        assert len(snaps) == len(expected) > 1
+        for snap, oracle in zip(snaps, expected):
+            assert np.array_equal(snap.values, oracle.values)
+            assert (snap.z, snap.power) == (oracle.z, oracle.power)
+            assert snap.power == bpm._power(snap.values, grid.dx)
+
+    def test_nan_from_one_step_solve_raises_at_that_step(self, default_slab, monkeypatch):
+        ri_map, grid, launch, wavelength = self._case("splitter", default_slab)
+        pairs = list(zip(ri_map.index[:-1], ri_map.index[1:]))
+        first = 0  # the first step of the first one-step run
+        for _, steps in itertools.groupby(pairs):
+            length = len(list(steps))
+            if length == 1:
+                break
+            first += length
+        original = scipy.linalg.lapack.zgtsv
+
+        def nan_solve(*args, **kwargs):
+            *rest, values, info = original(*args, **kwargs)
+            values[len(values) // 2] = np.nan
+            return (*rest, values, info)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", nan_solve)
+        assert unstable_at(propagate, launch, ri_map, grid, wavelength) == f"{grid.dz * (first + 1):g}"
 
     def test_bpm_run_default_map_and_march_memory(self, default_slab):
         # bpm-run defaults: 1000 um at dz = 0.5 um across a 96 um window of 2048 points

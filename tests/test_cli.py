@@ -5,13 +5,14 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import modesim
-from modesim import bpm
+from modesim import bpm, cli
 from modesim._errors import NumericalError
 from modesim._io import format_value, write_json
 from modesim.cli import (
@@ -27,6 +28,18 @@ from modesim.cli import (
 )
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
+
+
+# Configs whose estimated memory exceeds MEMORY_BUDGET, with the key validate names.
+# None of them may ever run: unbounded, each would ask for 100 GB or more.
+OVER_BUDGET = [
+    ("experiment=bpm-run\nlength_um=1e7\nnx=100000000\n", "length_um"),
+    ("experiment=fig2\nlead_out_um=1e7\n", "lead_out_um"),
+    ("experiment=decohere\nlength_max_m=1e300\nn_realizations=1\nn_lengths=2\n", "length_max_m"),
+    ("experiment=decohere\nn_lengths=1000000000\n", "n_lengths"),
+]
+OVER_BUDGET_IDS = ["bpm_over_budget", "fig2_over_budget", "decohere_steps_over_budget",
+                   "decohere_lengths_over_budget"]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -109,11 +122,13 @@ class TestValidate:
          "phase overflow"),
         ("experiment=delays\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
         ("experiment=decohere\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
+        *[(text, key, "GB budget") for text, key in OVER_BUDGET],
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
             "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
-            "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow"])
+            "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow",
+            *OVER_BUDGET_IDS])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
@@ -320,6 +335,7 @@ class TestMain:
         ("experiment=chsh-scan\ndelta_beta_per_m=1e308\nlength_m=2\n", []),
         ("experiment=delays\ndelta_beta_per_m=1e308\n", []),
         ("experiment=decohere\ndelta_beta_per_m=1e308\n", []),
+        *[(text, []) for text, _ in OVER_BUDGET],
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
@@ -328,13 +344,22 @@ class TestMain:
             "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
             "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad",
             "modes_grid_over_core", "chsh_phase_overflow", "delays_phase_overflow",
-            "decohere_phase_overflow"])
+            "decohere_phase_overflow", *OVER_BUDGET_IDS])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
-        # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3
+        # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3; an
+        # over-budget config once died of a MemoryError (exit 1) or a bare numpy error
+        # (exit 3).  validate rejects every one before any array is allocated
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert main(["--config", str(config), "--out", str(out), "--quiet", *flags]) == EXIT_CONFIG
+        tracemalloc.start()
+        try:
+            code = main(["--config", str(config), "--out", str(out), "--quiet", *flags])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
         assert not out.exists()
+        assert peak < 4e6
 
     def test_modes_grid_must_resolve_the_core(self, tmp_path):
         # span_factor=1e6 at grid_points=64 once exited 0 with NaN in both mode
@@ -512,6 +537,8 @@ class TestOutputBytes:
         ("experiment=fig2\ndelta_n_list=0;3e-4;6e-4\nstem_length_um=400\n"
          "phase_length_um=300\nnx=1024\n",
          {"fig2.csv": "f8af007d8c7ef408188065012867216df800d9f258e360b88c0348f21478e0b5"}),
+        ("experiment=fig2\n",
+         {"fig2.csv": "6b3d48ce839df061b92bbc2e0c1288df62a6ed973456923af8fc2251e213f4e5"}),
         ("experiment=bpm-run\nlaunch=te0\nlength_um=100\nnx=512\nwindow_um=64\n"
          "snapshot_every=7\n",
          {"field_final.csv": "d47b241996feee7998789ea3959bcd006d51fa390969e99e073a840f72334de5",
@@ -531,12 +558,43 @@ class TestOutputBytes:
          {"chsh_scan.csv": "14234ccf77a8b59a181410315fc6999aff7d1e25503dcef55a5b22d9fb68dea1"}),
         ("experiment=chsh-scan\nstate=product\nlength_m=2.0\n",
          {"chsh_scan.csv": "a68279065cdbab6d6e009340fb42bc85c1296a436c0934d206bc21e6cb1539b0"}),
-    ], ids=["fig2", "bpm-run", "rates", "delays", "bell", "bell-product", "chsh-scan",
+    ], ids=["fig2", "fig2-default", "bpm-run", "rates", "delays", "bell", "bell-product", "chsh-scan",
             "chsh-scan-product"])
     def test_data_file_digests(self, tmp_path, text, digests):
         run(parse_config_text(text), tmp_path, quiet=True)
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("text,drift", [
+        ("experiment=bpm-run\nlaunch=te0\nlength_um=100\nnx=512\nwindow_um=64\n"
+         "snapshot_every=7\n", -4.080020543639762e-09),
+        ("experiment=bpm-run\n", -6.410642017229407e-10),
+    ], ids=["bpm-run", "bpm-run-default"])
+    def test_power_drift_bits(self, tmp_path, text, drift):
+        # each snapshot's power is the exact _power of its field, whatever the step monitor sums
+        assert run(parse_config_text(text), tmp_path, quiet=True)["derived"]["power_drift"] == drift
+
+
+class TestMemoryEstimate:
+    @pytest.mark.parametrize("text", [
+        "experiment=bpm-run\nsnapshot_every=1\nlength_um=200\n",
+        "experiment=fig2\ndelta_n_list=0;3e-4;6e-4\nstem_length_um=400\nphase_length_um=300\n"
+        "nx=1024\n",
+        "experiment=decohere\nlength_max_m=0.2\nn_realizations=4\n",
+    ], ids=["bpm-run", "fig2", "decohere"])
+    def test_estimate_bounds_the_traced_peak(self, tmp_path, text):
+        # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
+        # holds; scipy is imported first, so its modules are not counted
+        import scipy.linalg.lapack  # noqa: F401
+        config = parse_config_text(text)
+        estimate = cli._build(config).memory
+        tracemalloc.start()
+        try:
+            run(config, tmp_path, quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1e6 < peak <= estimate < cli.MEMORY_BUDGET
 
 
 class TestOutputValues:
