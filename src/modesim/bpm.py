@@ -520,11 +520,14 @@ def export_raster(snapshots, grid: Grid, destination) -> None:
     nz here is the number of snapshots and dz their z spacing (snapshot
     stride times the grid step for uniform snapshots).
     """
-    with np.errstate(over="ignore"):  # a finite field's |v|^2 may overflow: refused below
-        raster = np.vstack([np.abs(s.values) ** 2 for s in snapshots])
-    if not np.isfinite(raster).all():
-        raise NumericalError("raster intensity overflows float64")
-    nz = raster.shape[0]
+    nz = len(snapshots)
     dz_out = snapshots[1].z - snapshots[0].z if nz > 1 else grid.dz
-    header = struct.pack("<qqdd", grid.nx, nz, grid.dx, dz_out)
-    write_bytes(destination, header + raster.astype("<f8").tobytes(order="C"))
+    data = bytearray(32 + 8 * grid.nx * nz)  # the file: a 32-byte header, then the raster
+    struct.pack_into("<qqdd", data, 0, grid.nx, nz, grid.dx, dz_out)
+    raster = np.frombuffer(data, dtype="<f8", offset=32).reshape(nz, grid.nx)
+    with np.errstate(over="ignore"):  # a finite field's |v|^2 may overflow: refused below
+        for row, snapshot in zip(raster, snapshots):
+            np.square(np.abs(snapshot.values), out=row)
+    if not math.isfinite(raster.max()):  # intensities are >= 0: the max is inf or NaN if any is
+        raise NumericalError("raster intensity overflows float64")
+    write_bytes(destination, data)

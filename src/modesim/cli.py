@@ -256,7 +256,8 @@ def _build(config: RunConfig) -> SimpleNamespace:
 
     A bad or over-budget config raises ValueError (or ArithmeticError) here, before any output.
     """
-    params, b = config.parameters, SimpleNamespace(rates=None, memory=0)
+    # memory: 1 MiB for numpy's reduction buffers and small objects, then each term below
+    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20)
     if "n_core" in params:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
@@ -265,6 +266,10 @@ def _build(config: RunConfig) -> SimpleNamespace:
             raise ValueError(f"the grid puts fewer than {MIN_POINTS_ACROSS_CORE} points across the "
                              "core; need (grid_points - 1) / span_factor >= "
                              f"{MIN_POINTS_ACROSS_CORE}")
+        # each of the ceil(2V / pi) guided modes: its profile at 8 B a point and 1 KB of objects
+        # and modes.csv row; then one mode file's CSV text, 400 B a point
+        modes = 2.0 * b.spec.v_number / math.pi + 1.0  # a float bound: V may be inf
+        b.memory += modes * (8 * params["grid_points"] + 1000) + 400 * params["grid_points"]
     if "sigma" in params:
         b.model = PerturbationModel(sigma=params["sigma"], k_ab=params["k_ab_per_m"],
                                     corr_length=params["corr_length_um"] * 1e-6)
@@ -278,8 +283,12 @@ def _build(config: RunConfig) -> SimpleNamespace:
         b.evo = EvolutionParams(b.dbeta, b.rates, params["length_m"])
     if "length_max_m" in params:  # the phase grows with length, so the longest checks every row
         EvolutionParams(b.dbeta, b.rates, params["length_max_m"])
-    if "n_realizations" in params:  # decohere: about 190 B per Monte Carlo step, measured
-        b.memory = 190.0 * ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"])
+    if config.experiment == "delays":  # mode 1's group delay at k (1 +- dk_rel) needs it guided
+        group_delay(b.spec, 1, params["length_max_m"])
+        b.memory += 640.0 * params["n_lengths"]  # a row of five floats and its CSV text
+    if "n_realizations" in params:  # decohere: 190 B a step; 96 B a state, in the stack and np.var
+        steps = ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"])
+        b.memory += 190.0 * steps + 96.0 * params["n_realizations"] * params["n_lengths"]
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
     if "length_um" in params:
@@ -305,9 +314,10 @@ def _build(config: RunConfig) -> SimpleNamespace:
                        + [abs(dn) for dn in params.get("delta_n_list", [])])
         check_paraxial_dz(dz, b.spec.wavelength, contrast)
         check_core_resolution(core_width, b.grid)
-        b.memory = 256 * b.grid.nx  # the march's work arrays
-    if "snapshot_every" in params:  # bpm-run: snapshots at 16 B a cell, and 4 copies at 8 B in
-        b.memory += ((b.grid.nz - 1) // params["snapshot_every"] + 2) * b.grid.nx * 48  # export_raster
+        b.memory += 256 * b.grid.nx  # the march's work arrays
+    if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
+        # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects
+        b.memory += 512 * b.grid.nx + (24 * b.grid.nx + 512) * ((b.grid.nz - 1) // params["snapshot_every"] + 2)
     if "stem_length_um" in params:  # fig2: at most nz + bumps distinct rows, a row index per bump
         check_geometry_fits(b.geometry, b.grid)
         bumps = len(params["delta_n_list"])

@@ -28,9 +28,9 @@ with identity quaternions.  Every row is reduced pairwise (a balanced tree,
 which keeps rounding growth logarithmic) in one pass per tree level; the
 identity padding is exact, so each segment gets the bits of its own tree.
 ensemble_scan, the one Monte Carlo entry point, runs on this reducer.  Each
-thread of a scan writes every realization into one workspace (the block, the
-tree levels and their intermediates), so the reduction allocates no path-sized
-array per realization.
+thread of a scan reduces every realization in one workspace (the block, the
+tree levels and their intermediates) and writes its checkpoint states into one
+(realizations, checkpoints, 2, 2) stack, the scan's only per-realization array.
 
 Ensemble reductions use compensated (fsum) summation per matrix entry, so
 the mean is independent of scheduling order at the 1e-13 level demanded of
@@ -50,7 +50,8 @@ import numpy as np
 
 from ._io import write_csv
 from .states import DensityMatrix, bell_state, density_of, product_state
-from .stochastic import PerturbationModel, RateConstants, pair_seed, rates, sample_path
+from .stochastic import (MAX_DZ_FRACTION, PerturbationModel, RateConstants, check_sample_grid,
+                         pair_seed, rates, sample_path)
 
 __all__ = [
     "EvolutionParams",
@@ -233,19 +234,17 @@ def _quaternion_to_matrix(q) -> np.ndarray:
 
 
 def _conjugations(rho: np.ndarray, values: np.ndarray, dz: float, delta_beta: float,
-                  k_ab: complex, work: _Workspace) -> np.ndarray:
-    """rho conjugated by the path unitary up to the end of each segment of work.index."""
+                  k_ab: complex, work: _Workspace, out: np.ndarray) -> None:
+    """rho conjugated by the path unitary up to the end of each segment of work.index, into out."""
     np.take(values, work.index, out=work.values, mode="wrap")  # wrap: unbuffered, -1 as values[-1]
     for component, identity in zip(_step_quaternions(work, dz, delta_beta, k_ab), _IDENTITY):
         np.copyto(component, identity, where=work.pad)
     segments = _segment_products(work)
-    snapshots = np.empty((work.index.shape[0], 2, 2), dtype=np.complex128)
     cumulative = _IDENTITY
     for idx, segment in enumerate(segments.T.tolist()):
         cumulative = _quaternion_compose(segment, cumulative)
         unitary = _quaternion_to_matrix(cumulative)
-        snapshots[idx] = unitary @ rho @ unitary.conj().T
-    return snapshots
+        out[idx] = unitary @ rho @ unitary.conj().T
 
 
 def _compensated_mean(stack: np.ndarray) -> np.ndarray:
@@ -274,14 +273,17 @@ class DecoherenceScan:
 
 
 def ensemble_steps(model: PerturbationModel, delta_beta: float, length_max: float, n_lengths: int) -> int:
-    """The step count of ensemble_scan: dz resolves D/8 and the beat, then snaps to length_max."""
-    dz = model.corr_length / 8.0
+    """The step count of ensemble_scan: dz resolves D/8 and the beat, then snaps to length_max,
+    where it must pass sample_path's checks."""
+    dz = model.corr_length * MAX_DZ_FRACTION
     if delta_beta != 0.0:
         dz = min(dz, (2.0 * math.pi / abs(delta_beta)) / MIN_STEPS_PER_BEAT)
     steps = length_max / dz
     if not math.isfinite(steps):
         raise ValueError(f"length_max={length_max:g} m is not a finite number of {dz:g} m steps")
-    return max(n_lengths, int(round(steps)))
+    total = max(n_lengths, int(round(steps)))
+    check_sample_grid(model, length_max / total, total)
+    return total
 
 
 def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: float,
@@ -303,32 +305,27 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     rate_consts = rates(model, delta_beta)
     index = _segment_index(marks)
     k_ab = complex(model.k_ab)
+    stack = np.empty((n_realizations, len(marks), 2, 2), dtype=np.complex128)
     local = threading.local()  # one workspace per thread, for this call only
 
-    def one(i: int) -> np.ndarray:
-        path = sample_path(model, dz, marks[-1], base_seed + i)
-        if not hasattr(local, "work"):  # built after the first path and its embedding's temporaries
-            local.work = _Workspace(index)
-        return _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, local.work)
+    def run_pair(pair) -> None:  # in order on one thread, so each seed pair is drawn once
+        for i in pair:
+            path = sample_path(model, dz, marks[-1], base_seed + i)
+            if not hasattr(local, "work"):  # built after the first path and its embedding's temporaries
+                local.work = _Workspace(index)
+            _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, local.work, stack[i])
 
-    if n_jobs > 1:
-        # one task per seed pair, run in order on one thread, so each pair is drawn once
-        pairs = [list(group) for _, group in
-                 groupby(range(n_realizations), key=lambda i: pair_seed(base_seed + i))]
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            batches = list(pool.map(lambda pair: [one(i) for i in pair], pairs))
-        stack = np.array([snapshots for batch in batches for snapshots in batch])
-    else:
-        stack = np.array([one(i) for i in range(n_realizations)])
+    pairs = (list(group) for _, group in
+             groupby(range(n_realizations), key=lambda i: pair_seed(base_seed + i)))
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:  # n_jobs == 1: the calling thread
+        for _ in (pool.map if n_jobs > 1 else map)(run_pair, pairs):
+            pass
 
     mean = _compensated_mean(stack)
-    var = np.var(stack.real, axis=0) + np.var(stack.imag, axis=0)
-    stderr = np.sqrt(var / n_realizations)
+    stderr = np.sqrt((np.var(stack.real, axis=0) + np.var(stack.imag, axis=0)) / n_realizations)
 
-    analytic = np.empty_like(mean)
-    for j, length in enumerate(lengths):
-        analytic[j] = _apply_single_rail(rho0.matrix, delta_beta,
-                                         rate_consts.gamma, rate_consts.kappa, length)
+    analytic = np.array([_apply_single_rail(rho0.matrix, delta_beta, rate_consts.gamma,
+                                            rate_consts.kappa, length) for length in lengths])
     return DecoherenceScan(lengths=lengths, mean=mean, stderr=stderr,
                            analytic=analytic, n_realizations=n_realizations)
 

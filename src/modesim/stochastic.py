@@ -38,6 +38,7 @@ __all__ = [
     "PerturbationModel",
     "SampledPath",
     "RateConstants",
+    "check_sample_grid",
     "pair_seed",
     "sample_path",
     "rates",
@@ -144,16 +145,8 @@ def _pair_transform(scale: np.ndarray, count: int, seed: int) -> np.ndarray:
     return np.fft.fft(spectrum, out=spectrum)[:count].copy()
 
 
-def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> SampledPath:
-    """Sample one realization of f(z) with the Gaussian autocovariance.
-
-    Uses circulant embedding: the covariance is embedded in a circulant
-    matrix whose FFT gives its eigenvalues, and one FFT of scaled complex
-    white noise returns two independent Gaussian vectors, its real and
-    imaginary parts, each with exactly the target covariance on the grid;
-    the even seed of a pair takes the real part.  Each thread keeps its last
-    pair's transform.  Deterministic for fixed (model, dz, count, seed).
-    """
+def check_sample_grid(model: PerturbationModel, dz: float, count: int) -> None:
+    """Raise ValueError unless count samples dz apart resolve D and span a window of 20 D."""
     if not 0 < dz < math.inf or count < 2:  # a NaN dz would pass every check below
         raise ValueError(f"need finite dz > 0 and count >= 2, got dz={dz!r}, count={count!r}")
     if dz > model.corr_length * MAX_DZ_FRACTION * (1 + 1e-12):
@@ -166,6 +159,19 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
             f"window count*dz={count * dz:g} too short; need >= 20 D = "
             f"{MIN_WINDOW_CORRELATION_LENGTHS * model.corr_length:g}"
         )
+
+
+def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> SampledPath:
+    """Sample one realization of f(z) with the Gaussian autocovariance.
+
+    Uses circulant embedding: the covariance is embedded in a circulant
+    matrix whose FFT gives its eigenvalues, and one FFT of scaled complex
+    white noise returns two independent Gaussian vectors, its real and
+    imaginary parts, each with exactly the target covariance on the grid;
+    the even seed of a pair takes the real part.  Each thread keeps its last
+    pair's transform.  Deterministic for fixed (model, dz, count, seed).
+    """
+    check_sample_grid(model, dz, count)
     if model.sigma == 0.0:
         return SampledPath(np.zeros(count), dz, seed)
 

@@ -27,6 +27,7 @@ is exactly 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -205,6 +206,12 @@ def group_delay(spec: SlabSpec, mode_index: int, length: float,
         return 0.0
     if dk_rel <= 0:
         raise ValueError("dk_rel must be positive")
+    return length / SPEED_OF_LIGHT * _beta_slope(spec, mode_index, dk_rel)
+
+
+@functools.lru_cache(maxsize=16)
+def _beta_slope(spec: SlabSpec, mode_index: int, dk_rel: float) -> float:
+    # cached: a delays scan takes the same two slopes at every length
     betas = []
     for sign in (+1.0, -1.0):
         k_pert = spec.k * (1.0 + sign * dk_rel)
@@ -212,12 +219,10 @@ def group_delay(spec: SlabSpec, mode_index: int, length: float,
                         2.0 * math.pi / k_pert)
         modes = solve_slab_te_modes(pert, points=8)  # profiles unused
         if mode_index >= len(modes):
-            raise ValueError(
-                f"mode {mode_index} near cutoff at perturbed wavenumber, reduce dk_rel"
-            )
+            raise ValueError(f"mode {mode_index} near cutoff: not guided at the perturbed "
+                             "wavenumber k (1 +- dk_rel); move away from cutoff or reduce dk_rel")
         betas.append(modes[mode_index].beta)
-    derivative = (betas[0] - betas[1]) / (2.0 * spec.k * dk_rel)
-    return length / SPEED_OF_LIGHT * derivative
+    return (betas[0] - betas[1]) / (2.0 * spec.k * dk_rel)
 
 
 def delta_beta(spec: SlabSpec) -> float:

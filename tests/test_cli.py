@@ -31,15 +31,29 @@ TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 
 # Configs whose estimated memory exceeds MEMORY_BUDGET, with the key validate names.
-# None of them may ever run: unbounded, each would ask for 100 GB or more.
+# None of them may ever run: unbounded, each would ask for 3.9 GB (the modes config) or more.
 OVER_BUDGET = [
     ("experiment=bpm-run\nlength_um=1e7\nnx=100000000\n", "length_um"),
     ("experiment=fig2\nlead_out_um=1e7\n", "lead_out_um"),
     ("experiment=decohere\nlength_max_m=1e300\nn_realizations=1\nn_lengths=2\n", "length_max_m"),
     ("experiment=decohere\nn_lengths=1000000000\n", "n_lengths"),
+    ("experiment=decohere\nn_realizations=1000000000\n", "n_realizations"),
+    ("experiment=modes\ncore_width_um=1000000\n", "core_width_um"),
+    ("experiment=delays\nn_lengths=1000000000\n", "n_lengths"),
 ]
 OVER_BUDGET_IDS = ["bpm_over_budget", "fig2_over_budget", "decohere_steps_over_budget",
-                   "decohere_lengths_over_budget"]
+                   "decohere_lengths_over_budget", "decohere_realizations_over_budget",
+                   "modes_over_budget", "delays_over_budget"]
+
+# Configs that once exited 3 from the run, with the key validate names and its bound: the
+# Monte Carlo window is under 20 D, the snapped step (rounded down to 200 steps) is over
+# D/8, and mode 1 is guided at k but not at k (1 - 1e-4), where its group delay is taken.
+GRID_AND_CUTOFF = [
+    ("experiment=decohere\nlength_max_m=0.001\n", "length_max_m", "too short"),
+    ("experiment=decohere\nlength_max_m=0.00250625\n", "length_max_m", "does not resolve"),
+    ("experiment=delays\nwavelength_um=2.7666\n", "wavelength_um", "near cutoff"),
+]
+GRID_AND_CUTOFF_IDS = ["decohere_window_short", "decohere_snapped_dz", "delays_cutoff"]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -123,12 +137,13 @@ class TestValidate:
         ("experiment=delays\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
         ("experiment=decohere\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
         *[(text, key, "GB budget") for text, key in OVER_BUDGET],
+        *GRID_AND_CUTOFF,
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
             "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
             "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow",
-            *OVER_BUDGET_IDS])
+            *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
@@ -336,6 +351,7 @@ class TestMain:
         ("experiment=delays\ndelta_beta_per_m=1e308\n", []),
         ("experiment=decohere\ndelta_beta_per_m=1e308\n", []),
         *[(text, []) for text, _ in OVER_BUDGET],
+        *[(text, []) for text, _, _ in GRID_AND_CUTOFF],
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
@@ -344,11 +360,12 @@ class TestMain:
             "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
             "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad",
             "modes_grid_over_core", "chsh_phase_overflow", "delays_phase_overflow",
-            "decohere_phase_overflow", *OVER_BUDGET_IDS])
+            "decohere_phase_overflow", *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3; an
         # over-budget config once died of a MemoryError (exit 1) or a bare numpy error
-        # (exit 3).  validate rejects every one before any array is allocated
+        # (exit 3), or would have run for days.  validate rejects every one before any
+        # array is allocated
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
         tracemalloc.start()
@@ -581,7 +598,10 @@ class TestMemoryEstimate:
         "experiment=fig2\ndelta_n_list=0;3e-4;6e-4\nstem_length_um=400\nphase_length_um=300\n"
         "nx=1024\n",
         "experiment=decohere\nlength_max_m=0.2\nn_realizations=4\n",
-    ], ids=["bpm-run", "fig2", "decohere"])
+        "experiment=decohere\nlength_max_m=0.004\nn_lengths=100\nn_realizations=250\n",
+        "experiment=modes\ncore_width_um=400\n",
+        "experiment=delays\nn_lengths=2000\n",
+    ], ids=["bpm-run", "fig2", "decohere", "decohere-realizations", "modes-many", "delays-long"])
     def test_estimate_bounds_the_traced_peak(self, tmp_path, text):
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import threading
 
 import numpy as np
@@ -204,6 +205,23 @@ class TestEnsemble:
         serial = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 8, base_seed=77)
         threaded = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 8, base_seed=77,
                                  n_jobs=4)
+        assert np.array_equal(serial.mean, threaded.mean)
+        assert np.array_equal(serial.stderr, threaded.stderr)
+
+    def test_threads_fill_every_row_of_the_shared_stack(self, default_model):
+        # the workers write their realizations into rows of one preallocated stack; with
+        # more workers than cores and a thread switch every microsecond, a row lost, left
+        # uninitialized or written by the wrong realization, or a workspace two threads
+        # share, would move the mean's bits (1600-step paths: numpy releases the GIL)
+        delta_beta = 2.0 / default_model.corr_length
+        serial = ensemble_scan(EQUAL, default_model, delta_beta, 0.02, 4, 24, base_seed=13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = ensemble_scan(EQUAL, default_model, delta_beta, 0.02, 4, 24, base_seed=13,
+                                     n_jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(serial.mean, threaded.mean)
         assert np.array_equal(serial.stderr, threaded.stderr)
 
