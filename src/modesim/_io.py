@@ -1,15 +1,15 @@
-"""Shared output helpers: deterministic CSV formatting and atomic file writes.
+"""Shared output helpers: deterministic CSV formatting and file writes.
 
-All floats are written in scientific notation with 17 significant digits so
-that a CSV written twice from the same inputs is byte identical and survives
-a float64 round trip.
+Each writer builds and checks its whole payload before it opens the file, so a
+refused value writes nothing; ``modesim.cli.run`` stages a run's files.  All
+floats are written in scientific notation with 17 significant digits so that a
+CSV written twice from the same inputs is byte identical and survives a float64
+round trip.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,31 +28,18 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV file atomically (temp file + rename)."""
+    """Write a CSV file: a header line, then one line per row of formatted values."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write_bytes(Path(path), (text + "\n").encode("utf-8"))
+    Path(path).write_bytes((text + "\n").encode("utf-8"))
 
 
 def write_bytes(path, data: bytes) -> None:
-    _atomic_write_bytes(Path(path), data)
+    Path(path).write_bytes(data)

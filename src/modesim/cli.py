@@ -2,12 +2,12 @@
 
 Reads a flat key=value config file (# comments allowed), runs one named
 experiment, and writes CSV results plus a JSON manifest into the output
-directory.  Outputs are deterministic for a fixed (config, seed) and files
-are written atomically, so reruns are byte identical.
+directory.  Outputs are deterministic for a fixed (config, seed), so reruns
+are byte identical.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.  A run builds
-and checks every domain object before it computes, and computes before it
-writes, so a config error or a numerical failure writes nothing.
+and checks every domain object before it computes, and moves its files into
+the output directory only when all are written, so a failed run changes nothing.
 
 Config keys carry explicit units in their names (core_width_um,
 corr_length_um, length_m, ...).  Unknown keys are rejected.
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -333,58 +334,55 @@ def _derived_rates(b: SimpleNamespace) -> dict:
             "kappa_per_m": b.rates.kappa, "regime_ok": b.rates.regime_ok}
 
 
-def _run_modes(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+def _run_modes(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
     modes = solve_slab_te_modes(b.spec, points=config.parameters["grid_points"],
                                 span_factor=config.parameters["span_factor"])
-    outputs = {f"mode{mode.index}.csv": partial(export_mode_csv, mode) for mode in modes}
-    outputs["modes.csv"] = partial(write_csv, header=("index", "beta_per_m", "n_eff"),
-                                   rows=[(m.index, m.beta, m.beta / b.spec.k) for m in modes])
+    for mode in modes:
+        export_mode_csv(mode, stage / f"mode{mode.index}.csv")
+    write_csv(stage / "modes.csv", header=("index", "beta_per_m", "n_eff"),
+              rows=[(m.index, m.beta, m.beta / b.spec.k) for m in modes])
     derived = {"n_modes": len(modes)}
     if len(modes) >= 2:
         derived["delta_beta_per_m"] = modes[1].beta - modes[0].beta
-    return outputs, derived
+    return derived
 
 
-def _run_rates(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
-    return ({"rates.csv": partial(write_csv, header=("gamma_per_m", "kappa_per_m", "regime_ok"),
-                                  rows=[(b.rates.gamma, b.rates.kappa, b.rates.regime_ok)])},
-            _derived_rates(b))
+def _run_rates(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+    write_csv(stage / "rates.csv", header=("gamma_per_m", "kappa_per_m", "regime_ok"),
+              rows=[(b.rates.gamma, b.rates.kappa, b.rates.regime_ok)])
+    return _derived_rates(b)
 
 
-def _run_decohere(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+def _run_decohere(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
     params = config.parameters
-    scan = ensemble_scan(
-        density_of(superpose(1.0, 1.0)),
-        b.model,
-        b.dbeta,
-        params["length_max_m"],
-        params["n_lengths"],
-        params["n_realizations"],
-        base_seed=config.seed,
-        n_jobs=threads,
-    )
-    return {"decohere.csv": partial(export_scan_csv, scan)}, _derived_rates(b)
+    scan = ensemble_scan(density_of(superpose(1.0, 1.0)), b.model, b.dbeta, params["length_max_m"],
+                         params["n_lengths"], params["n_realizations"], base_seed=config.seed,
+                         n_jobs=threads)
+    export_scan_csv(scan, stage / "decohere.csv")
+    return _derived_rates(b)
 
 
-def _run_bell(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+def _run_bell(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
     params = config.parameters
     thetas = np.linspace(0.0, math.pi, params["theta_points"], endpoint=False)
-    return {"bell.csv": partial(export_bell_csv, b.rho, thetas, thetas)}, {"state": params["state"]}
+    export_bell_csv(b.rho, thetas, thetas, stage / "bell.csv")
+    return {"state": params["state"]}
 
 
-def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
     params = config.parameters
     rho = b.rho
     if b.evo.length > 0 and params["state"] in _DECOHERED_STATES:
         rho = two_rail_evolve(params["state"], b.evo, "closed_form")
     best, angles = chsh_scan(rho, params["grid_n"])
+    export_chsh_csv([(best, angles)], stage / "chsh_scan.csv")
     derived = {"max_abs_B": best, "max_abs_B_exact": chsh_optimum(rho), "state": params["state"]}
     if b.evo.length > 0:
         derived.update(_derived_rates(b))
-    return {"chsh_scan.csv": partial(export_chsh_csv, [(best, angles)])}, derived
+    return derived
 
 
-def _run_delays(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+def _run_delays(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
     params = config.parameters
     rows = []
     for length in np.linspace(params["length_max_m"] / params["n_lengths"],
@@ -395,20 +393,19 @@ def _run_delays(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[di
         cov_prod = delay_covariance(two_rail_evolve("product", evo, "closed_form"), pair)
         rows.append((float(length), pair.tau0, pair.tau1, cov_ent, cov_prod))
     header = ("L_m", "tau0_s", "tau1_s", "cov_entangled_s2", "cov_product_s2")
-    return {"delays.csv": partial(write_csv, header=header, rows=rows)}, _derived_rates(b)
+    write_csv(stage / "delays.csv", header=header, rows=rows)
+    return _derived_rates(b)
 
 
-def _run_fig2(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+def _run_fig2(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
     rows = fig2_experiment(config.parameters["delta_n_list"], b.spec, b.geometry, b.grid)
-    return ({"fig2.csv": partial(write_csv,
-                                 header=("delta_n", "p_left", "p_right", "ratio_left", "theta_rad"),
-                                 rows=[(r.delta_n, r.power_left, r.power_right,
-                                        r.power_left / max(r.power_right, 1e-300), r.theta)
-                                       for r in rows])},
-            {"delta_beta_per_m": delta_beta(b.spec)})
+    write_csv(stage / "fig2.csv", header=("delta_n", "p_left", "p_right", "ratio_left", "theta_rad"),
+              rows=[(r.delta_n, r.power_left, r.power_right,
+                     r.power_left / max(r.power_right, 1e-300), r.theta) for r in rows])
+    return {"delta_beta_per_m": delta_beta(b.spec)}
 
 
-def _run_bpm(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict, dict]:
+def _run_bpm(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
     spec, grid = b.spec, b.grid
     modes = solve_slab_te_modes(spec, grid=grid.waveguide_grid())
     if len(modes) < 2:
@@ -418,14 +415,13 @@ def _run_bpm(config: RunConfig, b: SimpleNamespace, threads: int) -> tuple[dict,
     snapshots = propagate(launch, ri_map, grid, spec.wavelength,
                           snapshot_every=config.parameters["snapshot_every"])
     left, right = branch_powers(snapshots[-1], 0.0, grid)
-    return ({"field_final.csv": partial(export_field_csv, snapshots[-1], grid),
-             "raster.bin": partial(export_raster, snapshots, grid)},
-            {"power_drift": snapshots[-1].power / snapshots[0].power - 1.0,
-             "branch_left": left, "branch_right": right})
+    export_field_csv(snapshots[-1], grid, stage / "field_final.csv")
+    export_raster(snapshots, grid, stage / "raster.bin")
+    return {"power_drift": snapshots[-1].power / snapshots[0].power - 1.0,
+            "branch_left": left, "branch_right": right}
 
 
-# Each runner computes from the built objects and writes nothing: it returns the
-# writer of each output file (called with its destination path) and the derived values.
+# Each runner computes, writes its files into the staging directory and returns the derived values.
 _RUNNERS = {
     "modes": _run_modes,
     "rates": _run_rates,
@@ -477,22 +473,31 @@ def validate(config: RunConfig) -> list[Diagnostic]:
 
 
 def run(config: RunConfig, out_dir, quiet: bool = False, threads: int = 1) -> dict:
-    """Execute the configured experiment; returns the manifest payload."""
-    outputs, derived = _RUNNERS[config.experiment](config, _build(config), threads)
-    out = Path(out_dir)
-    for name, write in outputs.items():
-        write(out / name)
-    manifest = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "version": __version__,
-        "config": {k: config.parameters[k] for k in sorted(config.parameters)},
-        "derived": derived,
-        "outputs": sorted(outputs),
-    }
-    write_json(out / "manifest.json", manifest)
+    """Execute the configured experiment; returns the manifest payload.
+
+    The runner writes every file, then the manifest, into a new staging directory: beside an
+    absent out_dir, which it then becomes, or inside an existing one, whose namesakes its files
+    replace, the manifest last.  A run that fails before the moves leaves out_dir as it was.
+    """
+    built, out = _build(config), Path(out_dir)
+    fresh = not out.exists()  # staging beside out then needs no more than creating out does
+    stage = (out.parent if fresh else out) / f".{out.name}.{os.urandom(8).hex()}"  # a new name
+    stage.mkdir(parents=fresh)  # the umask's mode, which out keeps if the stage becomes out
+    try:
+        derived = _RUNNERS[config.experiment](config, built, stage, threads)
+        manifest = {"experiment": config.experiment, "seed": config.seed, "version": __version__,
+                    "config": {k: config.parameters[k] for k in sorted(config.parameters)},
+                    "derived": derived, "outputs": sorted(os.listdir(stage))}
+        write_json(stage / "manifest.json", manifest)
+        if fresh:
+            os.rename(stage, out)  # the whole run appears in one step
+        else:
+            for name in [*manifest["outputs"], "manifest.json"]:
+                os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)  # renamed away, emptied, or a failed run's
     if not quiet:
-        print(f"{config.experiment}: wrote {', '.join(sorted(outputs))} and manifest.json to {out}")
+        print(f"{config.experiment}: wrote {', '.join(manifest['outputs'])} and manifest.json to {out}")
     return manifest
 
 

@@ -306,19 +306,25 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     index = _segment_index(marks)
     k_ab = complex(model.k_ab)
     stack = np.empty((n_realizations, len(marks), 2, 2), dtype=np.complex128)
-    local = threading.local()  # one workspace per thread, for this call only
-
-    def run_pair(pair) -> None:  # in order on one thread, so each seed pair is drawn once
-        for i in pair:
-            path = sample_path(model, dz, marks[-1], base_seed + i)
-            if not hasattr(local, "work"):  # built after the first path and its embedding's temporaries
-                local.work = _Workspace(index)
-            _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, local.work, stack[i])
-
     pairs = (list(group) for _, group in
              groupby(range(n_realizations), key=lambda i: pair_seed(base_seed + i)))
+    lock = threading.Lock()  # a generator may not be advanced from two threads at once
+
+    def pull(_) -> None:  # takes seed pairs until none is left; a pair runs in order on one thread
+        work = None
+        while True:
+            with lock:
+                pair = next(pairs, None)
+            if pair is None:
+                return
+            for i in pair:
+                path = sample_path(model, dz, marks[-1], base_seed + i)
+                if work is None:  # built after the first path and its embedding's temporaries
+                    work = _Workspace(index)
+                _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, work, stack[i])
+
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:  # n_jobs == 1: the calling thread
-        for _ in (pool.map if n_jobs > 1 else map)(run_pair, pairs):
+        for _ in (pool.map if n_jobs > 1 else map)(pull, range(n_jobs)):
             pass
 
     mean = _compensated_mean(stack)

@@ -66,6 +66,8 @@ class SlabSpec:
     def __post_init__(self):
         if not (self.n_core > self.n_clad > 0):
             raise ValueError("need n_core > n_clad > 0")
+        if self.n_core >= 1e154:  # v_number squares n_core; float64 overflows above 1.8e308
+            raise ValueError("need n_core < 1e154, so that its square is a finite float64")
         if self.core_width <= 0 or self.wavelength <= 0:
             raise ValueError("core_width and wavelength must be positive")
 

@@ -136,6 +136,7 @@ class TestValidate:
          "phase overflow"),
         ("experiment=delays\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
         ("experiment=decohere\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
+        ("experiment=modes\nn_core=1e200\nn_clad=9e199\n", "n_core", "n_core < 1e154"),
         *[(text, key, "GB budget") for text, key in OVER_BUDGET],
         *GRID_AND_CUTOFF,
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
@@ -143,6 +144,7 @@ class TestValidate:
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
             "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
             "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow",
+            "n_core_square_overflow",
             *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
@@ -520,6 +522,91 @@ print(json.dumps(loaded))
 """
 
 
+def snapshot(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestStagedRun:
+    """A run's files reach its output directory together, or not at all."""
+
+    def run_main(self, tmp_path, text, out):
+        return main(["--config", str(write_config(tmp_path, text)), "--out", str(out), "--quiet"])
+
+    @pytest.mark.parametrize("before,text,writer", [
+        ("experiment=modes\ncore_width_um=12\n", "experiment=modes\n", "write_csv"),
+        ("experiment=bpm-run\nlength_um=20\nlaunch=te0\n", "experiment=bpm-run\nlength_um=20\n",
+         "export_raster"),
+    ], ids=["modes", "bpm-run"])
+    def test_failed_writer_leaves_the_previous_run(self, tmp_path, monkeypatch, before, text,
+                                                   writer):
+        # modes writes its mode files before modes.csv, and bpm-run field_final.csv before
+        # raster.bin: a raise in the later writer leaves none of the earlier files in out
+        out = tmp_path / "runs" / "out"
+        assert self.run_main(tmp_path, before, out) == EXIT_OK
+        previous = snapshot(out)
+
+        def failing(*args, **kwargs):
+            raise NumericalError("write failed")
+
+        monkeypatch.setattr(cli, writer, failing)
+        assert self.run_main(tmp_path, text, out) == EXIT_NUMERICAL
+        assert snapshot(out) == previous
+        assert os.listdir(out.parent) == ["out"]
+
+    def test_non_finite_derived_value_writes_nothing(self, tmp_path, monkeypatch):
+        # rates.csv is written before the manifest refuses the NaN
+        monkeypatch.setattr(cli, "_derived_rates", lambda b: {"gamma_per_m": math.nan})
+        out = tmp_path / "runs" / "out"
+        assert self.run_main(tmp_path, "experiment=rates\n", out) == EXIT_NUMERICAL
+        assert os.listdir(out.parent) == []
+
+    def test_rerun_stages_inside_the_existing_out(self, tmp_path, monkeypatch):
+        # a rerun needs no write access to out's parent, nor out on the parent's
+        # filesystem; it moves its files into out with the manifest last
+        out = tmp_path / "runs" / "out"
+        assert self.run_main(tmp_path, "experiment=modes\n", out) == EXIT_OK
+        moved, replace, write = [], os.replace, cli.write_csv
+
+        def watched_write(path, **kwargs):
+            assert os.listdir(out.parent) == ["out"] and Path(path).parent.parent == out
+            write(path, **kwargs)
+
+        def watched_replace(source, destination):
+            assert os.listdir(out.parent) == ["out"] and Path(source).parent.parent == out
+            moved.append(Path(destination).name)
+            replace(source, destination)
+
+        monkeypatch.setattr(cli, "write_csv", watched_write)
+        monkeypatch.setattr(os, "replace", watched_replace)
+        monkeypatch.setattr(os, "rename", None)  # a rename of the staging directory would raise
+        assert self.run_main(tmp_path, "experiment=rates\n", out) == EXIT_OK
+        assert moved == ["rates.csv", "manifest.json"]
+        assert sorted(os.listdir(out)) == ["manifest.json", "mode0.csv", "mode1.csv", "modes.csv",
+                                           "rates.csv"]
+
+    def test_rerun_replaces_its_files_and_keeps_the_rest(self, tmp_path):
+        # the first run's staging directory becomes out, and the second's files are moved
+        # into it; out and the files have the umask's mode
+        out = tmp_path / "runs" / "out"
+        umask = os.umask(0o027)
+        try:
+            assert self.run_main(tmp_path, "experiment=modes\n", out) == EXIT_OK
+            modes = snapshot(out)
+            (out / "notes.txt").write_text("kept")
+            assert self.run_main(tmp_path, "experiment=rates\n", out) == EXIT_OK
+        finally:
+            os.umask(umask)
+        files = snapshot(out)
+        assert json.loads(files.pop("manifest.json"))["outputs"] == ["rates.csv"]
+        assert files.pop("rates.csv").startswith(b"gamma_per_m,")
+        assert files.pop("notes.txt") == b"kept"
+        del modes["manifest.json"]
+        assert files == modes
+        assert {oct(path.stat().st_mode & 0o777) for path in out.iterdir()} == {"0o640"}
+        assert oct(out.stat().st_mode & 0o777) == "0o750"
+        assert os.listdir(out.parent) == ["out"]
+
+
 class TestColdStart:
     @staticmethod
     def _scipy_loaded(*experiments, out=""):
@@ -593,16 +680,19 @@ class TestOutputBytes:
 
 
 class TestMemoryEstimate:
-    @pytest.mark.parametrize("text", [
-        "experiment=bpm-run\nsnapshot_every=1\nlength_um=200\n",
-        "experiment=fig2\ndelta_n_list=0;3e-4;6e-4\nstem_length_um=400\nphase_length_um=300\n"
-        "nx=1024\n",
-        "experiment=decohere\nlength_max_m=0.2\nn_realizations=4\n",
-        "experiment=decohere\nlength_max_m=0.004\nn_lengths=100\nn_realizations=250\n",
-        "experiment=modes\ncore_width_um=400\n",
-        "experiment=delays\nn_lengths=2000\n",
-    ], ids=["bpm-run", "fig2", "decohere", "decohere-realizations", "modes-many", "delays-long"])
-    def test_estimate_bounds_the_traced_peak(self, tmp_path, text):
+    @pytest.mark.parametrize("text,threads", [
+        ("experiment=bpm-run\nsnapshot_every=1\nlength_um=200\n", 1),
+        ("experiment=fig2\ndelta_n_list=0;3e-4;6e-4\nstem_length_um=400\nphase_length_um=300\n"
+         "nx=1024\n", 1),
+        ("experiment=decohere\nlength_max_m=0.2\nn_realizations=4\n", 1),
+        ("experiment=decohere\nlength_max_m=0.004\nn_lengths=100\nn_realizations=250\n", 1),
+        # work in flight is one seed pair per thread
+        ("experiment=decohere\nlength_max_m=0.004\nn_lengths=4\nn_realizations=4000\n", 2),
+        ("experiment=modes\ncore_width_um=400\n", 1),
+        ("experiment=delays\nn_lengths=2000\n", 1),
+    ], ids=["bpm-run", "fig2", "decohere", "decohere-realizations", "decohere-threads",
+            "modes-many", "delays-long"])
+    def test_estimate_bounds_the_traced_peak(self, tmp_path, text, threads):
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted
         import scipy.linalg.lapack  # noqa: F401
@@ -610,7 +700,7 @@ class TestMemoryEstimate:
         estimate = cli._build(config).memory
         tracemalloc.start()
         try:
-            run(config, tmp_path, quiet=True)
+            run(config, tmp_path, quiet=True, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

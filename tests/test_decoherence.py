@@ -212,18 +212,21 @@ class TestEnsemble:
         # the workers write their realizations into rows of one preallocated stack; with
         # more workers than cores and a thread switch every microsecond, a row lost, left
         # uninitialized or written by the wrong realization, or a workspace two threads
-        # share, would move the mean's bits (1600-step paths: numpy releases the GIL)
+        # share, would move the mean's bits (1600-step paths: numpy releases the GIL).  The
+        # 400 short paths make the workers take seed pairs from their shared generator so
+        # often that a take without the lock raises "generator already executing"
         delta_beta = 2.0 / default_model.corr_length
-        serial = ensemble_scan(EQUAL, default_model, delta_beta, 0.02, 4, 24, base_seed=13)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = ensemble_scan(EQUAL, default_model, delta_beta, 0.02, 4, 24, base_seed=13,
-                                     n_jobs=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(serial.mean, threaded.mean)
-        assert np.array_equal(serial.stderr, threaded.stderr)
+        for length, checkpoints, realizations in [(0.02, 4, 24), (0.002, 2, 400)]:
+            args = (EQUAL, default_model, delta_beta, length, checkpoints, realizations)
+            serial = ensemble_scan(*args, base_seed=13)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = ensemble_scan(*args, base_seed=13, n_jobs=8)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(serial.mean, threaded.mean)
+            assert np.array_equal(serial.stderr, threaded.stderr)
 
     @pytest.mark.parametrize("n_jobs", [1, 4])
     @pytest.mark.parametrize("base_seed", [40, 41])
