@@ -30,7 +30,7 @@ from .states import (
     purity,
     superpose,
 )
-from .stochastic import PerturbationModel, RateConstants, SampledPath, rates, sample_path
+from .stochastic import PerturbationModel, RateConstants, rates, sample_path
 from .waveguide import GuidedMode, SlabSpec, delta_beta, group_delay, solve_slab_te_modes
 
 __version__ = "0.1.0"

@@ -252,13 +252,14 @@ def _choice(table: dict, params: dict, key: str):
     return table[params[key]]
 
 
-def _build(config: RunConfig) -> SimpleNamespace:
+def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
     """Build and check the run's domain objects, one per key group; compute nothing.
 
     A bad or over-budget config raises ValueError (or ArithmeticError) here, before any output.
+    threads is the number of pull loops an ensemble runs, each of which holds its own buffers.
     """
     # memory: 1 MiB for numpy's reduction buffers and small objects, then each term below
-    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20)
+    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20, threads=threads)
     if "n_core" in params:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
@@ -287,9 +288,9 @@ def _build(config: RunConfig) -> SimpleNamespace:
     if config.experiment == "delays":  # mode 1's group delay at k (1 +- dk_rel) needs it guided
         group_delay(b.spec, 1, params["length_max_m"])
         b.memory += 640.0 * params["n_lengths"]  # a row of five floats and its CSV text
-    if "n_realizations" in params:  # decohere: 190 B a step; 96 B a state, in the stack and np.var
+    if "n_realizations" in params:  # decohere: 190 B a step per loop; 96 B a state, in the stack and np.var
         steps = ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"])
-        b.memory += 190.0 * steps + 96.0 * params["n_realizations"] * params["n_lengths"]
+        b.memory += 190.0 * steps * threads + 96.0 * params["n_realizations"] * params["n_lengths"]
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
     if "length_um" in params:
@@ -334,7 +335,7 @@ def _derived_rates(b: SimpleNamespace) -> dict:
             "kappa_per_m": b.rates.kappa, "regime_ok": b.rates.regime_ok}
 
 
-def _run_modes(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_modes(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     modes = solve_slab_te_modes(b.spec, points=config.parameters["grid_points"],
                                 span_factor=config.parameters["span_factor"])
     for mode in modes:
@@ -347,29 +348,29 @@ def _run_modes(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int)
     return derived
 
 
-def _run_rates(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_rates(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     write_csv(stage / "rates.csv", header=("gamma_per_m", "kappa_per_m", "regime_ok"),
               rows=[(b.rates.gamma, b.rates.kappa, b.rates.regime_ok)])
     return _derived_rates(b)
 
 
-def _run_decohere(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_decohere(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     scan = ensemble_scan(density_of(superpose(1.0, 1.0)), b.model, b.dbeta, params["length_max_m"],
                          params["n_lengths"], params["n_realizations"], base_seed=config.seed,
-                         n_jobs=threads)
+                         n_jobs=b.threads)
     export_scan_csv(scan, stage / "decohere.csv")
     return _derived_rates(b)
 
 
-def _run_bell(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_bell(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     thetas = np.linspace(0.0, math.pi, params["theta_points"], endpoint=False)
     export_bell_csv(b.rho, thetas, thetas, stage / "bell.csv")
     return {"state": params["state"]}
 
 
-def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     rho = b.rho
     if b.evo.length > 0 and params["state"] in _DECOHERED_STATES:
@@ -382,7 +383,7 @@ def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, stage: Path, threads: 
     return derived
 
 
-def _run_delays(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_delays(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     rows = []
     for length in np.linspace(params["length_max_m"] / params["n_lengths"],
@@ -397,7 +398,7 @@ def _run_delays(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int
     return _derived_rates(b)
 
 
-def _run_fig2(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_fig2(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     rows = fig2_experiment(config.parameters["delta_n_list"], b.spec, b.geometry, b.grid)
     write_csv(stage / "fig2.csv", header=("delta_n", "p_left", "p_right", "ratio_left", "theta_rad"),
               rows=[(r.delta_n, r.power_left, r.power_right,
@@ -405,7 +406,7 @@ def _run_fig2(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) 
     return {"delta_beta_per_m": delta_beta(b.spec)}
 
 
-def _run_bpm(config: RunConfig, b: SimpleNamespace, stage: Path, threads: int) -> dict:
+def _run_bpm(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     spec, grid = b.spec, b.grid
     modes = solve_slab_te_modes(spec, grid=grid.waveguide_grid())
     if len(modes) < 2:
@@ -434,14 +435,19 @@ _RUNNERS = {
 }
 
 
-def _culprit(config: RunConfig, message: str) -> str:
-    """The key behind a build error: setting keys back to their defaults in
-    schema order, the first whose reset changes the error."""
+def _culprit(config: RunConfig, message: str, threads: int) -> str:
+    """The key behind a build error: threads if the config builds at one thread; else, setting
+    keys back to their defaults in schema order, the first whose reset changes the error."""
+    try:
+        _build(config)
+        return "threads"
+    except (ValueError, ArithmeticError):
+        pass
     trial = RunConfig(config.experiment, dict(config.parameters), config.seed)
     for key, (_, default) in _SCHEMAS[config.experiment].items():
         trial.parameters[key] = default
         try:
-            _build(trial)
+            _build(trial, threads)
         except (ValueError, ArithmeticError) as exc:
             if str(exc) == message:
                 continue
@@ -449,12 +455,12 @@ def _culprit(config: RunConfig, message: str) -> str:
     return "experiment"
 
 
-def validate(config: RunConfig) -> list[Diagnostic]:
-    """Machine-readable diagnostics; errors block the run, warnings do not."""
+def validate(config: RunConfig, threads: int = 1) -> list[Diagnostic]:
+    """Machine-readable diagnostics of a run on threads; errors block the run, warnings do not."""
     try:
-        rate_consts = _build(config).rates
+        rate_consts = _build(config, threads).rates
     except (ValueError, ArithmeticError) as exc:
-        return [Diagnostic(_culprit(config, str(exc)), str(exc), "error")]
+        return [Diagnostic(_culprit(config, str(exc), threads), str(exc), "error")]
     diagnostics: list[Diagnostic] = []
     params = config.parameters
     if (config.experiment == "chsh-scan" and params["length_m"] > 0
@@ -479,12 +485,12 @@ def run(config: RunConfig, out_dir, quiet: bool = False, threads: int = 1) -> di
     absent out_dir, which it then becomes, or inside an existing one, whose namesakes its files
     replace, the manifest last.  A run that fails before the moves leaves out_dir as it was.
     """
-    built, out = _build(config), Path(out_dir)
+    built, out = _build(config, threads), Path(out_dir)
     fresh = not out.exists()  # staging beside out then needs no more than creating out does
     stage = (out.parent if fresh else out) / f".{out.name}.{os.urandom(8).hex()}"  # a new name
     stage.mkdir(parents=fresh)  # the umask's mode, which out keeps if the stage becomes out
     try:
-        derived = _RUNNERS[config.experiment](config, built, stage, threads)
+        derived = _RUNNERS[config.experiment](config, built, stage)
         manifest = {"experiment": config.experiment, "seed": config.seed, "version": __version__,
                     "config": {k: config.parameters[k] for k in sorted(config.parameters)},
                     "derived": derived, "outputs": sorted(os.listdir(stage))}
@@ -521,7 +527,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
             config.seed = args.seed
-        diagnostics = validate(config)
+        diagnostics = validate(config, args.threads)
         for diag in diagnostics:
             if not args.quiet or diag.severity == "error":
                 print(f"{diag.severity}: {diag.key}: {diag.message}", file=sys.stderr)

@@ -32,11 +32,12 @@ thread of a scan reduces every realization in one workspace (the block, the
 tree levels and their intermediates) and writes its checkpoint states into one
 (realizations, checkpoints, 2, 2) stack, the scan's only per-realization array.
 
-Ensemble reductions use compensated (fsum) summation per matrix entry, so
-the mean is independent of scheduling order at the 1e-13 level demanded of
-parallel runs.  Realization i always uses seed = base_seed + i; seeds 2k and
-2k + 1 share one transform in :func:`modesim.stochastic.sample_path`, so each
-parallel task runs a whole seed pair.
+Realization i always uses seed = base_seed + i and writes only row i of the
+stack, so the thread count and the schedule cannot move a bit of the result;
+the mean sums each matrix entry with correctly rounded (fsum) summation.
+Seeds 2k and 2k + 1 share one transform in
+:func:`modesim.stochastic.sample_path`, so each pull loop takes a whole seed
+pair.
 """
 from __future__ import annotations
 
@@ -248,7 +249,7 @@ def _conjugations(rho: np.ndarray, values: np.ndarray, dz: float, delta_beta: fl
 
 
 def _compensated_mean(stack: np.ndarray) -> np.ndarray:
-    """Order-insensitive mean over axis 0 of a stack of complex arrays."""
+    """Mean over axis 0 of a stack of complex arrays, each part's sum correctly rounded."""
     n = stack.shape[0]
     entries = stack.reshape(n, -1).T
     return np.array([complex(math.fsum(e.real), math.fsum(e.imag)) / n
@@ -312,16 +313,20 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
 
     def pull(_) -> None:  # takes seed pairs until none is left; a pair runs in order on one thread
         work = None
-        while True:
+        try:
+            while True:
+                with lock:
+                    pair = next(pairs, None)
+                if pair is None:
+                    return
+                for i in pair:
+                    values = sample_path(model, dz, marks[-1], base_seed + i)
+                    if work is None:  # built after the first path and its embedding's temporaries
+                        work = _Workspace(index)
+                    _conjugations(rho0.matrix, values, dz, delta_beta, k_ab, work, stack[i])
+        finally:  # a loop that fails leaves the others no pair to take
             with lock:
-                pair = next(pairs, None)
-            if pair is None:
-                return
-            for i in pair:
-                path = sample_path(model, dz, marks[-1], base_seed + i)
-                if work is None:  # built after the first path and its embedding's temporaries
-                    work = _Workspace(index)
-                _conjugations(rho0.matrix, path.values, dz, delta_beta, k_ab, work, stack[i])
+                pairs.close()
 
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:  # n_jobs == 1: the calling thread
         for _ in (pool.map if n_jobs > 1 else map)(pull, range(n_jobs)):

@@ -36,7 +36,6 @@ from ._errors import NumericalError
 
 __all__ = [
     "PerturbationModel",
-    "SampledPath",
     "RateConstants",
     "check_sample_grid",
     "pair_seed",
@@ -70,22 +69,6 @@ class PerturbationModel:
             raise ValueError("sigma must be nonnegative")
         if self.corr_length <= 0:
             raise ValueError("corr_length must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class SampledPath:
-    """One realization of f(z) on a uniform grid z_i = i * dz."""
-
-    values: np.ndarray
-    dz: float
-    seed: int
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] < 2:
-            raise ValueError("path must hold at least 2 samples")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -161,8 +144,8 @@ def check_sample_grid(model: PerturbationModel, dz: float, count: int) -> None:
         )
 
 
-def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> SampledPath:
-    """Sample one realization of f(z) with the Gaussian autocovariance.
+def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> np.ndarray:
+    """One realization of f(z) with the Gaussian autocovariance, at z_i = i * dz for i < count.
 
     Uses circulant embedding: the covariance is embedded in a circulant
     matrix whose FFT gives its eigenvalues, and one FFT of scaled complex
@@ -170,20 +153,23 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> S
     imaginary parts, each with exactly the target covariance on the grid;
     the even seed of a pair takes the real part.  Each thread keeps its last
     pair's transform.  Deterministic for fixed (model, dz, count, seed).
+    Returns a read-only contiguous float64 array of its own.
     """
     check_sample_grid(model, dz, count)
     if model.sigma == 0.0:
-        return SampledPath(np.zeros(count), dz, seed)
-
-    pair = pair_seed(seed)
-    key = (model.sigma, model.corr_length, dz, count, pair)
-    if getattr(_last_pair, "key", None) != key:
-        _last_pair.key = _last_pair.transform = None  # freed before the next pair is drawn
-        scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
-        _last_pair.transform = _pair_transform(scale, count, pair)
-        _last_pair.key = key
-    transform = _last_pair.transform
-    return SampledPath(transform.imag if seed & 1 else transform.real, dz, seed)
+        values = np.zeros(count)
+    else:
+        pair = pair_seed(seed)
+        key = (model.sigma, model.corr_length, dz, count, pair)
+        if getattr(_last_pair, "key", None) != key:
+            _last_pair.key = _last_pair.transform = None  # freed before the next pair is drawn
+            scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
+            _last_pair.transform = _pair_transform(scale, count, pair)
+            _last_pair.key = key
+        transform = _last_pair.transform
+        values = np.array(transform.imag if seed & 1 else transform.real)  # a copy of its own
+    values.setflags(write=False)
+    return values
 
 
 #: digits of _dawson's sums: float64 needs 17, the rest absorbs the rounding of up to 330 terms

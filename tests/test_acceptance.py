@@ -242,7 +242,7 @@ def test_criterion_09_sampler_autocovariance():
     sums = {0: 0.0, lag_d: 0.0, 2 * lag_d: 0.0}
     n_paths = 2000
     for i in range(n_paths):
-        values = sample_path(model, dz, count, seed=90_000 + i).values
+        values = sample_path(model, dz, count, seed=90_000 + i)
         for lag in sums:
             if lag == 0:
                 sums[lag] += float(np.mean(values * values))

@@ -152,6 +152,25 @@ class TestValidate:
         assert [(d.key, d.severity) for d in diags] == [(key, "error")]
         assert bound in diags[0].message
 
+    @pytest.mark.parametrize("text,threads,key", [
+        ("experiment=decohere\n", 100, "threads"),  # fits at one thread
+        ("experiment=decohere\nn_realizations=1000000000\n", 2, "n_realizations"),  # at none
+    ], ids=["threads", "realizations"])
+    def test_budget_counts_every_thread(self, tmp_path, monkeypatch, text, threads, key):
+        # each pull loop holds its own workspace and path memo.  validate rejects these configs
+        # before any thread starts; the scan is replaced so that no run could start one either
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ensemble started")
+
+        monkeypatch.setattr(cli, "ensemble_scan", refuse)
+        diags = validate(parse_config_text(text), threads=threads)
+        assert [(d.key, d.severity) for d in diags] == [(key, "error")]
+        assert "GB budget" in diags[0].message
+        config, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--threads", str(threads),
+                     "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,bound", [
         ("experiment=bpm-run\nnx=1\n", "at least 2"),
         ("experiment=fig2\nnx=1\n", "at least 2"),
@@ -688,16 +707,18 @@ class TestMemoryEstimate:
         ("experiment=decohere\nlength_max_m=0.004\nn_lengths=100\nn_realizations=250\n", 1),
         # work in flight is one seed pair per thread
         ("experiment=decohere\nlength_max_m=0.004\nn_lengths=4\nn_realizations=4000\n", 2),
+        # each loop holds its own workspace and path memo
+        ("experiment=decohere\nlength_max_m=0.2\nn_realizations=8\n", 2),
         ("experiment=modes\ncore_width_um=400\n", 1),
         ("experiment=delays\nn_lengths=2000\n", 1),
     ], ids=["bpm-run", "fig2", "decohere", "decohere-realizations", "decohere-threads",
-            "modes-many", "delays-long"])
+            "decohere-long-threads", "modes-many", "delays-long"])
     def test_estimate_bounds_the_traced_peak(self, tmp_path, text, threads):
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted
         import scipy.linalg.lapack  # noqa: F401
         config = parse_config_text(text)
-        estimate = cli._build(config).memory
+        estimate = cli._build(config, threads).memory
         tracemalloc.start()
         try:
             run(config, tmp_path, quiet=True, threads=threads)

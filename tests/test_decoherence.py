@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -30,7 +31,7 @@ def single_path_draw(model, dz, count, seed):
     spectrum = np.empty(scale.shape[0], dtype=np.complex128)
     spectrum.real = scale * draws[0]
     spectrum.imag = scale * draws[1]
-    return stochastic.SampledPath(np.fft.fft(spectrum).real[:count], dz, seed)
+    return np.fft.fft(spectrum).real[:count]
 
 
 def params(delta_beta=2.0e4, gamma=0.04, kappa=0.067, length=1.0):
@@ -181,7 +182,7 @@ class TestEnsemble:
         pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                  np.array([[1, 0], [0, -1]]))
         products = [np.eye(2)]
-        for f in path.values:
+        for f in path:
             c = default_model.k_ab * f
             axis = np.array([c.real, -c.imag, -delta_beta / 2.0])
             radius = np.linalg.norm(axis)
@@ -228,6 +229,23 @@ class TestEnsemble:
             assert np.array_equal(serial.mean, threaded.mean)
             assert np.array_equal(serial.stderr, threaded.stderr)
 
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_a_failing_loop_stops_the_others(self, default_model, monkeypatch, n_jobs):
+        # the third conjugation raises; each other loop may finish the seed pair it holds,
+        # then finds no pair left to take (they once ran the other 397 realizations)
+        calls, conjugations = itertools.count(1), decoherence._conjugations
+
+        def fail_third(*args):
+            if next(calls) == 3:
+                raise RuntimeError("third conjugation")
+            conjugations(*args)
+
+        monkeypatch.setattr(decoherence, "_conjugations", fail_third)
+        with pytest.raises(RuntimeError, match="third conjugation"):
+            ensemble_scan(EQUAL, default_model, 2.0 / default_model.corr_length, 0.002, 2, 400,
+                          base_seed=0, n_jobs=n_jobs)
+        assert next(calls) - 1 <= 3 + 2 * (n_jobs - 1)
+
     @pytest.mark.parametrize("n_jobs", [1, 4])
     @pytest.mark.parametrize("base_seed", [40, 41])
     def test_one_transform_per_seed_pair(self, default_model, monkeypatch, n_jobs, base_seed):
@@ -254,7 +272,7 @@ class TestEnsemble:
         delta_beta = 2.0 / default_model.corr_length
         dz = default_model.corr_length / 8
         path = sample_path(default_model, dz, 400, seed=10)
-        path_values = path.values.copy()
+        path_values = path.copy()
 
         def scan(length, n_lengths):
             result = ensemble_scan(EQUAL, default_model, delta_beta, length, n_lengths, 5,
@@ -273,7 +291,7 @@ class TestEnsemble:
             assert np.array_equal(now, before)
         for seed in (11, 12, 15):  # the rest of pair 10, then later pairs
             sample_path(default_model, dz, 400, seed)
-        assert np.array_equal(path.values, path_values)
+        assert np.array_equal(path, path_values)
 
     def test_scan_mc_error_shrinks_like_sqrt_n(self, default_model):
         # RMS entrywise error against the closed form must shrink by about

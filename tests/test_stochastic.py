@@ -81,32 +81,32 @@ class TestSamplePath:
     def test_zero_sigma_gives_zero_path(self):
         model = PerturbationModel(0.0, 50e-6, 100.0)
         path = sample_path(model, 50e-6 / 8, 200, seed=3)
-        assert np.all(path.values == 0.0)
+        assert np.all(path == 0.0)
 
     def test_bit_reproducible(self, default_model):
         dz = default_model.corr_length / 8
         a = sample_path(default_model, dz, 300, seed=11)
         b = sample_path(default_model, dz, 300, seed=11)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, default_model):
         dz = default_model.corr_length / 8
         a = sample_path(default_model, dz, 300, seed=11)
         b = sample_path(default_model, dz, 300, seed=12)
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 12, 9000])
     def test_even_seed_is_single_path_draw(self, default_model, seed):
         # bit for bit the path every earlier version drew from default_rng(seed)
         dz = default_model.corr_length / 8
         path = sample_path(default_model, dz, 300, seed)
-        assert np.array_equal(path.values, pair_transform(default_model, dz, 300, seed).real)
+        assert np.array_equal(path, pair_transform(default_model, dz, 300, seed).real)
 
     @pytest.mark.parametrize("seed", [1, 13, 9001])
     def test_odd_seed_is_imaginary_part(self, default_model, seed):
         dz = default_model.corr_length / 8
         path = sample_path(default_model, dz, 300, seed)
-        assert np.array_equal(path.values, pair_transform(default_model, dz, 300, seed - 1).imag)
+        assert np.array_equal(path, pair_transform(default_model, dz, 300, seed - 1).imag)
 
     def test_values_independent_of_call_order(self, default_model):
         dz = default_model.corr_length / 8
@@ -116,7 +116,7 @@ class TestSamplePath:
                  (default_model, 300, 40), (default_model, 300, 40), (other, 300, 41)]
         for model, count, seed in calls:
             transform = pair_transform(model, dz, count, seed & ~1)
-            assert np.array_equal(sample_path(model, dz, count, seed).values,
+            assert np.array_equal(sample_path(model, dz, count, seed),
                                   transform.imag if seed & 1 else transform.real)
 
     def test_pair_parts_uncorrelated(self):
@@ -124,8 +124,8 @@ class TestSamplePath:
         # product averaged over 400 pairs stays within 4 SE of 0
         model = PerturbationModel(0.01, 50e-6, 100.0)
         dz = model.corr_length / 8
-        products = [float(np.mean(sample_path(model, dz, 400, 2 * k).values
-                                  * sample_path(model, dz, 400, 2 * k + 1).values))
+        products = [float(np.mean(sample_path(model, dz, 400, 2 * k)
+                                  * sample_path(model, dz, 400, 2 * k + 1)))
                     for k in range(3000, 3400)]
         stderr = np.std(products, ddof=1) / math.sqrt(len(products))
         assert abs(np.mean(products)) < 4.0 * stderr
@@ -156,7 +156,7 @@ class TestSamplePath:
         total = 0.0
         n_paths = 2000
         for i in range(n_paths):
-            values = sample_path(model, dz, 400, seed=1000 + i).values
+            values = sample_path(model, dz, 400, seed=1000 + i)
             total += float(np.mean(values * values))
         estimate = total / n_paths
         assert abs(estimate - model.sigma ** 2) / model.sigma ** 2 < 0.05
@@ -169,7 +169,7 @@ class TestSamplePath:
         total = 0.0
         n_paths = 2000
         for i in range(n_paths):
-            values = sample_path(model, dz, 400, seed=5000 + i).values
+            values = sample_path(model, dz, 400, seed=5000 + i)
             total += float(np.mean(values[lag:] * values[:-lag]))
         estimate = total / n_paths
         target = model.sigma ** 2 * math.exp(-1.0)
@@ -178,8 +178,8 @@ class TestSamplePath:
     def test_length_property(self, default_model):
         dz = default_model.corr_length / 8
         path = sample_path(default_model, dz, 256, seed=1)
-        assert path.values.shape == (256,)
-        assert path.dz == dz
+        assert path.shape == (256,)
+        assert path.dtype == np.float64 and path.flags.c_contiguous and not path.flags.writeable
 
 
 class TestRates:
