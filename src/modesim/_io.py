@@ -8,7 +8,6 @@ round trip.
 """
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,6 +36,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_json(path, payload: dict) -> None:
+    import json  # deferred: only a run's manifest needs it
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_bytes((text + "\n").encode("utf-8"))
 

@@ -33,6 +33,9 @@ interference law of the ideal analyzer, with the accumulated differential
 phase 2*theta controlled by delta_n.  The fig2 experiment rasterizes every
 delta_n into one rows array: all share the stem and branch-taper rows, each
 adds only its own phase-section row, and each marches with its own row index.
+A row starts as cladding; its wholly covered cells copy one fully covered
+row, and only the few partly covered cells at each core edge are area
+weighted, so each row is bit-identical to area-weighting every cell.
 """
 from __future__ import annotations
 
@@ -132,7 +135,8 @@ class RIMap:
             raise ValueError("index map needs 2D rows (rows, nx) and a 1D integer row index (nz,)")
         if not np.all((0 <= index) & (index < len(rows))):
             raise ValueError(f"row index entries must lie in [0, {len(rows)})")
-        if not (np.all(rows > 0) and self.reference_n0 > 0):
+        object.__setattr__(self, "bounds", (rows.min(), rows.max()))  # the least and greatest n
+        if not (self.bounds[0] > 0 and self.reference_n0 > 0):  # a NaN in the rows makes the least NaN
             raise ValueError("refractive index (every row and reference_n0) must be positive")
         for name, array in (("rows", rows), ("index", index)):
             array.setflags(write=False)
@@ -208,33 +212,11 @@ class YSplitterGeometry:
         return self.stem_length + travel / math.tan(self.branch_half_angle)
 
 
-def _coverage(x: np.ndarray, dx: float, intervals) -> np.ndarray:
-    """Fraction of each cell [x - dx/2, x + dx/2] covered by the intervals.
-
-    Overlapping intervals are merged first, so touching branch cores are not
-    double counted.  Area-weighted core edges keep the discrete propagation
-    constant free of the O(dx) bias a hard staircase would introduce.
-    """
-    merged: list[list[float]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    fraction = np.zeros_like(x)
-    left = x - dx / 2.0
-    right = x + dx / 2.0
-    for lo, hi in merged:
-        fraction += np.clip(np.minimum(right, hi) - np.maximum(left, lo), 0.0, dx) / dx
-    return np.clip(fraction, 0.0, 1.0)
-
-
 def straight_slab_map(grid: Grid, spec: SlabSpec, reference_n0: float | None = None) -> RIMap:
     """z-invariant slab profile of the given spec on the grid."""
     half = spec.core_width / 2.0
-    row = spec.n_clad + (spec.n_core - spec.n_clad) * _coverage(grid.x, grid.dx, [(-half, half)])
-    return RIMap(row[np.newaxis], np.zeros(grid.nz, dtype=np.intp),
-                 spec.n_core if reference_n0 is None else reference_n0)
+    rows = _rows(np.array([[spec.n_core - spec.n_clad, -half, half, -half, half]]), grid, spec.n_clad)
+    return RIMap(rows, np.zeros(grid.nz, dtype=np.intp), spec.n_core if reference_n0 is None else reference_n0)
 
 
 def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
@@ -265,36 +247,69 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> R
 def _raster(geometries, grid: Grid, base: SlabSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     """build_geometry's rows, shared by all the geometries, and each one's row index.
 
-    Each distinct (core value, core intervals) pair over all of them is one row."""
-    x = grid.x
-    stem_half = base.core_width / 2.0
-    contrast = base.n_core - base.n_clad
-    keys: dict = {}
-    indices = []
+    A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice, or the branch cores.
+    Each distinct key is one row, in order of first use, deduplicated geometry by geometry."""
+    z, contrast, stem_half = grid.z, base.n_core - base.n_clad, base.core_width / 2.0
+    distinct, indices = np.empty((0, 5)), []
     for geometry in geometries:
         check_geometry_fits(geometry, grid)
-        branch_half = geometry.core_width / 2.0
+        half = geometry.core_width / 2.0
+        center = half + np.minimum((z - geometry.stem_length) * math.tan(geometry.branch_half_angle),
+                                   (geometry.branch_separation_final - geometry.core_width) / 2.0)
+        keys = np.stack([np.full(grid.nz, contrast), -center - half, -center + half,
+                         center - half, center + half], axis=1)
+        keys[z < geometry.stem_length, 1:] = (-stem_half, stem_half, -stem_half, stem_half)
         phase = geometry.phase_section
-        index = np.empty(grid.nz, dtype=np.intp)
-        slope = math.tan(geometry.branch_half_angle)
-        for j, z_j in enumerate(grid.z):
-            value = contrast
-            if z_j < geometry.stem_length:
-                if phase is not None and phase.z_start <= z_j < phase.z_start + phase.length:
-                    value = contrast + phase.delta_n
-                intervals = ((-stem_half, stem_half),)
-            else:
-                travel = min((z_j - geometry.stem_length) * slope,
-                             (geometry.branch_separation_final - geometry.core_width) / 2.0)
-                center = branch_half + travel
-                intervals = ((-center - branch_half, -center + branch_half),
-                             (center - branch_half, center + branch_half))
-            index[j] = keys.setdefault((value, intervals), len(keys))
-        indices.append(index)
+        if phase is not None:  # the section ends inside the stem
+            keys[(phase.z_start <= z) & (z < phase.z_start + phase.length), 0] = contrast + phase.delta_n
+        keys = np.concatenate([distinct, keys])
+        order = np.lexsort(keys.T)  # stable: each run of equal keys starts at the key's first use
+        ordered = keys[order]
+        lead = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
+        first = order[lead]  # each distinct key's first use; ranked, they number the rows
+        index = np.argsort(np.argsort(first))[np.cumsum(lead) - 1][np.argsort(order)]
+        distinct = keys[np.sort(first)]  # the earlier distinct keys keep their places
+        indices.append(index[len(keys) - grid.nz:])
+    return _rows(distinct, grid, base.n_clad), indices
+
+
+def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
+    """One row n_clad + value * coverage per key (value, lo1, hi1, lo2, hi2), lo1 <= lo2: the
+    fraction of each cell [left, right] inside the intervals, merged where they touch.  In a whole
+    cell the overlap clip(min(right, hi) - max(left, lo), 0, dx) / dx is clip(right - left, 0, dx)
+    / dx, so only the few partly covered cells take the overlap, summed where two share one."""
+    left, right = grid.x - grid.dx / 2.0, grid.x + grid.dx / 2.0
+    full = np.clip(right - left, 0.0, grid.dx) / grid.dx
+    joined = keys[:, 3] <= keys[:, 2]
+    lo, hi = keys[:, [1, 3]], keys[:, [2, 4]]
+    hi[joined, 0] = np.maximum(hi[joined, 0], hi[joined, 1])
+    lo[joined, 1] = hi[joined, 1] = -np.inf  # merged into the first: no cells
+    enter, inside = np.searchsorted(right, lo, "right"), np.searchsorted(left, lo)
+    leave, past = np.searchsorted(right, hi, "right"), np.searchsorted(left, hi)
     rows = np.empty((len(keys), grid.nx))
-    for i, (value, intervals) in enumerate(keys):
-        rows[i] = base.n_clad + value * _coverage(x, grid.dx, intervals)
-    return rows, indices
+    step = max(1, (1 << 16) // grid.nx)  # rows of a block of at most 2^16 cells, bounding temporaries
+    for start in range(0, len(keys), step):  # cladding, and the wholly covered cells
+        block, cut = rows[start:start + step], slice(start, start + step)
+        block.fill(n_clad)
+        span, column = _cells(inside[cut], leave[cut])
+        block.reshape(-1)[span // 2 * grid.nx + column] = n_clad + keys[cut, 0][span // 2] * full[column]
+    # the few partly covered cells: [enter, inside) and [leave, past), or [enter, past) if none is whole
+    solid = inside < leave
+    span, column = _cells(np.stack([enter, np.where(solid, leave, past)], axis=2),
+                          np.stack([np.where(solid, inside, past), past], axis=2))
+    overlap = (np.minimum(right[column], hi.ravel()[span // 2])
+               - np.maximum(left[column], lo.ravel()[span // 2]))
+    cell, shared = np.unique(span // 4 * grid.nx + column, return_inverse=True)
+    fraction = np.bincount(shared, np.clip(overlap, 0.0, grid.dx) / grid.dx, len(cell))
+    rows.reshape(-1)[cell] = n_clad + keys[cell // grid.nx, 0] * np.clip(fraction, 0.0, 1.0)
+    return rows
+
+
+def _cells(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat span number and column of each cell start <= column < stop of every span."""
+    counts = np.maximum(stop - start, 0).ravel()
+    span = np.repeat(np.arange(counts.size), counts)
+    return span, np.arange(len(span)) - (np.cumsum(counts) - counts - start.ravel())[span]
 
 
 def _power(values: np.ndarray, dx: float) -> float:
@@ -366,8 +381,8 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
 
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    # max |rows - n0|, exactly, without a map-sized temporary
-    contrast = max(ri_map.rows.max() - n0, n0 - ri_map.rows.min())
+    low, high = ri_map.bounds
+    contrast = max(high - n0, n0 - low)  # max |rows - n0|, exactly
     check_paraxial_dz(grid.dz, wavelength, float(contrast))
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)

@@ -21,7 +21,6 @@ Example config::
 """
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import shutil
@@ -435,24 +434,30 @@ _RUNNERS = {
 }
 
 
-def _culprit(config: RunConfig, message: str, threads: int) -> str:
-    """The key behind a build error: threads if the config builds at one thread; else, setting
-    keys back to their defaults in schema order, the first whose reset changes the error."""
-    try:
-        _build(config)
-        return "threads"
-    except (ValueError, ArithmeticError):
-        pass
-    trial = RunConfig(config.experiment, dict(config.parameters), config.seed)
-    for key, (_, default) in _SCHEMAS[config.experiment].items():
-        trial.parameters[key] = default
+def _culprits(config: RunConfig, message: str, threads: int) -> list[str]:
+    """The keys behind a build error: threads if the config builds at one thread; else every key
+    that alone on the defaults fails to build and whose reset alone changes the error; else,
+    setting keys back to their defaults in schema order, the first whose reset changes it."""
+    def error(parameters: dict, at: int = threads) -> str | None:
         try:
-            _build(trial, threads)
+            _build(RunConfig(config.experiment, parameters, config.seed), at)
         except (ValueError, ArithmeticError) as exc:
-            if str(exc) == message:
-                continue
-        return key
-    return "experiment"
+            return str(exc)
+        return None
+
+    params, defaults = config.parameters, {key: d for key, (_, d) in _SCHEMAS[config.experiment].items()}
+    if error(params, 1) is None:
+        return ["threads"]
+    culprits = [key for key in defaults if error({**defaults, key: params[key]}, 1) is not None
+                and error({**params, key: defaults[key]}) != message]
+    if culprits:
+        return culprits
+    reset = dict(params)
+    for key, default in defaults.items():
+        reset[key] = default
+        if error(reset) != message:
+            return [key]
+    return ["experiment"]
 
 
 def validate(config: RunConfig, threads: int = 1) -> list[Diagnostic]:
@@ -460,7 +465,7 @@ def validate(config: RunConfig, threads: int = 1) -> list[Diagnostic]:
     try:
         rate_consts = _build(config, threads).rates
     except (ValueError, ArithmeticError) as exc:
-        return [Diagnostic(_culprit(config, str(exc), threads), str(exc), "error")]
+        return [Diagnostic(key, str(exc), "error") for key in _culprits(config, str(exc), threads)]
     diagnostics: list[Diagnostic] = []
     params = config.parameters
     if (config.experiment == "chsh-scan" and params["length_m"] > 0
@@ -508,6 +513,7 @@ def run(config: RunConfig, out_dir, quiet: bool = False, threads: int = 1) -> di
 
 
 def main(argv=None) -> int:
+    import argparse  # deferred, like json in _io: importing modesim.cli loads neither
     parser = argparse.ArgumentParser(
         prog="modesim",
         description="Run mode-entanglement simulation experiments from a config file.",

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -310,8 +309,9 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     pairs = (list(group) for _, group in
              groupby(range(n_realizations), key=lambda i: pair_seed(base_seed + i)))
     lock = threading.Lock()  # a generator may not be advanced from two threads at once
+    errors: list[BaseException] = []
 
-    def pull(_) -> None:  # takes seed pairs until none is left; a pair runs in order on one thread
+    def pull() -> None:  # takes seed pairs until none is left; a pair runs in order on one thread
         work = None
         try:
             while True:
@@ -324,13 +324,20 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
                     if work is None:  # built after the first path and its embedding's temporaries
                         work = _Workspace(index)
                     _conjugations(rho0.matrix, values, dz, delta_beta, k_ab, work, stack[i])
-        finally:  # a loop that fails leaves the others no pair to take
+        except BaseException as exc:  # Ctrl-C too: it reaches the calling thread's loop
+            errors.append(exc)
+        finally:  # a loop that stops leaves the others no pair to take
             with lock:
                 pairs.close()
 
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:  # n_jobs == 1: the calling thread
-        for _ in (pool.map if n_jobs > 1 else map)(pull, range(n_jobs)):
-            pass
+    loops = [threading.Thread(target=pull) for _ in range(n_jobs - 1)]
+    for loop in loops:
+        loop.start()
+    pull()  # the calling thread's own loop, which Ctrl-C interrupts
+    for loop in loops:
+        loop.join()
+    if errors:
+        raise errors[0]
 
     mean = _compensated_mean(stack)
     stderr = np.sqrt((np.var(stack.real, axis=0) + np.var(stack.imag, axis=0)) / n_realizations)

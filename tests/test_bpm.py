@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from modesim import bpm
@@ -167,6 +169,88 @@ def default_geometry(stem_um=400.0, delta_n=0.0, phase_len_um=200.0):
     )
 
 
+def coverage(x, dx, intervals):
+    """Fraction of each cell [x - dx/2, x + dx/2] covered by the intervals, merged where
+    they touch: the full-width rasterization that bpm._rows must match bit for bit."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    fraction = np.zeros_like(x)
+    left = x - dx / 2.0
+    right = x + dx / 2.0
+    for lo, hi in merged:
+        fraction += np.clip(np.minimum(right, hi) - np.maximum(left, lo), 0.0, dx) / dx
+    return np.clip(fraction, 0.0, 1.0)
+
+
+def reference_raster(geometries, grid, base):
+    """bpm._raster as one coverage call per distinct (core value, intervals) key, the keys
+    found by a loop over z and numbered in order of first use."""
+    stem_half = base.core_width / 2.0
+    contrast = base.n_core - base.n_clad
+    keys, indices = {}, []
+    for geometry in geometries:
+        branch_half = geometry.core_width / 2.0
+        phase = geometry.phase_section
+        index = np.empty(grid.nz, dtype=np.intp)
+        slope = math.tan(geometry.branch_half_angle)
+        for j, z_j in enumerate(grid.z):
+            value = contrast
+            if z_j < geometry.stem_length:
+                if phase is not None and phase.z_start <= z_j < phase.z_start + phase.length:
+                    value = contrast + phase.delta_n
+                intervals = ((-stem_half, stem_half),)
+            else:
+                travel = min((z_j - geometry.stem_length) * slope,
+                             (geometry.branch_separation_final - geometry.core_width) / 2.0)
+                center = branch_half + travel
+                intervals = ((-center - branch_half, -center + branch_half),
+                             (center - branch_half, center + branch_half))
+            index[j] = keys.setdefault((value, intervals), len(keys))
+        indices.append(index)
+    rows = np.array([base.n_clad + value * coverage(grid.x, grid.dx, intervals)
+                     for value, intervals in keys])
+    return rows, indices
+
+
+@st.composite
+def splitters(draw):
+    """Splitter geometries (one per delta_n) on a grid that holds them, and the base slab.
+
+    Lengths are drawn in cells and steps: zero angles, cores that touch at the junction
+    (a stem ending on a step), gaps under one cell, phase sections ending on step
+    boundaries, odd nx and grids not centred on x = 0."""
+    dx, dz = draw(st.floats(0.1, 1.0)) * 1e-6, draw(st.sampled_from([0.3e-6, 0.5e-6, 1e-6]))
+    nz = draw(st.integers(2, 160))
+    stem_steps = draw(st.one_of(st.integers(1, nz - 1).map(float), st.floats(0.01, nz - 1)))
+    core = draw(st.floats(0.3, 12.0)) * dx
+    separation = core + draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 30.0))) * dx
+    stem_length = stem_steps * dz
+    travel, run = (separation - core) / 2.0, dz * (nz - 1) - stem_length
+    least = math.degrees(math.atan2(travel, run)) * (1 + 1e-9)  # separated by the grid's end
+    if least >= 1.99:  # too short a grid for these branches: they stay side by side
+        separation, least = core, 0.0
+    angle = draw(st.one_of(st.just(0.0), st.just(least), st.floats(least, 1.99)))
+    stem = draw(st.floats(0.5, 40.0)) * dx
+    margin = 1.05 * (separation / 2.0 + core / 2.0)
+    x_min = -margin - draw(st.floats(0.0, 20.0)) * dx
+    nx = max(draw(st.integers(64, 200)), math.ceil((margin - x_min) / dx) + 2)
+    phase_start = draw(st.integers(0, max(0, int(stem_steps) - 1)))
+    phase_steps = draw(st.integers(0, int(stem_steps) - phase_start))
+    assume(phase_start * dz + phase_steps * dz <= stem_length)
+    # a cladding index far below the contrast keeps each coverage bit in its row
+    n_clad, contrast = draw(st.sampled_from([1.45, 1e-9])), draw(st.floats(1e-3, 1.0))
+    bumps = draw(st.lists(st.floats(-contrast / 2, contrast), min_size=1, max_size=3))
+    base = SlabSpec(stem, n_clad + contrast, n_clad, 1.55e-6)
+    geometries = [YSplitterGeometry(stem_length, math.radians(angle), separation, core,
+                                    PhaseSection(bump, phase_steps * dz, z_start=phase_start * dz))
+                  for bump in bumps]
+    return geometries, Grid(x_min, dx, nx, dz, nz), base
+
+
 class TestGeometry:
     def test_zero_angle_is_translation_invariant(self, default_slab):
         grid = straight_grid(nz=101)
@@ -195,6 +279,21 @@ class TestGeometry:
                     + (grid.nz * grid.dz - geometry.stem_length) * 2 * geometry.core_width)
         cell_row = default_slab.core_width * grid.dz
         assert abs(raster_area - analytic) < cell_row
+
+    @given(splitters())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_coverage_oracle(self, case):
+        # every row bit for bit, in the same order, with the same row index per geometry
+        geometries, grid, base = case
+        rows, indices = bpm._raster(geometries, grid, base)
+        expected_rows, expected_indices = reference_raster(geometries, grid, base)
+        assert rows.shape == expected_rows.shape and rows.tobytes() == expected_rows.tobytes()
+        for index, expected in zip(indices, expected_indices, strict=True):
+            assert index.dtype == expected.dtype and np.array_equal(index, expected)
+        half = base.core_width / 2.0
+        straight = straight_slab_map(grid, base).rows
+        expected = base.n_clad + (base.n_core - base.n_clad) * coverage(grid.x, grid.dx, [(-half, half)])
+        assert straight.tobytes() == expected.tobytes()
 
     def test_geometry_exceeding_grid_rejected(self, default_slab):
         grid = straight_grid(nz=101)  # 50 um of z, far too short
@@ -571,21 +670,21 @@ class TestFigTwoSharedRaster:
         grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, int(z_total / 1e-6) + 1)
         shared_rows = len(build_geometry(geometry, grid, default_slab).rows)
         marched, rasterized = [], []
-        original_propagate, original_coverage = bpm.propagate, bpm._coverage
+        original_propagate, original_rows = bpm.propagate, bpm._rows
 
         def recording_propagate(field, ri_map, march_grid, *args, **kwargs):
             marched.append((full_map(ri_map), ri_map.reference_n0, march_grid))
             return original_propagate(field, ri_map, march_grid, *args, **kwargs)
 
-        def counting_coverage(*args):
-            rasterized.append(1)
-            return original_coverage(*args)
+        def counting_rows(keys, *args):
+            rasterized.append(len(keys))
+            return original_rows(keys, *args)
 
         monkeypatch.setattr(bpm, "propagate", recording_propagate)
-        monkeypatch.setattr(bpm, "_coverage", counting_coverage)
+        monkeypatch.setattr(bpm, "_rows", counting_rows)
         bumps = [0.0, 3e-4, 6e-4]
         fig2_experiment(bumps, default_slab, geometry, grid)
-        assert len(rasterized) == shared_rows + 2
+        assert sum(rasterized) == shared_rows + 2
         assert len(marched) == len(bumps)
         for delta_n, (n, reference_n0, march_grid) in zip(bumps, marched):
             alone = build_geometry(default_geometry(400.0, delta_n, 300.0), grid, default_slab)

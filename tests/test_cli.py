@@ -33,7 +33,7 @@ TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # Configs whose estimated memory exceeds MEMORY_BUDGET, with the key validate names.
 # None of them may ever run: unbounded, each would ask for 3.9 GB (the modes config) or more.
 OVER_BUDGET = [
-    ("experiment=bpm-run\nlength_um=1e7\nnx=100000000\n", "length_um"),
+    ("experiment=bpm-run\nlength_um=1e7\n", "length_um"),
     ("experiment=fig2\nlead_out_um=1e7\n", "lead_out_um"),
     ("experiment=decohere\nlength_max_m=1e300\nn_realizations=1\nn_lengths=2\n", "length_max_m"),
     ("experiment=decohere\nn_lengths=1000000000\n", "n_lengths"),
@@ -151,6 +151,16 @@ class TestValidate:
         diags = validate(parse_config_text(text))
         assert [(d.key, d.severity) for d in diags] == [(key, "error")]
         assert bound in diags[0].message
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_culprit_is_named(self, threads):
+        # each key alone on the defaults is over budget (62.1 GB and 382 GB), so each is named,
+        # with the config's one message; a key that only adds to another's error is not
+        text = "experiment=bpm-run\nlength_um=1e7\nnx=100000000\nsnapshot_every=1\n"
+        diags = validate(parse_config_text(text), threads=threads)
+        assert [(d.key, d.severity) for d in diags] == [("length_um", "error"), ("nx", "error")]
+        assert diags[0].message == diags[1].message
+        assert "4.8e+07 GB, over the 1 GB budget" in diags[0].message
 
     @pytest.mark.parametrize("text,threads,key", [
         ("experiment=decohere\n", 100, "threads"),  # fits at one thread
@@ -645,6 +655,16 @@ class TestColdStart:
         # so validating the rate-based experiments loads no scipy either
         experiments = ("modes", "bell", "rates", "decohere", "chsh-scan", "delays", "fig2", "bpm-run")
         assert self._scipy_loaded(*experiments) == {experiment: [] for experiment in experiments}
+
+    def test_import_leaves_out_argparse_json_and_the_thread_pool(self):
+        # main imports argparse and write_json imports json; ensemble_scan starts plain threads
+        src = str(Path(modesim.__file__).resolve().parents[1])
+        probe = ("import sys, modesim.cli; print(' '.join(sorted({'concurrent.futures', 'logging', "
+                 "'argparse', 'gettext', 'json'} & set(sys.modules))))")
+        result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
 
     def test_rate_based_runs_without_scipy(self, tmp_path):
         experiments = ("rates", "chsh-scan", "delays")

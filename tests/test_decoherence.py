@@ -246,6 +246,27 @@ class TestEnsemble:
                           base_seed=0, n_jobs=n_jobs)
         assert next(calls) - 1 <= 3 + 2 * (n_jobs - 1)
 
+    @pytest.mark.parametrize("n_jobs", [2, 4])
+    def test_ctrl_c_stops_a_threaded_scan(self, default_model, monkeypatch, n_jobs):
+        # Ctrl-C reaches the main thread, which runs a loop of its own; that loop stops and
+        # leaves the others no pair to take, so each finishes at most the pair it holds
+        # (while the main thread ran no loop, they ran all 400 realizations instead)
+        calls, conjugations = itertools.count(1), decoherence._conjugations
+        interrupted_at = []
+
+        def interrupt_main(*args):
+            call = next(calls)
+            if threading.current_thread() is threading.main_thread():
+                interrupted_at.append(call)
+                raise KeyboardInterrupt
+            conjugations(*args)
+
+        monkeypatch.setattr(decoherence, "_conjugations", interrupt_main)
+        with pytest.raises(KeyboardInterrupt):
+            ensemble_scan(EQUAL, default_model, 2.0 / default_model.corr_length, 0.002, 2, 400,
+                          base_seed=0, n_jobs=n_jobs)
+        assert next(calls) - 1 - interrupted_at[0] <= 2 * n_jobs
+
     @pytest.mark.parametrize("n_jobs", [1, 4])
     @pytest.mark.parametrize("base_seed", [40, 41])
     def test_one_transform_per_seed_pair(self, default_model, monkeypatch, n_jobs, base_seed):
