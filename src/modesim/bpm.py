@@ -47,7 +47,7 @@ import numpy as np
 
 from ._errors import NumericalError
 from ._io import write_bytes, write_csv
-from .waveguide import GuidedMode, SlabSpec, delta_beta, solve_slab_te_modes
+from .waveguide import MIN_POINTS_ACROSS_CORE, GuidedMode, SlabSpec, delta_beta, solve_slab_te_modes
 
 __all__ = [
     "Grid",
@@ -77,7 +77,6 @@ DEFAULT_ABSORBER_FRACTION = 0.10
 DEFAULT_ABSORBER_STRENGTH = 2.0e5  # 1/m, peak imaginary potential
 #: paraxial step heuristic: dz <= SAFETY * wavelength / (2 max|n - n0|)
 PARAXIAL_DZ_SAFETY = 0.1
-MIN_POINTS_ACROSS_CORE = 16
 #: per-step relative power growth beyond this aborts the march.
 INSTABILITY_GROWTH = 1e-6
 
@@ -93,7 +92,7 @@ class Grid:
     nz: int
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dz <= 0:
+        if not (self.dx > 0 and self.dz > 0):
             raise ValueError("dx and dz must be positive")
         if self.nx < 64:
             raise ValueError("nx must be at least 64")
@@ -172,7 +171,7 @@ class PhaseSection:
     z_start: float = 0.0
 
     def __post_init__(self):
-        if self.length < 0 or self.z_start < 0:
+        if not (self.length >= 0 and self.z_start >= 0):
             raise ValueError("phase-section extents must be nonnegative")
 
 
@@ -194,11 +193,11 @@ class YSplitterGeometry:
     phase_section: PhaseSection | None = None
 
     def __post_init__(self):
-        if self.stem_length <= 0 or self.core_width <= 0:
+        if not (self.stem_length > 0 and self.core_width > 0):
             raise ValueError("lengths must be positive")
         if not (0.0 <= self.branch_half_angle < math.radians(2.0)):
             raise ValueError("branch_half_angle must lie in [0, 2 deg) for paraxial validity")
-        if self.branch_separation_final < self.core_width:
+        if not self.branch_separation_final >= self.core_width:
             raise ValueError("final separation must be at least one branch width")
         phase = self.phase_section
         if phase is not None and phase.z_start + phase.length > self.stem_length:

@@ -35,7 +35,6 @@ from . import __version__
 from ._errors import NumericalError
 from ._io import write_csv, write_json
 from .bpm import (
-    MIN_POINTS_ACROSS_CORE,
     Grid,
     PhaseSection,
     YSplitterGeometry,
@@ -55,7 +54,7 @@ from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, 
 from .decoherence import EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv, two_rail_evolve
 from .states import bell_state, density_of, product_state, superpose
 from .stochastic import PerturbationModel, rates
-from .waveguide import SlabSpec, delta_beta, export_mode_csv, group_delay, solve_slab_te_modes
+from .waveguide import SlabSpec, default_grid, delta_beta, export_mode_csv, group_delay, solve_slab_te_modes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -263,10 +262,7 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
     if "span_factor" in params:  # modes: grid_points samples over span_factor core widths
-        if params["grid_points"] - 1 < MIN_POINTS_ACROSS_CORE * params["span_factor"]:
-            raise ValueError(f"the grid puts fewer than {MIN_POINTS_ACROSS_CORE} points across the "
-                             "core; need (grid_points - 1) / span_factor >= "
-                             f"{MIN_POINTS_ACROSS_CORE}")
+        b.mode_grid = default_grid(b.spec.core_width, params["span_factor"], params["grid_points"])
         # each of the ceil(2V / pi) guided modes: its profile at 8 B a point and 1 KB of objects
         # and modes.csv row; then one mode file's CSV text, 400 B a point
         modes = 2.0 * b.spec.v_number / math.pi + 1.0  # a float bound: V may be inf
@@ -304,6 +300,8 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
         )
         length = b.geometry.separation_end_z() + params["lead_out_um"] * 1e-6
         core_width = b.geometry.core_width  # a branch, the narrowest core
+        if not params["delta_n_list"]:
+            raise ValueError("delta_n_list must hold at least one delta_n")
         for delta_n in params["delta_n_list"]:  # SlabSpec checks each bumped phase section
             replace(b.spec, n_core=b.spec.n_core + delta_n)
     if "window_um" in params:  # nx points across a centered window, dz steps covering length
@@ -335,8 +333,7 @@ def _derived_rates(b: SimpleNamespace) -> dict:
 
 
 def _run_modes(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
-    modes = solve_slab_te_modes(b.spec, points=config.parameters["grid_points"],
-                                span_factor=config.parameters["span_factor"])
+    modes = solve_slab_te_modes(b.spec, grid=b.mode_grid)
     for mode in modes:
         export_mode_csv(mode, stage / f"mode{mode.index}.csv")
     write_csv(stage / "modes.csv", header=("index", "beta_per_m", "n_eff"),

@@ -80,7 +80,7 @@ class EvolutionParams:
     length: float
 
     def __post_init__(self):
-        if self.length < 0:
+        if not self.length >= 0:
             raise ValueError("length must be nonnegative")
         if not math.isfinite(2.0 * (self.delta_beta + self.rates.kappa) * self.length):
             raise ValueError("phase overflow: 2 (delta_beta + kappa) length is not finite")

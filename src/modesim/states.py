@@ -51,7 +51,7 @@ class PureState:
         if coeffs.shape not in ((2,), (4,)):
             raise ValueError(f"state must have 2 or 4 components, got shape {coeffs.shape}")
         norm_sq = float(np.vdot(coeffs, coeffs).real)
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
         object.__setattr__(self, "coefficients", _freeze(coeffs))
 
@@ -72,16 +72,16 @@ class DensityMatrix:
         if mat.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {mat.shape}")
         herm_defect = float(np.abs(mat - mat.conj().T).max())
-        if herm_defect > HERMITICITY_TOL:
+        if not herm_defect <= HERMITICITY_TOL:  # a NaN entry fails here, before eigvalsh
             raise ValueError(f"matrix not Hermitian (defect {herm_defect:.3e})")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {trace!r}")
         min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < EIGENVALUE_FLOOR:
+        if not min_eig >= EIGENVALUE_FLOOR:
             raise ValueError(f"matrix not positive semidefinite (min eigenvalue {min_eig:.3e})")
         pur = float(np.trace(mat @ mat).real)
-        if pur > PURITY_CEILING:
+        if not pur <= PURITY_CEILING:
             raise ValueError(f"purity {pur!r} exceeds 1")
         object.__setattr__(self, "matrix", _freeze(mat))
 

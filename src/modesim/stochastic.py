@@ -65,9 +65,9 @@ class PerturbationModel:
     k_ab: complex
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
-        if self.corr_length <= 0:
+        if not self.corr_length > 0:
             raise ValueError("corr_length must be positive")
 
 
@@ -92,20 +92,20 @@ class RateConstants:
 
 @functools.lru_cache(maxsize=8)
 def _embedding_scale(sigma: float, corr_length: float, dz: float, count: int) -> np.ndarray:
-    """sqrt(eigenvalues / size) of the smallest PSD circulant embedding of count samples."""
+    """sqrt(eigenvalues / size) of the circulant embedding of count samples, size the least
+    power of 2 >= 2 (count - 1).  On every grid that check_sample_grid accepts (dz <= D/8,
+    window >= 20 D) it is positive semidefinite to rounding, so no larger one is tried."""
     # cached: an ensemble draws thousands of paths from one embedding
     size = 1 << max(1, int(math.ceil(math.log2(2 * (count - 1)))))
-    for _ in range(4):  # initial embedding plus up to 3 doublings
-        j = np.arange(size)
-        lag = np.minimum(j, size - j) * dz
-        first_row = sigma * sigma * np.exp(-((lag / corr_length) ** 2))
-        eig = np.fft.fft(first_row).real
-        if eig.min() >= -1e-12 * eig.max():
-            scale = np.sqrt(np.clip(eig, 0.0, None) / size)
-            scale.setflags(write=False)
-            return scale
-        size *= 2
-    raise NumericalError("circulant embedding not positive semidefinite after 3 doublings")
+    j = np.arange(size)
+    lag = np.minimum(j, size - j) * dz
+    first_row = sigma * sigma * np.exp(-((lag / corr_length) ** 2))
+    eig = np.fft.fft(first_row).real
+    if not eig.min() >= -1e-12 * eig.max():
+        raise NumericalError("circulant embedding not positive semidefinite")
+    scale = np.sqrt(np.clip(eig, 0.0, None) / size)
+    scale.setflags(write=False)
+    return scale
 
 
 #: one-entry memo per thread: the key and the transform of the last seed pair

@@ -17,19 +17,20 @@ so plain bisection brackets every root with no spurious solutions.  The
 propagation constant is beta = sqrt((k n_co)^2 - kappa^2), strictly between
 k n_cl and k n_co.
 
-Group delays are computed from the numerical dispersion beta(k) with a
-central difference; material dispersion is ignored (n independent of k), so
-only geometric dispersion is captured.
+Each slab's dispersion relation is solved once and cached; beta, delta_beta
+and the group delays read that one solve.  Group delays are computed from the
+numerical dispersion beta(k) with a central difference; material dispersion
+is ignored (n independent of k), so only geometric dispersion is captured.
 
-Mode profiles are sampled on a uniform grid (default 2048 points spanning
-6x the core width) and normalized so that the trapezoid integral of |psi|^2
-is exactly 1.
+Mode profiles are sampled from the solve on a uniform grid (default 2048
+points spanning 6x the core width, at least 16 points across the core) and
+normalized so that the trapezoid integral of |psi|^2 is exactly 1.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,12 +43,15 @@ __all__ = [
     "group_delay",
     "delta_beta",
     "export_mode_csv",
+    "default_grid",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_SPAN_FACTOR",
 ]
 
 DEFAULT_GRID_POINTS = 2048
 DEFAULT_SPAN_FACTOR = 6.0
+#: a sampled core needs at least this many grid steps across it.
+MIN_POINTS_ACROSS_CORE = 16
 #: below this normalized frequency the guiding is unresolvable in float64.
 MIN_NORMALIZED_FREQUENCY = 1e-6
 #: m/s, exact by the SI definition; equals scipy.constants.speed_of_light.
@@ -68,7 +72,7 @@ class SlabSpec:
             raise ValueError("need n_core > n_clad > 0")
         if self.n_core >= 1e154:  # v_number squares n_core; float64 overflows above 1.8e308
             raise ValueError("need n_core < 1e154, so that its square is a finite float64")
-        if self.core_width <= 0 or self.wavelength <= 0:
+        if not (self.core_width > 0 and self.wavelength > 0):
             raise ValueError("core_width and wavelength must be positive")
 
     @property
@@ -97,6 +101,8 @@ class GuidedMode:
 
     def __post_init__(self):
         profile = np.array(self.profile)
+        if not (math.isfinite(self.beta) and np.all(np.isfinite(profile))):
+            raise ValueError("mode beta and profile must be finite")
         profile.setflags(write=False)
         object.__setattr__(self, "profile", profile)
 
@@ -140,19 +146,38 @@ def _solve_branch(m: int, v_number: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _default_grid(core_width: float, grid: tuple[float, float, int] | None,
-                  span_factor: float, points: int) -> tuple[float, float, int]:
-    if grid is not None:
-        return grid
+def default_grid(core_width: float, span_factor: float = DEFAULT_SPAN_FACTOR,
+                 points: int = DEFAULT_GRID_POINTS) -> tuple[float, float, int]:
+    """(x_min, dx, count) of points samples over span_factor core widths, centered on the core.
+
+    Raises ValueError unless the core holds (points - 1) / span_factor >=
+    MIN_POINTS_ACROSS_CORE grid steps: a coarser profile may miss the core.
+    """
     if not span_factor > 0 or points < 2:
         raise ValueError("need span_factor > 0 and points >= 2")
+    if points - 1 < MIN_POINTS_ACROSS_CORE * span_factor:  # integers: exactly 16 steps pass
+        raise ValueError(f"the grid puts fewer than {MIN_POINTS_ACROSS_CORE} points across the "
+                         f"core; need (grid_points - 1) / span_factor >= {MIN_POINTS_ACROSS_CORE}")
     span = span_factor * core_width
     return (-span / 2.0, span / (points - 1), points)
 
 
-def _normalized(profile: np.ndarray, dx: float) -> np.ndarray:
-    norm = math.sqrt(float(np.trapezoid(np.abs(profile) ** 2, dx=dx)))
-    return profile / norm
+@functools.lru_cache(maxsize=16)
+def _dispersion(spec: SlabSpec) -> tuple[tuple[int, float, float, float], ...]:
+    """(m, u, v, beta) of each guided TE mode, by descending beta."""
+    # cached: delta_beta and group_delay ask for the same few slabs again and again
+    v_number = spec.v_number
+    if v_number < MIN_NORMALIZED_FREQUENCY:
+        return ()
+    half, modes, m = spec.core_width / 2.0, [], 0
+    while m * math.pi / 2.0 < v_number:
+        u = _solve_branch(m, v_number)
+        v = math.sqrt(max(v_number ** 2 - u ** 2, 0.0))
+        beta = math.sqrt((spec.k * spec.n_core) ** 2 - (u / half) ** 2)
+        if spec.k * spec.n_clad < beta < spec.k * spec.n_core:
+            modes.append((m, u, v, beta))
+        m += 1
+    return tuple(modes)
 
 
 def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = None,
@@ -160,40 +185,28 @@ def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = 
                         points: int = DEFAULT_GRID_POINTS) -> list[GuidedMode]:
     """All guided TE modes of a symmetric slab, sorted by descending beta.
 
-    Returns an empty list when the guide cannot hold a numerically
-    resolvable mode (normalized frequency below 1e-6).  Each returned beta
-    satisfies the dispersion relation to residual below 1e-12 and lies
-    strictly inside (k n_clad, k n_core).
+    The profiles are sampled on grid, or on default_grid(core_width,
+    span_factor, points).  Returns an empty list when the guide cannot hold a
+    numerically resolvable mode (normalized frequency below 1e-6).  Each
+    returned beta satisfies the dispersion relation to residual below 1e-12
+    and lies strictly inside (k n_clad, k n_core).
     """
-    v_number = spec.v_number
-    if v_number < MIN_NORMALIZED_FREQUENCY:
-        return []
-    half = spec.core_width / 2.0
-    x_min, dx, count = _default_grid(spec.core_width, grid, span_factor, points)
+    x_min, dx, count = default_grid(spec.core_width, span_factor, points) if grid is None else grid
     x = x_min + dx * np.arange(count)
+    half = spec.core_width / 2.0
+    inside = np.abs(x) <= half
     modes: list[GuidedMode] = []
-    m = 0
-    while m * math.pi / 2.0 < v_number:
-        u = _solve_branch(m, v_number)
-        v = math.sqrt(max(v_number ** 2 - u ** 2, 0.0))
-        kappa = u / half
-        decay = v / half
-        beta = math.sqrt((spec.k * spec.n_core) ** 2 - kappa ** 2)
-        if not (spec.k * spec.n_clad < beta < spec.k * spec.n_core):
-            m += 1
-            continue
-        inside = np.abs(x) <= half
+    for m, u, v, beta in _dispersion(spec):
         profile = np.empty(count, dtype=np.float64)
-        tail = np.exp(-decay * (np.abs(x[~inside]) - half))
+        tail = np.exp(-(v / half) * (np.abs(x[~inside]) - half))
         if m % 2 == 0:
-            profile[inside] = np.cos(kappa * x[inside])
+            profile[inside] = np.cos((u / half) * x[inside])
             profile[~inside] = math.cos(u) * tail
         else:
-            profile[inside] = np.sin(kappa * x[inside])
+            profile[inside] = np.sin((u / half) * x[inside])
             profile[~inside] = math.sin(u) * np.sign(x[~inside]) * tail
-        modes.append(GuidedMode(index=m, beta=beta, profile=_normalized(profile, dx),
-                                grid=(x_min, dx, count)))
-        m += 1
+        norm = math.sqrt(float(np.trapezoid(np.abs(profile) ** 2, dx=dx)))
+        modes.append(GuidedMode(index=m, beta=beta, profile=profile / norm, grid=(x_min, dx, count)))
     return modes
 
 
@@ -202,29 +215,18 @@ def group_delay(spec: SlabSpec, mode_index: int, length: float,
     """Group delay tau = (L/c) dbeta/dk via a central difference at k(1 +- dk_rel).
 
     Second-order convergent in the relative step.  Raises when the requested
-    mode is not guided at either perturbed wavenumber.
+    mode is not guided at either perturbed wavenumber, whatever the length.
     """
-    if length == 0.0:
-        return 0.0
-    if dk_rel <= 0:
+    if not dk_rel > 0:
         raise ValueError("dk_rel must be positive")
-    return length / SPEED_OF_LIGHT * _beta_slope(spec, mode_index, dk_rel)
-
-
-@functools.lru_cache(maxsize=16)
-def _beta_slope(spec: SlabSpec, mode_index: int, dk_rel: float) -> float:
-    # cached: a delays scan takes the same two slopes at every length
     betas = []
     for sign in (+1.0, -1.0):
-        k_pert = spec.k * (1.0 + sign * dk_rel)
-        pert = SlabSpec(spec.core_width, spec.n_core, spec.n_clad,
-                        2.0 * math.pi / k_pert)
-        modes = solve_slab_te_modes(pert, points=8)  # profiles unused
+        modes = _dispersion(replace(spec, wavelength=2.0 * math.pi / (spec.k * (1.0 + sign * dk_rel))))
         if mode_index >= len(modes):
             raise ValueError(f"mode {mode_index} near cutoff: not guided at the perturbed "
                              "wavenumber k (1 +- dk_rel); move away from cutoff or reduce dk_rel")
-        betas.append(modes[mode_index].beta)
-    return (betas[0] - betas[1]) / (2.0 * spec.k * dk_rel)
+        betas.append(modes[mode_index][3])
+    return length / SPEED_OF_LIGHT * ((betas[0] - betas[1]) / (2.0 * spec.k * dk_rel))
 
 
 def delta_beta(spec: SlabSpec) -> float:
@@ -233,10 +235,10 @@ def delta_beta(spec: SlabSpec) -> float:
     Negative by the solver's descending-beta convention; the decoherence
     rates consume only its magnitude (even) or sign (odd) explicitly.
     """
-    modes = solve_slab_te_modes(spec, points=8)
+    modes = _dispersion(spec)
     if len(modes) < 2:
         raise ValueError(f"need at least 2 guided modes, found {len(modes)}")
-    return modes[1].beta - modes[0].beta
+    return modes[1][3] - modes[0][3]
 
 
 def export_mode_csv(mode: GuidedMode, destination) -> None:

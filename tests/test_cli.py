@@ -137,6 +137,8 @@ class TestValidate:
         ("experiment=delays\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
         ("experiment=decohere\ndelta_beta_per_m=1e308\n", "delta_beta_per_m", "phase overflow"),
         ("experiment=modes\nn_core=1e200\nn_clad=9e199\n", "n_core", "n_core < 1e154"),
+        ("experiment=fig2\ndelta_n_list=\n", "delta_n_list", "at least one delta_n"),
+        ("experiment=fig2\ndelta_n_list=;\n", "delta_n_list", "at least one delta_n"),
         *[(text, key, "GB budget") for text, key in OVER_BUDGET],
         *GRID_AND_CUTOFF,
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
@@ -144,7 +146,7 @@ class TestValidate:
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
             "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
             "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow",
-            "n_core_square_overflow",
+            "n_core_square_overflow", "fig2_no_bumps", "fig2_no_bumps_separator",
             *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
@@ -381,6 +383,8 @@ class TestMain:
         ("experiment=chsh-scan\ndelta_beta_per_m=1e308\nlength_m=2\n", []),
         ("experiment=delays\ndelta_beta_per_m=1e308\n", []),
         ("experiment=decohere\ndelta_beta_per_m=1e308\n", []),
+        ("experiment=fig2\ndelta_n_list=\n", []),
+        ("experiment=fig2\ndelta_n_list=;\n", []),
         *[(text, []) for text, _ in OVER_BUDGET],
         *[(text, []) for text, _, _ in GRID_AND_CUTOFF],
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
@@ -391,7 +395,8 @@ class TestMain:
             "bpm_dz_0", "rates_sigma_overflow", "rates_k_ab_overflow", "chsh_grid_n_max",
             "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad",
             "modes_grid_over_core", "chsh_phase_overflow", "delays_phase_overflow",
-            "decohere_phase_overflow", *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
+            "decohere_phase_overflow", "fig2_no_bumps", "fig2_no_bumps_separator",
+            *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3; an
         # over-budget config once died of a MemoryError (exit 1) or a bare numpy error

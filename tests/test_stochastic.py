@@ -77,6 +77,24 @@ def pair_transform(model, dz, count, pair_seed):
     return np.fft.fft(spectrum)[:count]
 
 
+@settings(max_examples=40, deadline=None)
+@given(resolution=st.floats(8.0, 4096.0), window=st.floats(20.0, 160.0),
+       corr_length=st.floats(1e-6, 1e-2))
+def test_first_circulant_embedding_is_psd_on_every_accepted_grid(resolution, window, corr_length):
+    # check_sample_grid runs before any embedding and demands dz <= D/8 and a window of at
+    # least 20 D; on such grids the first embedding's least eigenvalue stays above -1e-12 of
+    # the greatest (-2e-16 at worst over 84 grids), so no larger embedding is ever needed
+    model = PerturbationModel(1.0, corr_length, 500.0)
+    dz, count = corr_length / resolution, math.ceil(window * resolution)
+    stochastic.check_sample_grid(model, dz, count)
+    size = 1 << max(1, math.ceil(math.log2(2 * (count - 1))))
+    j = np.arange(size)
+    eig = np.fft.fft(np.exp(-((np.minimum(j, size - j) * dz / corr_length) ** 2))).real
+    assert eig.min() >= -1e-12 * eig.max()
+    # uncached: the scale of the largest grids is 16 MB
+    assert _embedding_scale.__wrapped__(model.sigma, corr_length, dz, count).shape == (size,)
+
+
 class TestSamplePath:
     def test_zero_sigma_gives_zero_path(self):
         model = PerturbationModel(0.0, 50e-6, 100.0)

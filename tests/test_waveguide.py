@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import speed_of_light
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from modesim import waveguide
+from modesim import bpm, cli, waveguide
+from modesim.bpm import Grid, PhaseSection, YSplitterGeometry
+from modesim.decoherence import EvolutionParams
+from modesim.states import DensityMatrix, PureState
+from modesim.stochastic import PerturbationModel, RateConstants
 from modesim.waveguide import (
     GuidedMode,
     SlabSpec,
@@ -34,6 +40,73 @@ def mode_overlap(a, b):
     if a.grid != b.grid:
         raise ValueError("modes live on different grids")
     return complex(np.trapezoid(np.conj(a.profile) * b.profile, dx=a.grid[1]))
+
+
+# --- the earlier beta route, kept as an oracle -------------------------------
+#
+# delta_beta and the group delay's slope once read beta from a full
+# solve_slab_te_modes call on an 8-point placeholder grid.  Its beta loop is
+# kept here bit for bit: the cached dispersion solve must reproduce it.
+
+def placeholder_betas(spec):
+    """beta of each guided mode as the full solve computed it, by descending beta."""
+    v_number = spec.v_number
+    if v_number < waveguide.MIN_NORMALIZED_FREQUENCY:
+        return []
+    half = spec.core_width / 2.0
+    betas, m = [], 0
+    while m * math.pi / 2.0 < v_number:
+        kappa = waveguide._solve_branch(m, v_number) / half
+        beta = math.sqrt((spec.k * spec.n_core) ** 2 - kappa ** 2)
+        if spec.k * spec.n_clad < beta < spec.k * spec.n_core:
+            betas.append(beta)
+        m += 1
+    return betas
+
+
+def placeholder_delta_beta(spec):
+    betas = placeholder_betas(spec)
+    if len(betas) < 2:
+        raise ValueError("need at least 2 guided modes")
+    return betas[1] - betas[0]
+
+
+def placeholder_group_delay(spec, mode_index, length, dk_rel=1e-4):
+    betas = []
+    for sign in (+1.0, -1.0):
+        k_pert = spec.k * (1.0 + sign * dk_rel)
+        pert = placeholder_betas(SlabSpec(spec.core_width, spec.n_core, spec.n_clad,
+                                          2.0 * math.pi / k_pert))
+        if mode_index >= len(pert):
+            raise ValueError("near cutoff")
+        betas.append(pert[mode_index])
+    return length / speed_of_light * ((betas[0] - betas[1]) / (2.0 * spec.k * dk_rel))
+
+
+def outcome(function, *args):
+    """function(*args), or ValueError if it raises one."""
+    try:
+        return function(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def slabs(draw):
+    """A dual-mode, multi-mode or near cut-off slab: V drawn first, the core width solved from it."""
+    n_clad = draw(st.floats(1.0, 3.5))
+    n_core = n_clad * (1.0 + draw(st.floats(1e-4, 0.3)))
+    wavelength = draw(st.floats(0.4e-6, 2.0e-6))
+    kind = draw(st.sampled_from(["dual", "multi", "cutoff"]))
+    if kind == "dual":
+        v_number = draw(st.floats(math.pi / 2 * 1.001, math.pi * 0.999))
+    elif kind == "multi":
+        v_number = draw(st.floats(math.pi, 30.0))
+    else:  # within 1e-4 of mode m's cut-off, where k (1 +- 1e-4) may lose or gain the mode
+        v_number = draw(st.integers(1, 12)) * math.pi / 2 * (1.0 + draw(st.floats(-1e-4, 1e-4)))
+    k = 2.0 * math.pi / wavelength
+    core_width = 2.0 * v_number / (k * math.sqrt(n_core ** 2 - n_clad ** 2))
+    return SlabSpec(core_width, n_core, n_clad, wavelength)
 
 
 # --- independent shooting-method oracle ------------------------------------
@@ -131,6 +204,49 @@ class TestSlabSolver:
         # span_factor=0 once gave inf profiles; points=1 a ZeroDivisionError
         with pytest.raises(ValueError, match="span_factor > 0 and points >= 2"):
             solve_slab_te_modes(default_slab, **kwargs)
+
+    def test_default_grid_must_resolve_the_core(self, default_slab):
+        # span_factor=1e6 at 64 points once returned two modes whose profiles were all NaN
+        with pytest.raises(ValueError, match="fewer than 16 points across the core"):
+            solve_slab_te_modes(default_slab, span_factor=1e6, points=64)
+        # 2048 intervals over 128 core widths: 16 points across the core, the least allowed
+        modes = solve_slab_te_modes(default_slab, span_factor=128, points=2049)
+        assert len(modes) == 2
+        assert all(np.isfinite(mode.profile).all() for mode in modes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=slabs())
+    def test_cached_dispersion_matches_placeholder_route(self, spec):
+        # bit for bit: every beta, delta_beta, and each mode's group delay (or its error)
+        betas = placeholder_betas(spec)
+        assert [beta for _, _, _, beta in waveguide._dispersion(spec)] == betas
+        assert [mode.beta for mode in solve_slab_te_modes(spec)] == betas
+        assert outcome(delta_beta, spec) == outcome(placeholder_delta_beta, spec)
+        for index in {0, 1, len(betas) - 1, len(betas)}:  # the last mode is the nearest cut-off
+            assert (outcome(group_delay, spec, index, 0.7)
+                    == outcome(placeholder_group_delay, spec, index, 0.7))
+
+    def test_fig2_defaults_solve_each_slab_once(self, tmp_path, monkeypatch):
+        # the benchmark's splitter config: its 3 slabs (base and two bumps) once took 6 solver
+        # calls and 12 branch bisections; the march does not touch the solver, so it is stubbed
+        counts = {"solve": 0, "branch": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        solve = counted("solve", waveguide.solve_slab_te_modes)
+        for module in (waveguide, bpm, cli):
+            monkeypatch.setattr(module, "solve_slab_te_modes", solve)
+        monkeypatch.setattr(waveguide, "_solve_branch", counted("branch", waveguide._solve_branch))
+        monkeypatch.setattr(bpm, "propagate", lambda field, *args, **kwargs: [field])
+        waveguide._dispersion.cache_clear()
+        config = cli.parse_config_text("experiment=fig2\n")
+        assert cli.validate(config) == []
+        cli.run(config, tmp_path / "out", quiet=True)
+        assert counts == {"solve": 1, "branch": 6}
 
     def test_halving_wavelength_doubles_v(self, default_slab):
         doubled = SlabSpec(default_slab.core_width, default_slab.n_core,
@@ -238,3 +354,31 @@ def test_export_mode_csv(tmp_path, default_slab):
     x0, re0, im0 = (float(v) for v in lines[1].split(","))
     assert x0 == mode.grid[0]
     assert im0 == 0.0
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda nan: SlabSpec(nan, 1.5, 1.49, 1.55e-6), "must be positive"),
+    (lambda nan: SlabSpec(8e-6, 1.5, 1.49, nan), "must be positive"),
+    (lambda nan: PerturbationModel(nan, 100e-6, 500.0), "sigma must be nonnegative"),
+    (lambda nan: PerturbationModel(0.05, nan, 500.0), "corr_length must be positive"),
+    (lambda nan: PureState([nan, 0.0]), "not normalized"),
+    (lambda nan: DensityMatrix([[nan, 0.0], [0.0, 0.0]]), "not Hermitian"),
+    (lambda nan: PhaseSection(1e-4, nan), "must be nonnegative"),
+    (lambda nan: PhaseSection(1e-4, 1e-3, z_start=nan), "must be nonnegative"),
+    (lambda nan: YSplitterGeometry(nan, 0.007, 24e-6, 4e-6), "lengths must be positive"),
+    (lambda nan: YSplitterGeometry(1e-3, 0.007, 24e-6, nan), "lengths must be positive"),
+    (lambda nan: YSplitterGeometry(1e-3, 0.007, nan, 4e-6), "final separation"),
+    (lambda nan: Grid(-32e-6, nan, 2048, 1e-6, 100), "dx and dz must be positive"),
+    (lambda nan: Grid(-32e-6, 3e-8, 2048, nan, 100), "dx and dz must be positive"),
+    (lambda nan: EvolutionParams(2e4, RateConstants(0.0, 0.0), nan), "length must be nonnegative"),
+    (lambda nan: GuidedMode(0, 6e6, [0.5, nan], (0.0, 1e-6, 2)), "must be finite"),
+    (lambda nan: GuidedMode(0, nan, [0.5, 0.5], (0.0, 1e-6, 2)), "must be finite"),
+], ids=["slab_core_width", "slab_wavelength", "model_sigma", "model_corr_length", "pure_state",
+        "density_matrix", "phase_length", "phase_start", "splitter_stem", "splitter_core",
+        "splitter_separation", "grid_dx", "grid_dz", "evolution_length", "mode_profile",
+        "mode_beta"])
+def test_every_domain_dataclass_refuses_nan(build, bound):
+    # each bound once read `x <= 0`, which NaN passes; the object was built, or failed later
+    # with another message
+    with pytest.raises(ValueError, match=bound):
+        build(math.nan)
