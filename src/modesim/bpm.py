@@ -25,14 +25,15 @@ consecutive rows: it LU-factors a run's tridiagonal step matrix once (LAPACK
 scipy, which provides them, is imported on the first march, not with this
 module.
 
-Geometry builders rasterize symmetric Y-splitters: a dual-mode stem, an
+build_geometry rasterizes symmetric Y-splitters: a dual-mode stem, an
 optional phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
-phase 2*theta controlled by delta_n.  The fig2 experiment rasterizes every
-delta_n into one rows array: all share the stem and branch-taper rows, each
-adds only its own phase-section row, and each marches with its own row index.
+phase 2*theta controlled by delta_n.  It rasterizes a list of geometries into
+one rows array; the fig2 experiment passes one per delta_n: all share the stem
+and branch-taper rows, each adds only its own phase-section row, and each
+marches with its own row index.
 A row starts as cladding; its wholly covered cells copy one fully covered
 row, and only the few partly covered cells at each core edge are area
 weighted, so each row is bit-identical to area-weighting every cell.
@@ -45,9 +46,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._errors import NumericalError
+from ._errors import NumericalError, check_finite
 from ._io import write_bytes, write_csv
-from .waveguide import MIN_POINTS_ACROSS_CORE, GuidedMode, SlabSpec, delta_beta, solve_slab_te_modes
+from .waveguide import MIN_POINTS_ACROSS_CORE, SlabSpec, delta_beta, solve_slab_te_modes
 
 __all__ = [
     "Grid",
@@ -61,7 +62,6 @@ __all__ = [
     "check_paraxial_dz",
     "check_core_resolution",
     "build_geometry",
-    "mode_field",
     "field_from_modes",
     "propagate",
     "decompose",
@@ -98,6 +98,7 @@ class Grid:
             raise ValueError("nx must be at least 64")
         if self.nz < 2:
             raise ValueError("nz must be at least 2")
+        check_finite(self, "x_min", "dx", "dz")
 
     @property
     def x(self) -> np.ndarray:
@@ -137,6 +138,7 @@ class RIMap:
         object.__setattr__(self, "bounds", (rows.min(), rows.max()))  # the least and greatest n
         if not (self.bounds[0] > 0 and self.reference_n0 > 0):  # a NaN in the rows makes the least NaN
             raise ValueError("refractive index (every row and reference_n0) must be positive")
+        check_finite(self, "reference_n0")
         for name, array in (("rows", rows), ("index", index)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -173,6 +175,7 @@ class PhaseSection:
     def __post_init__(self):
         if not (self.length >= 0 and self.z_start >= 0):
             raise ValueError("phase-section extents must be nonnegative")
+        check_finite(self, "delta_n", "length", "z_start")
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,7 @@ class YSplitterGeometry:
         phase = self.phase_section
         if phase is not None and phase.z_start + phase.length > self.stem_length:
             raise ValueError("phase section must sit inside the stem")
+        check_finite(self, "stem_length", "branch_half_angle", "branch_separation_final", "core_width")
 
     def separation_end_z(self) -> float:
         """z where the branch centers reach their final separation."""
@@ -231,23 +235,15 @@ def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
                          f"[{grid.x_min:g}, {grid.x_max:g}]")
 
 
-def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> RIMap:
-    """Rasterize a Y-splitter onto the grid, with reference index base.n_core.
+def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
+    """Rasterize Y-splitters onto the grid: one map per geometry, reference index base.n_core.
 
-    Core cells take n_core (plus delta_n inside the phase section); edge
-    cells are area weighted so the raster integrates to the analytic core
-    area and the discrete mode constants are free of staircase bias.  Each
-    distinct (core value, core intervals) pair is rasterized into one row.
+    Core cells take n_core (plus delta_n inside the phase section); edge cells are area weighted
+    so the raster integrates to the analytic core area and the discrete mode constants are free
+    of staircase bias.  A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice,
+    or the branch cores.  Each distinct key is one row of one rows array that every map shares,
+    in order of first use, deduplicated geometry by geometry.
     """
-    rows, (index,) = _raster([geometry], grid, base)
-    return RIMap(rows, index, base.n_core)
-
-
-def _raster(geometries, grid: Grid, base: SlabSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """build_geometry's rows, shared by all the geometries, and each one's row index.
-
-    A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice, or the branch cores.
-    Each distinct key is one row, in order of first use, deduplicated geometry by geometry."""
     z, contrast, stem_half = grid.z, base.n_core - base.n_clad, base.core_width / 2.0
     distinct, indices = np.empty((0, 5)), []
     for geometry in geometries:
@@ -269,7 +265,8 @@ def _raster(geometries, grid: Grid, base: SlabSpec) -> tuple[np.ndarray, list[np
         index = np.argsort(np.argsort(first))[np.cumsum(lead) - 1][np.argsort(order)]
         distinct = keys[np.sort(first)]  # the earlier distinct keys keep their places
         indices.append(index[len(keys) - grid.nz:])
-    return _rows(distinct, grid, base.n_clad), indices
+    rows = _rows(distinct, grid, base.n_clad)
+    return [RIMap(rows, index, base.n_core) for index in indices]
 
 
 def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
@@ -313,11 +310,6 @@ def _cells(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _power(values: np.ndarray, dx: float) -> float:
     return float(np.sum(np.abs(values) ** 2) * dx)
-
-
-def mode_field(mode: GuidedMode, grid: Grid) -> Field:
-    """Launch field equal to a solved mode profile (shared x grid required)."""
-    return field_from_modes([mode], [1.0], grid)
 
 
 def field_from_modes(modes, coefficients, grid: Grid) -> Field:
@@ -506,11 +498,9 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     thetas = [_differential_phase(base, float(delta_n), length) for delta_n in delta_n_list]
     bumps = [replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
              for delta_n in delta_n_list]
-    raster, indices = _raster(bumps, grid, base)
     rows = []
-    for delta_n, theta, index in zip(delta_n_list, thetas, indices):
-        final = propagate(launch, RIMap(raster, index, base.n_core), grid, base.wavelength,
-                          snapshot_every=grid.nz)[-1]
+    for delta_n, theta, ri_map in zip(delta_n_list, thetas, build_geometry(bumps, grid, base)):
+        final = propagate(launch, ri_map, grid, base.wavelength, snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, 0.0, grid)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))
     return rows

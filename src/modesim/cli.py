@@ -257,7 +257,7 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
     threads is the number of pull loops an ensemble runs, each of which holds its own buffers.
     """
     # memory: 1 MiB for numpy's reduction buffers and small objects, then each term below
-    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20, threads=threads)
+    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20, threads=threads, dual=[])
     if "n_core" in params:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
@@ -288,6 +288,8 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
         b.memory += 190.0 * steps * threads + 96.0 * params["n_realizations"] * params["n_lengths"]
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
+    if "nx" in params:  # bpm-run and fig2 launch (TE0 + TE1) / sqrt(2): the slab must carry both
+        b.dual.append(b.spec)
     if "length_um" in params:
         length, core_width = params["length_um"] * 1e-6, b.spec.core_width
     if "stem_length_um" in params:
@@ -303,7 +305,7 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
         if not params["delta_n_list"]:
             raise ValueError("delta_n_list must hold at least one delta_n")
         for delta_n in params["delta_n_list"]:  # SlabSpec checks each bumped phase section
-            replace(b.spec, n_core=b.spec.n_core + delta_n)
+            b.dual.append(replace(b.spec, n_core=b.spec.n_core + delta_n))
     if "window_um" in params:  # nx points across a centered window, dz steps covering length
         window, dz = params["window_um"] * 1e-6, params["dz_um"] * 1e-6
         nz = int(math.ceil(length / dz)) + 1 if dz > 0 else 0  # Grid rejects dz <= 0
@@ -324,6 +326,8 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
     if b.memory > MEMORY_BUDGET:
         raise ValueError(f"the run needs about {b.memory / 1e9:.3g} GB, over the "
                          f"{MEMORY_BUDGET / 1e9:g} GB budget")
+    for spec in b.dual:  # last, as the one costly check: a dispersion solve, which the run reuses
+        delta_beta(spec)
     return b
 
 
@@ -370,7 +374,7 @@ def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     rho = b.rho
     if b.evo.length > 0 and params["state"] in _DECOHERED_STATES:
-        rho = two_rail_evolve(params["state"], b.evo, "closed_form")
+        rho = two_rail_evolve(params["state"], b.evo)
     best, angles = chsh_scan(rho, params["grid_n"])
     export_chsh_csv([(best, angles)], stage / "chsh_scan.csv")
     derived = {"max_abs_B": best, "max_abs_B_exact": chsh_optimum(rho), "state": params["state"]}
@@ -386,8 +390,8 @@ def _run_delays(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
                               params["length_max_m"], params["n_lengths"]):
         evo = EvolutionParams(b.dbeta, b.rates, float(length))
         pair = DelayPair(group_delay(b.spec, 0, float(length)), group_delay(b.spec, 1, float(length)))
-        cov_ent = delay_covariance(two_rail_evolve("phi_plus", evo, "closed_form"), pair)
-        cov_prod = delay_covariance(two_rail_evolve("product", evo, "closed_form"), pair)
+        cov_ent = delay_covariance(two_rail_evolve("phi_plus", evo), pair)
+        cov_prod = delay_covariance(two_rail_evolve("product", evo), pair)
         rows.append((float(length), pair.tau0, pair.tau1, cov_ent, cov_prod))
     header = ("L_m", "tau0_s", "tau1_s", "cov_entangled_s2", "cov_product_s2")
     write_csv(stage / "delays.csv", header=header, rows=rows)
@@ -405,8 +409,6 @@ def _run_fig2(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
 def _run_bpm(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     spec, grid = b.spec, b.grid
     modes = solve_slab_te_modes(spec, grid=grid.waveguide_grid())
-    if len(modes) < 2:
-        raise NumericalError("straight-guide run expects a dual-mode spec")
     launch = field_from_modes(modes[:2], b.coeffs, grid)
     ri_map = straight_slab_map(grid, spec)
     snapshots = propagate(launch, ri_map, grid, spec.wavelength,

@@ -49,7 +49,7 @@ from itertools import groupby
 import numpy as np
 
 from ._io import write_csv
-from .states import DensityMatrix, bell_state, density_of, product_state
+from .states import DensityMatrix
 from .stochastic import (MAX_DZ_FRACTION, PerturbationModel, RateConstants, check_sample_grid,
                          pair_seed, rates, sample_path)
 
@@ -367,7 +367,18 @@ def fit_decay_rate(scan: DecoherenceScan) -> float:
     return float(-coeffs[1])
 
 
-def _two_rail_closed_form(state: str, params: EvolutionParams) -> np.ndarray:
+def two_rail_evolve(state: str, params: EvolutionParams) -> DensityMatrix:
+    """Evolve a two-rail input ("phi_plus" or "product") through matched rails.
+
+    Both rails share the same statistics and length and are statistically
+    independent.  Returns the published two-rail matrices verbatim.  For the
+    product state they equal the single-rail map applied to each rail; for the
+    entangled state they keep the populations frozen, where composing the
+    single-rail maps would populate the cross terms |01>, |10> at order
+    (1 - exp(-2 gamma L)).
+    """
+    if state not in ("phi_plus", "product"):
+        raise ValueError(f"state must be 'phi_plus' or 'product', got {state!r}")
     gamma, kappa, length = params.rates.gamma, params.rates.kappa, params.length
     single = np.exp((1j * (params.delta_beta + kappa) - gamma) * length)
     double = np.exp(2.0 * (1j * (params.delta_beta + kappa) - gamma) * length)
@@ -377,8 +388,8 @@ def _two_rail_closed_form(state: str, params: EvolutionParams) -> np.ndarray:
         out[0, 0] = out[3, 3] = 0.5
         out[0, 3] = 0.5 * double
         out[3, 0] = 0.5 * np.conj(double)
-        return out
-    return 0.25 * np.array(
+        return DensityMatrix(out)
+    return DensityMatrix(0.25 * np.array(
         [
             [1.0, single, single, double],
             [np.conj(single), 1.0, relax, single],
@@ -386,36 +397,7 @@ def _two_rail_closed_form(state: str, params: EvolutionParams) -> np.ndarray:
             [np.conj(double), np.conj(single), np.conj(single), 1.0],
         ],
         dtype=np.complex128,
-    )
-
-
-def _two_rail_channel(state: str, params: EvolutionParams) -> np.ndarray:
-    pure = bell_state("phi", "+") if state == "phi_plus" else product_state()
-    args = (params.delta_beta, params.rates.gamma, params.rates.kappa, params.length)
-    # axes (c, t, c', t') of control and target rails; each map acts on the leading pair
-    joint = density_of(pure).matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    joint = _apply_single_rail(joint, *args).transpose(2, 3, 0, 1)
-    return _apply_single_rail(joint, *args).transpose(2, 0, 3, 1).reshape(4, 4)
-
-
-def two_rail_evolve(state: str, params: EvolutionParams, mode: str = "closed_form") -> DensityMatrix:
-    """Evolve a two-rail input ("phi_plus" or "product") through matched rails.
-
-    Both rails share the same statistics and length and are statistically
-    independent.  mode "closed_form" returns the published two-rail matrices
-    verbatim; mode "channel_composition" applies the single-rail map to each
-    rail independently.  The two agree exactly for the product state; for the
-    entangled state the closed form keeps its populations frozen while the
-    composed channel populates the cross terms |01>, |10> at order
-    (1 - exp(-2 gamma L)).  Both definitions are preserved deliberately.
-    """
-    if state not in ("phi_plus", "product"):
-        raise ValueError(f"state must be 'phi_plus' or 'product', got {state!r}")
-    if mode == "closed_form":
-        return DensityMatrix(_two_rail_closed_form(state, params))
-    if mode == "channel_composition":
-        return DensityMatrix(_two_rail_channel(state, params))
-    raise ValueError(f"mode must be 'closed_form' or 'channel_composition', got {mode!r}")
+    ))
 
 
 def export_scan_csv(scan: DecoherenceScan, destination) -> None:

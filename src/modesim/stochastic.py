@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import NumericalError
+from ._errors import NumericalError, check_finite
 
 __all__ = [
     "PerturbationModel",
@@ -69,6 +69,7 @@ class PerturbationModel:
             raise ValueError("sigma must be nonnegative")
         if not self.corr_length > 0:
             raise ValueError("corr_length must be positive")
+        check_finite(self, "sigma", "corr_length", "k_ab")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ relation splits into one branch per mode index m on u in
 
 Both residual forms are continuous with opposite signs at the branch ends,
 so plain bisection brackets every root with no spurious solutions.  The
-propagation constant is beta = sqrt((k n_co)^2 - kappa^2), strictly between
-k n_cl and k n_co.
+bracket is shrunk by 1e-14 relative at each end; a top branch whose root then
+falls outside it lies within rounding of u = V, a mode at its cut-off, and
+counts as not guided.  The propagation constant is
+beta = sqrt((k n_co)^2 - kappa^2), strictly between k n_cl and k n_co.
 
 Each slab's dispersion relation is solved once and cached; beta, delta_beta
 and the group delays read that one solve.  Group delays are computed from the
@@ -34,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._errors import check_finite
 from ._io import write_csv
 
 __all__ = [
@@ -74,6 +77,7 @@ class SlabSpec:
             raise ValueError("need n_core < 1e154, so that its square is a finite float64")
         if not (self.core_width > 0 and self.wavelength > 0):
             raise ValueError("core_width and wavelength must be positive")
+        check_finite(self, "core_width", "n_core", "n_clad", "wavelength")
 
     @property
     def k(self) -> float:
@@ -119,7 +123,8 @@ def _branch_residual(m: int, u: np.ndarray, v_number: float):
     return u * np.cos(u) + v * np.sin(u)
 
 
-def _solve_branch(m: int, v_number: float) -> float:
+def _solve_branch(m: int, v_number: float) -> float | None:
+    """The root u of branch m, or None if it lies within rounding of the cut-off u = V."""
     lo = m * math.pi / 2.0
     hi = min((m + 1) * math.pi / 2.0, v_number)
     lo += 1e-14 * max(1.0, lo)
@@ -131,6 +136,8 @@ def _solve_branch(m: int, v_number: float) -> float:
     if f_hi == 0.0:
         return hi
     if (f_lo > 0) == (f_hi > 0):
+        if v_number <= (m + 1) * math.pi / 2.0:  # the top branch: its root is past hi = V (1 - 1e-14)
+            return None
         raise RuntimeError(f"dispersion branch {m} lost its bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -172,6 +179,8 @@ def _dispersion(spec: SlabSpec) -> tuple[tuple[int, float, float, float], ...]:
     half, modes, m = spec.core_width / 2.0, [], 0
     while m * math.pi / 2.0 < v_number:
         u = _solve_branch(m, v_number)
+        if u is None:  # a mode at its cut-off is not guided, and no higher branch exists
+            break
         v = math.sqrt(max(v_number ** 2 - u ** 2, 0.0))
         beta = math.sqrt((spec.k * spec.n_core) ** 2 - (u / half) ** 2)
         if spec.k * spec.n_clad < beta < spec.k * spec.n_core:
@@ -180,18 +189,16 @@ def _dispersion(spec: SlabSpec) -> tuple[tuple[int, float, float, float], ...]:
     return tuple(modes)
 
 
-def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = None,
-                        span_factor: float = DEFAULT_SPAN_FACTOR,
-                        points: int = DEFAULT_GRID_POINTS) -> list[GuidedMode]:
+def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = None) -> list[GuidedMode]:
     """All guided TE modes of a symmetric slab, sorted by descending beta.
 
-    The profiles are sampled on grid, or on default_grid(core_width,
-    span_factor, points).  Returns an empty list when the guide cannot hold a
-    numerically resolvable mode (normalized frequency below 1e-6).  Each
+    The profiles are sampled on grid (x_min, dx, count), or on
+    default_grid(core_width).  Returns an empty list when the guide cannot hold
+    a numerically resolvable mode (normalized frequency below 1e-6).  Each
     returned beta satisfies the dispersion relation to residual below 1e-12
     and lies strictly inside (k n_clad, k n_core).
     """
-    x_min, dx, count = default_grid(spec.core_width, span_factor, points) if grid is None else grid
+    x_min, dx, count = default_grid(spec.core_width) if grid is None else grid
     x = x_min + dx * np.arange(count)
     half = spec.core_width / 2.0
     inside = np.abs(x) <= half

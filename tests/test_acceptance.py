@@ -20,7 +20,6 @@ from modesim.bpm import (
     decompose,
     field_from_modes,
     fig2_experiment,
-    mode_field,
     propagate,
     straight_slab_map,
 )
@@ -142,8 +141,8 @@ def test_criterion_06_intensity_difference_law():
 def test_criterion_07_group_delay_correlations():
     start = time.perf_counter()
     params = EvolutionParams(2.0e4, RateConstants(0.04, 0.067), 1.0)
-    entangled = two_rail_evolve("phi_plus", params, "closed_form")
-    separable = two_rail_evolve("product", params, "closed_form")
+    entangled = two_rail_evolve("phi_plus", params)
+    separable = two_rail_evolve("product", params)
     # dimensionless delays check the identities at 1e-12 absolute
     pair = DelayPair(0.25, 1.75)
     assert abs(delay_covariance(entangled, pair) - 0.25 * (1.75 - 0.25) ** 2) < 1e-12
@@ -175,7 +174,7 @@ def test_criterion_08_bpm_physical_fidelity():
 
     # power drift over 1 mm of straight guide
     ri_neutral = straight_slab_map(grid, DEFAULT_SLAB)
-    snaps = propagate(mode_field(modes[0], grid), ri_neutral, grid,
+    snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_neutral, grid,
                       DEFAULT_SLAB.wavelength, snapshot_every=200)
     drift = abs(snaps[-1].power / snaps[0].power - 1.0)
     assert drift < 1e-6
@@ -184,7 +183,7 @@ def test_criterion_08_bpm_physical_fidelity():
     # the mode's effective index, where the paraxial march is phase exact)
     n_eff = modes[0].beta / DEFAULT_SLAB.k
     ri_phase = straight_slab_map(grid, DEFAULT_SLAB, reference_n0=n_eff)
-    snaps = propagate(mode_field(modes[0], grid), ri_phase, grid,
+    snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_phase, grid,
                       DEFAULT_SLAB.wavelength, snapshot_every=10)
     phases = np.unwrap([np.angle(decompose(s, [modes[0]], grid)[0][0]) for s in snaps])
     accumulated = DEFAULT_SLAB.k * n_eff * snaps[-1].z + (phases[-1] - phases[0])
@@ -263,7 +262,7 @@ def test_criterion_10_decohered_chsh():
     start = time.perf_counter()
     gamma, kappa, dbeta, length = 0.075, 0.03, 2.5, 1.0
     params = EvolutionParams(dbeta, RateConstants(gamma, kappa), length)
-    rho = two_rail_evolve("phi_plus", params, "closed_form")
+    rho = two_rail_evolve("phi_plus", params)
     rng = np.random.default_rng(1010)
     worst = 0.0
     for _ in range(200):

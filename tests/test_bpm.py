@@ -27,7 +27,6 @@ from modesim.bpm import (
     export_raster,
     field_from_modes,
     fig2_experiment,
-    mode_field,
     propagate,
     straight_slab_map,
 )
@@ -141,7 +140,7 @@ def small_splitter(default_slab, delta_n=4e-4):
     grid = Grid(-24e-6, 48e-6 / 511, 512, 1e-6, int(geometry.separation_end_z() / 1e-6) + 21)
     modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
     launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
-    return build_geometry(geometry, grid, default_slab), grid, launch
+    return build_geometry([geometry], grid, default_slab)[0], grid, launch
 
 
 def count_lapack_calls(monkeypatch, *names):
@@ -187,8 +186,8 @@ def coverage(x, dx, intervals):
 
 
 def reference_raster(geometries, grid, base):
-    """bpm._raster as one coverage call per distinct (core value, intervals) key, the keys
-    found by a loop over z and numbered in order of first use."""
+    """build_geometry's rows and row indices as one coverage call per distinct (core value,
+    intervals) key, the keys found by a loop over z and numbered in order of first use."""
     stem_half = base.core_width / 2.0
     contrast = base.n_core - base.n_clad
     keys, indices = {}, []
@@ -256,14 +255,14 @@ class TestGeometry:
         grid = straight_grid(nz=101)
         geometry = YSplitterGeometry(stem_length=10e-6, branch_half_angle=0.0,
                                      branch_separation_final=4e-6, core_width=4e-6)
-        ri_map = build_geometry(geometry, grid, default_slab)
+        ri_map = build_geometry([geometry], grid, default_slab)[0]
         assert np.abs(full_map(ri_map) - full_map(ri_map)[0]).max() < 1e-15
 
     def test_zero_delta_n_matches_no_phase_section(self, default_slab):
         grid = straight_grid(nz=2101, dz=1e-6)
-        with_section = build_geometry(default_geometry(delta_n=0.0), grid, default_slab)
+        with_section = build_geometry([default_geometry(delta_n=0.0)], grid, default_slab)[0]
         without = build_geometry(
-            YSplitterGeometry(400e-6, math.radians(0.4), 24e-6, 4e-6), grid, default_slab)
+            [YSplitterGeometry(400e-6, math.radians(0.4), 24e-6, 4e-6)], grid, default_slab)[0]
         assert np.abs(full_map(with_section) - full_map(without)).max() < 1e-15
 
     def test_raster_area_matches_analytic(self, default_slab):
@@ -272,7 +271,7 @@ class TestGeometry:
         grid = straight_grid(nz=2100, dz=1e-6)
         geometry = default_geometry()
         assert geometry.separation_end_z() < grid.z_max
-        ri_map = build_geometry(geometry, grid, default_slab)
+        ri_map = build_geometry([geometry], grid, default_slab)[0]
         contrast = default_slab.n_core - default_slab.n_clad
         raster_area = float(np.sum(full_map(ri_map) - default_slab.n_clad) / contrast) * grid.dx * grid.dz
         analytic = (geometry.stem_length * default_slab.core_width
@@ -285,11 +284,13 @@ class TestGeometry:
     def test_rows_match_coverage_oracle(self, case):
         # every row bit for bit, in the same order, with the same row index per geometry
         geometries, grid, base = case
-        rows, indices = bpm._raster(geometries, grid, base)
+        maps = build_geometry(geometries, grid, base)
+        rows = maps[0].rows
         expected_rows, expected_indices = reference_raster(geometries, grid, base)
         assert rows.shape == expected_rows.shape and rows.tobytes() == expected_rows.tobytes()
-        for index, expected in zip(indices, expected_indices, strict=True):
-            assert index.dtype == expected.dtype and np.array_equal(index, expected)
+        for ri_map, expected in zip(maps, expected_indices, strict=True):
+            assert ri_map.rows is rows and ri_map.reference_n0 == base.n_core
+            assert ri_map.index.dtype == expected.dtype and np.array_equal(ri_map.index, expected)
         half = base.core_width / 2.0
         straight = straight_slab_map(grid, base).rows
         expected = base.n_clad + (base.n_core - base.n_clad) * coverage(grid.x, grid.dx, [(-half, half)])
@@ -298,12 +299,12 @@ class TestGeometry:
     def test_geometry_exceeding_grid_rejected(self, default_slab):
         grid = straight_grid(nz=101)  # 50 um of z, far too short
         with pytest.raises(ValueError, match="exceeds grid"):
-            build_geometry(default_geometry(), grid, default_slab)
+            build_geometry([default_geometry()], grid, default_slab)
 
     def test_geometry_exceeding_window_rejected(self, default_slab):
         narrow = Grid(-10e-6, 20e-6 / 1023, 1024, 1e-6, 2001)
         with pytest.raises(ValueError, match="exceeds grid"):
-            build_geometry(default_geometry(), narrow, default_slab)
+            build_geometry([default_geometry()], narrow, default_slab)
 
     def test_phase_section_outside_stem_rejected(self):
         # the geometry rejects itself, so a config check needs no raster
@@ -318,7 +319,7 @@ class TestPropagation:
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         ri_map = straight_slab_map(grid, default_slab)
         check_core_resolution(default_slab.core_width, grid)
-        snaps = propagate(mode_field(modes[0], grid), ri_map, grid,
+        snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid,
                           default_slab.wavelength, snapshot_every=200)
         assert abs(snaps[-1].power / snaps[0].power - 1.0) < 1e-6
         coeffs, residual = decompose(snaps[-1], modes, grid)
@@ -332,7 +333,7 @@ class TestPropagation:
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         n_eff = modes[0].beta / default_slab.k
         ri_map = straight_slab_map(grid, default_slab, reference_n0=n_eff)
-        snaps = propagate(mode_field(modes[0], grid), ri_map, grid,
+        snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid,
                           default_slab.wavelength, snapshot_every=10)
         phases = np.unwrap([np.angle(decompose(s, [modes[0]], grid)[0][0]) for s in snaps])
         accumulated = default_slab.k * n_eff * snaps[-1].z + (phases[-1] - phases[0])
@@ -395,7 +396,7 @@ class TestPropagation:
         ri_map = straight_slab_map(grid, default_slab)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         with pytest.raises(ValueError, match="paraxial"):
-            propagate(mode_field(modes[0], grid), ri_map, grid, default_slab.wavelength)
+            propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid, default_slab.wavelength)
 
     def test_transverse_resolution_enforced(self, default_slab):
         grid = Grid(-200e-6, 400e-6 / 127, 128, 0.5e-6, 100)
@@ -564,7 +565,7 @@ class TestDecompose:
     def test_single_mode_identity(self, default_slab):
         grid = straight_grid(nz=101)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-        coeffs, residual = decompose(mode_field(modes[0], grid), modes, grid)
+        coeffs, residual = decompose(field_from_modes([modes[0]], [1.0], grid), modes, grid)
         assert abs(coeffs[0] - 1.0) < 1e-6
         assert abs(coeffs[1]) < 1e-6
         assert abs(residual) < 1e-6
@@ -582,7 +583,7 @@ class TestBranchPowers:
     def test_symmetric_field_splits_evenly(self, default_slab):
         grid = straight_grid(nz=101)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-        left, right = branch_powers(mode_field(modes[0], grid), 0.0, grid)
+        left, right = branch_powers(field_from_modes([modes[0]], [1.0], grid), 0.0, grid)
         assert abs(left - 0.5) < 1e-9
         assert abs(right - 0.5) < 1e-9
 
@@ -590,7 +591,7 @@ class TestBranchPowers:
         # odd point count puts a sample exactly on the symmetry axis
         grid = Grid(-40e-6, 80e-6 / 1024, 1025, 0.5e-6, 101)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-        field = mode_field(modes[1], grid)
+        field = field_from_modes([modes[1]], [1.0], grid)
         left, right = branch_powers(field, 0.0, grid)
         assert abs(left - 0.5) < 1e-9
         center = int(np.argmin(np.abs(grid.x)))
@@ -604,7 +605,7 @@ class TestBranchPowers:
         z_total = geometry.separation_end_z() + 200e-6
         grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, int(z_total / 1e-6) + 1)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-        ri_map = build_geometry(geometry, grid, default_slab)
+        ri_map = build_geometry([geometry], grid, default_slab)[0]
         outcomes = {}
         for name, coeffs in (("plus", [INV_SQRT2, INV_SQRT2]),
                              ("minus", [INV_SQRT2, -INV_SQRT2])):
@@ -633,7 +634,7 @@ def test_grid_convergence_of_branch_powers(default_slab):
         grid = Grid(-32e-6, 64e-6 / (nx - 1), nx, dz, int(math.ceil(z_total / dz)) + 1)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
-        ri_map = build_geometry(geometry, grid, default_slab)
+        ri_map = build_geometry([geometry], grid, default_slab)[0]
         final = propagate(launch, ri_map, grid, default_slab.wavelength,
                           snapshot_every=grid.nz)[-1]
         results.append(branch_powers(final, 0.0, grid))
@@ -668,7 +669,7 @@ class TestFigTwoSharedRaster:
         geometry = default_geometry(stem_um=400.0, phase_len_um=300.0)
         z_total = geometry.separation_end_z() + 200e-6
         grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, int(z_total / 1e-6) + 1)
-        shared_rows = len(build_geometry(geometry, grid, default_slab).rows)
+        shared_rows = len(build_geometry([geometry], grid, default_slab)[0].rows)
         marched, rasterized = [], []
         original_propagate, original_rows = bpm.propagate, bpm._rows
 
@@ -687,7 +688,7 @@ class TestFigTwoSharedRaster:
         assert sum(rasterized) == shared_rows + 2
         assert len(marched) == len(bumps)
         for delta_n, (n, reference_n0, march_grid) in zip(bumps, marched):
-            alone = build_geometry(default_geometry(400.0, delta_n, 300.0), grid, default_slab)
+            alone = build_geometry([default_geometry(400.0, delta_n, 300.0)], grid, default_slab)[0]
             assert march_grid is grid
             assert reference_n0 == alone.reference_n0
             assert np.array_equal(n, full_map(alone))
@@ -732,7 +733,7 @@ class TestFigTwoSharedRaster:
 def test_export_field_csv(tmp_path, default_slab):
     grid = straight_grid(nz=101)
     modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-    field = mode_field(modes[0], grid)
+    field = field_from_modes([modes[0]], [1.0], grid)
     target = tmp_path / "field.csv"
     export_field_csv(field, grid, target)
     lines = target.read_text().splitlines()
@@ -744,7 +745,7 @@ def test_export_raster_round_trip(tmp_path, default_slab):
     grid = straight_grid(nz=41, nx=64, window=80e-6)
     ri_map = straight_slab_map(grid, default_slab)
     modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-    snaps = propagate(mode_field(modes[0], grid), ri_map, grid,
+    snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid,
                       default_slab.wavelength, snapshot_every=10)
     target = tmp_path / "raster.bin"
     export_raster(snaps, grid, target)

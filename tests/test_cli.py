@@ -55,6 +55,9 @@ GRID_AND_CUTOFF = [
 ]
 GRID_AND_CUTOFF_IDS = ["decohere_window_short", "decohere_snapped_dz", "delays_cutoff"]
 
+# A slab at V = pi/2 (1 + 1e-12): mode 1's root lies within rounding of its cut-off.
+CUTOFF_SLAB = "n_core=1.25\nn_clad=1.0\nwavelength_um=0.4\ncore_width_um=0.2666666666669334\n"
+
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -436,24 +439,26 @@ class TestMain:
         assert not out.exists()
 
     def test_numerical_failure_writes_nothing(self, tmp_path):
-        # the run computes before it writes, so a failed run leaves no directory
+        # a single-mode slab once failed in the run, exit 3; validate now refuses it, and the
+        # refused run leaves no directory
         config = write_config(tmp_path, "experiment=bpm-run\ncore_width_um=3\nlength_um=20\n")
         out = tmp_path / "out"
-        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "--quiet"]) == EXIT_CONFIG
 
-    def test_numerical_failure_exit(self, tmp_path):
-        # single-mode guide cannot run the dual-mode straight-guide experiment
+    def test_numerical_failure_exit(self, tmp_path, capsys):
+        # single-mode guide cannot run the dual-mode straight-guide experiment: a config error
         config = write_config(tmp_path, "experiment=bpm-run\ncore_width_um=3\nlength_um=20\n")
         out = tmp_path / "out"
-        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert "core_width_um: need at least 2 guided modes, found 1" in capsys.readouterr().err
 
     def test_single_mode_bump_fails_before_any_march(self, tmp_path, monkeypatch, capsys):
         # the last bump leaves the guide single-mode; this once exited 3 only after
-        # the two rows before it had been marched
+        # the two rows before it had been marched, and then exited 3 before any march
         marches = []
         original = bpm.propagate
 
@@ -464,10 +469,27 @@ class TestMain:
         monkeypatch.setattr(bpm, "propagate", counting)
         config = write_config(tmp_path, "experiment=fig2\ndelta_n_list=0;1e-4;-0.008\n")
         out = tmp_path / "out"
-        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert "need at least 2 guided modes, found 1" in capsys.readouterr().err
         assert marches == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,code", [
+        ("experiment=bpm-run\ncore_width_um=2\n", EXIT_CONFIG),
+        ("experiment=fig2\ncore_width_um=2\n", EXIT_CONFIG),
+        ("experiment=fig2\ndelta_n_list=0;-0.008\n", EXIT_CONFIG),
+        (f"experiment=modes\n{CUTOFF_SLAB}", EXIT_OK),
+        (f"experiment=delays\n{CUTOFF_SLAB}", EXIT_CONFIG),
+    ], ids=["bpm_single_mode", "fig2_single_mode", "fig2_single_mode_bump", "modes_cutoff",
+            "delays_cutoff"])
+    def test_single_mode_and_cutoff_slabs_never_exit_1(self, tmp_path, text, code):
+        # the single-mode configs once exited 3 from the run; the cut-off slab (V = pi/2
+        # (1 + 1e-12)) once raised "dispersion branch 1 lost its bracket", exit 1
+        config, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == code
+        assert out.exists() == (code == EXIT_OK)
+        if code == EXIT_OK:
+            assert json.loads((out / "manifest.json").read_text())["derived"] == {"n_modes": 1}
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(

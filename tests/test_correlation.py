@@ -122,7 +122,7 @@ class TestCorrelationE:
             kappa = float(rng.uniform(-0.5, 0.5))
             length = float(rng.uniform(0, 2))
             params = EvolutionParams(dbeta, RateConstants(gamma, kappa), length)
-            rho = two_rail_evolve("phi_plus", params, "closed_form")
+            rho = two_rail_evolve("phi_plus", params)
             t1, t2 = rng.uniform(0, math.pi, size=2)
             law = math.exp(-2 * gamma * length) * math.cos(
                 2 * t1 + 2 * t2 + 2 * (dbeta + kappa) * length)
@@ -163,7 +163,7 @@ class TestChsh:
 
     def test_fully_decohered_entangled_state_vanishes(self):
         params = EvolutionParams(3.0, RateConstants(50.0, 0.0), 1.0)
-        rho = two_rail_evolve("phi_plus", params, "closed_form")
+        rho = two_rail_evolve("phi_plus", params)
         assert chsh_B(rho, CANONICAL) < 1e-12
 
     def test_scan_entangled_approaches_supremum(self):
@@ -231,7 +231,7 @@ class TestBlockedScan:
 
     def test_decohered_state_matches_loop(self):
         params = EvolutionParams(2.0e4, RateConstants(0.3, 0.01), 2.0)
-        rho = two_rail_evolve("phi_plus", params, "closed_form")
+        rho = two_rail_evolve("phi_plus", params)
         for grid_n in (48, 100):
             assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
 
@@ -283,8 +283,7 @@ class TestSeparableScan:
     def test_optimum_of_decohered_entangled_state(self):
         # criterion 10's state: the exact optimum is 2 sqrt(2) exp(-2 gamma L)
         gamma, kappa, dbeta, length = 0.075, 0.03, 2.5, 1.0
-        rho = two_rail_evolve("phi_plus", EvolutionParams(dbeta, RateConstants(gamma, kappa), length),
-                              "closed_form")
+        rho = two_rail_evolve("phi_plus", EvolutionParams(dbeta, RateConstants(gamma, kappa), length))
         assert abs(chsh_optimum(rho) - TWO_SQRT_TWO * math.exp(-2 * gamma * length)) < 1e-12
 
     def test_optimum_of_product_state_is_classical_bound(self):
@@ -308,7 +307,7 @@ class TestDelayCovariance:
         for _ in range(20):
             tau0, tau1 = rng.uniform(1e-12, 1e-8, size=2)
             params = EvolutionParams(4.0, RateConstants(0.5, 0.1), float(rng.uniform(0, 2)))
-            rho = two_rail_evolve("phi_plus", params, "closed_form")
+            rho = two_rail_evolve("phi_plus", params)
             value = delay_covariance(rho, DelayPair(tau0, tau1))
             expected = 0.25 * (tau1 - tau0) ** 2
             assert abs(value - expected) <= 1e-12 * (tau0 ** 2 + tau1 ** 2)
@@ -316,7 +315,7 @@ class TestDelayCovariance:
     def test_entangled_quarter_square_dimensionless(self):
         # in normalized delay units the identity holds at 1e-12 absolute
         params = EvolutionParams(4.0, RateConstants(0.5, 0.1), 1.0)
-        rho = two_rail_evolve("phi_plus", params, "closed_form")
+        rho = two_rail_evolve("phi_plus", params)
         value = delay_covariance(rho, DelayPair(1.0, 2.0))
         assert abs(value - 0.25) < 1e-12
 
@@ -324,7 +323,7 @@ class TestDelayCovariance:
         for _ in range(20):
             tau0, tau1 = rng.uniform(1e-12, 1e-8, size=2)
             params = EvolutionParams(4.0, RateConstants(0.5, 0.1), float(rng.uniform(0, 2)))
-            rho = two_rail_evolve("product", params, "closed_form")
+            rho = two_rail_evolve("product", params)
             value = delay_covariance(rho, DelayPair(tau0, tau1))
             assert abs(value) <= 1e-12 * (tau0 ** 2 + tau1 ** 2)
 
@@ -335,20 +334,20 @@ class TestDelayCovariance:
             tau1 = tau0 * float(rng.uniform(0.5, 2.0))
             params = EvolutionParams(4.0, RateConstants(0.5, 0.1), float(rng.uniform(0, 2)))
             pair = DelayPair(tau0, tau1)
-            entangled = delay_covariance(two_rail_evolve("phi_plus", params, "closed_form"), pair)
+            entangled = delay_covariance(two_rail_evolve("phi_plus", params), pair)
             assert entangled == 0.25 * (tau1 - tau0) ** 2
-            assert delay_covariance(two_rail_evolve("product", params, "closed_form"), pair) == 0.0
+            assert delay_covariance(two_rail_evolve("product", params), pair) == 0.0
 
     def test_degenerate_delays_give_zero(self, rng):
         params = EvolutionParams(4.0, RateConstants(0.5, 0.1), 1.0)
-        rho = two_rail_evolve("phi_plus", params, "closed_form")
+        rho = two_rail_evolve("phi_plus", params)
         assert delay_covariance(rho, DelayPair(3e-9, 3e-9)) == 0.0
 
     def test_quadratic_growth_with_physical_delays(self, default_slab):
         # tau is proportional to L by construction, so the entangled-state
         # covariance grows exactly quadratically with propagation distance
         params = EvolutionParams(4.0, RateConstants(0.02, 0.0), 1.0)
-        rho = two_rail_evolve("phi_plus", params, "closed_form")
+        rho = two_rail_evolve("phi_plus", params)
 
         def covariance(length):
             pair = DelayPair(group_delay(default_slab, 0, length),

@@ -97,6 +97,20 @@ def min_eigenvalue(matrix):
     return float(np.linalg.eigvalsh(matrix).min())
 
 
+def composed_two_rail(state, p):
+    """The single-rail map applied to each rail of the pure input: the oracle route that the
+    closed form matches on the product state and departs from on phi_plus populations."""
+    pure = bell_state("phi", "+") if state == "phi_plus" else product_state()
+    args = (p.delta_beta, p.rates.gamma, p.rates.kappa, p.length)
+    # axes (c, t, c', t') of control and target rails; each map acts on the leading pair
+    joint = density_of(pure).matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    joint = decoherence._apply_single_rail(joint, *args).transpose(2, 3, 0, 1)
+    return DensityMatrix(decoherence._apply_single_rail(joint, *args).transpose(2, 0, 3, 1).reshape(4, 4))
+
+
+TWO_RAIL_ROUTES = {"closed_form": two_rail_evolve, "channel_composition": composed_two_rail}
+
+
 class TestChannelProperties:
     """Trace and positivity of the closed-form maps over gamma, kappa, dbeta, L."""
 
@@ -118,11 +132,10 @@ class TestChannelProperties:
         assert np.abs(choi - choi.conj().T).max() < 1e-15
         assert min_eigenvalue(choi) >= -1e-14
 
-    @given(st.sampled_from(["phi_plus", "product"]),
-           st.sampled_from(["closed_form", "channel_composition"]), evolution_params)
+    @given(st.sampled_from(["phi_plus", "product"]), st.sampled_from(sorted(TWO_RAIL_ROUTES)), evolution_params)
     @settings(max_examples=200, deadline=None)
-    def test_two_rail_keeps_trace_and_positivity(self, state, mode, p):
-        out = two_rail_evolve(state, p, mode).matrix
+    def test_two_rail_keeps_trace_and_positivity(self, state, route, p):
+        out = TWO_RAIL_ROUTES[route](state, p).matrix
         assert abs(np.trace(out) - 1.0) < 1e-14
         assert min_eigenvalue(out) >= -1e-14
 
@@ -406,13 +419,13 @@ class TestTwoRail:
     def test_zero_length_pure_inputs(self):
         p = params(length=0.0)
         for state, pure in (("phi_plus", bell_state("phi", "+")), ("product", product_state())):
-            for mode in ("closed_form", "channel_composition"):
-                out = two_rail_evolve(state, p, mode)
+            for route in TWO_RAIL_ROUTES.values():
+                out = route(state, p)
                 assert np.abs(out.matrix - density_of(pure).matrix).max() < 1e-14
 
     def test_entangled_closed_form_structure(self):
         p = params(length=3.0)
-        out = two_rail_evolve("phi_plus", p, "closed_form")
+        out = two_rail_evolve("phi_plus", p)
         corner = 0.5 * np.exp(2.0 * (1j * (p.delta_beta + p.rates.kappa) - p.rates.gamma) * p.length)
         assert abs(out.matrix[0, 3] - corner) < 1e-15
         assert np.allclose(np.diag(out.matrix), [0.5, 0.0, 0.0, 0.5], atol=1e-15)
@@ -421,15 +434,15 @@ class TestTwoRail:
     def test_product_closed_form_equals_channel_composition(self):
         for length in (0.0, 0.7, 3.0, 12.0):
             p = params(length=length)
-            closed = two_rail_evolve("product", p, "closed_form")
-            composed = two_rail_evolve("product", p, "channel_composition")
+            closed = two_rail_evolve("product", p)
+            composed = composed_two_rail("product", p)
             assert np.abs(closed.matrix - composed.matrix).max() < 1e-12
 
     def test_product_channel_composition_is_tensor_of_rails(self):
         p = params(length=1.3)
         single = analytic_single_rail(EQUAL, p)
         expected = DensityMatrix(np.kron(single.matrix, single.matrix))
-        composed = two_rail_evolve("product", p, "channel_composition")
+        composed = composed_two_rail("product", p)
         assert np.abs(composed.matrix - expected.matrix).max() < 1e-13
 
     def test_entangled_channel_composition_populates_cross_terms(self):
@@ -437,24 +450,24 @@ class TestTwoRail:
         # populations; the composed channel feeds |01>, |10> at
         # (1 - exp(-2 gamma L)) order while the closed form keeps them empty
         p = params(length=5.0)
-        composed = two_rail_evolve("phi_plus", p, "channel_composition")
+        composed = composed_two_rail("phi_plus", p)
         cross = (1.0 - math.exp(-4.0 * p.rates.gamma * p.length)) / 4.0
         assert composed.matrix[1, 1].real > 0.0
         assert abs(composed.matrix[1, 1].real - cross) < 1e-12
-        closed = two_rail_evolve("phi_plus", p, "closed_form")
+        closed = two_rail_evolve("phi_plus", p)
         assert closed.matrix[1, 1] == 0.0
 
     def test_trace_preserved(self):
         for state in ("phi_plus", "product"):
-            for mode in ("closed_form", "channel_composition"):
-                out = two_rail_evolve(state, params(length=2.0), mode)
+            for route in TWO_RAIL_ROUTES.values():
+                out = route(state, params(length=2.0))
                 assert abs(np.trace(out.matrix) - 1.0) < 1e-12
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError):
-            two_rail_evolve("psi_plus", params(), "closed_form")
-        with pytest.raises(ValueError):
-            two_rail_evolve("phi_plus", params(), "verbatim")
+            two_rail_evolve("psi_plus", params())
+        with pytest.raises(TypeError):  # the closed form is the only route: no route selector
+            two_rail_evolve("phi_plus", params(), "closed_form")
 
 
 def test_export_scan_csv(tmp_path, default_model):

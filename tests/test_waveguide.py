@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import speed_of_light
 from scipy.integrate import solve_ivp
@@ -56,7 +56,10 @@ def placeholder_betas(spec):
     half = spec.core_width / 2.0
     betas, m = [], 0
     while m * math.pi / 2.0 < v_number:
-        kappa = waveguide._solve_branch(m, v_number) / half
+        u = waveguide._solve_branch(m, v_number)
+        if u is None:  # a root within rounding of u = V: the mode is at its cut-off
+            break
+        kappa = u / half
         beta = math.sqrt((spec.k * spec.n_core) ** 2 - kappa ** 2)
         if spec.k * spec.n_clad < beta < spec.k * spec.n_core:
             betas.append(beta)
@@ -203,19 +206,23 @@ class TestSlabSolver:
     def test_degenerate_default_grid_rejected(self, default_slab, kwargs):
         # span_factor=0 once gave inf profiles; points=1 a ZeroDivisionError
         with pytest.raises(ValueError, match="span_factor > 0 and points >= 2"):
-            solve_slab_te_modes(default_slab, **kwargs)
+            waveguide.default_grid(default_slab.core_width, **kwargs)
 
     def test_default_grid_must_resolve_the_core(self, default_slab):
         # span_factor=1e6 at 64 points once returned two modes whose profiles were all NaN
         with pytest.raises(ValueError, match="fewer than 16 points across the core"):
-            solve_slab_te_modes(default_slab, span_factor=1e6, points=64)
+            waveguide.default_grid(default_slab.core_width, span_factor=1e6, points=64)
         # 2048 intervals over 128 core widths: 16 points across the core, the least allowed
-        modes = solve_slab_te_modes(default_slab, span_factor=128, points=2049)
+        grid = waveguide.default_grid(default_slab.core_width, span_factor=128, points=2049)
+        modes = solve_slab_te_modes(default_slab, grid=grid)
         assert len(modes) == 2
         assert all(np.isfinite(mode.profile).all() for mode in modes)
 
     @settings(max_examples=40, deadline=None)
     @given(spec=slabs())
+    # V = pi/2 (1 + 1e-12): mode 1's root lies within rounding of its cut-off, where the solve
+    # once raised "dispersion branch 1 lost its bracket"; now mode 1 is not guided
+    @example(spec=SlabSpec(0.2666666666669334 * 1e-6, 1.25, 1.0, 0.4 * 1e-6))
     def test_cached_dispersion_matches_placeholder_route(self, spec):
         # bit for bit: every beta, delta_beta, and each mode's group delay (or its error)
         betas = placeholder_betas(spec)
@@ -248,6 +255,13 @@ class TestSlabSolver:
         cli.run(config, tmp_path / "out", quiet=True)
         assert counts == {"solve": 1, "branch": 6}
 
+    def test_mode_at_cutoff_is_not_guided(self):
+        # the @example slab above: V = pi/2 (1 + 1e-12) carries TE0 alone
+        spec = SlabSpec(0.2666666666669334 * 1e-6, 1.25, 1.0, 0.4 * 1e-6)
+        assert [mode.index for mode in solve_slab_te_modes(spec)] == [0]
+        with pytest.raises(ValueError, match="need at least 2 guided modes, found 1"):
+            delta_beta(spec)
+
     def test_halving_wavelength_doubles_v(self, default_slab):
         doubled = SlabSpec(default_slab.core_width, default_slab.n_core,
                            default_slab.n_clad, default_slab.wavelength / 2.0)
@@ -278,7 +292,8 @@ class TestModeOverlap:
 
     def test_grid_mismatch_rejected(self, default_slab):
         mode = solve_slab_te_modes(default_slab)[0]
-        other = solve_slab_te_modes(default_slab, points=1024)[0]
+        coarser = waveguide.default_grid(default_slab.core_width, points=1024)
+        other = solve_slab_te_modes(default_slab, grid=coarser)[0]
         with pytest.raises(ValueError, match="grid"):
             mode_overlap(mode, other)
 
@@ -382,3 +397,36 @@ def test_every_domain_dataclass_refuses_nan(build, bound):
     # with another message
     with pytest.raises(ValueError, match=bound):
         build(math.nan)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SlabSpec(INF, 1.5, 1.49, 1.55e-6),
+    lambda: SlabSpec(8e-6, 1.5, 1.49, INF),
+    lambda: PhaseSection(NAN, 1e-3),
+    lambda: PhaseSection(INF, 1e-3),
+    lambda: PhaseSection(1e-4, INF),
+    lambda: PhaseSection(1e-4, 1e-3, z_start=INF),
+    lambda: Grid(NAN, 3e-8, 2048, 1e-6, 100),
+    lambda: Grid(-INF, 3e-8, 2048, 1e-6, 100),
+    lambda: Grid(-32e-6, INF, 2048, 1e-6, 100),
+    lambda: Grid(-32e-6, 3e-8, 2048, INF, 100),
+    lambda: PerturbationModel(INF, 100e-6, 500.0),
+    lambda: PerturbationModel(0.05, INF, 500.0),
+    lambda: PerturbationModel(0.05, 100e-6, NAN),
+    lambda: PerturbationModel(0.05, 100e-6, INF),
+    lambda: PerturbationModel(0.05, 100e-6, complex(500.0, INF)),
+    lambda: YSplitterGeometry(INF, 0.007, 24e-6, 4e-6),
+    lambda: YSplitterGeometry(1e-3, 0.007, INF, 4e-6),
+    lambda: bpm.RIMap(np.full((1, 64), 1.5), np.zeros(2, dtype=int), INF),
+], ids=["slab_core_width_inf", "slab_wavelength_inf", "phase_delta_n_nan", "phase_delta_n_inf",
+        "phase_length_inf", "phase_start_inf", "grid_x_min_nan", "grid_x_min_inf", "grid_dx_inf",
+        "grid_dz_inf", "model_sigma_inf", "model_corr_length_inf", "model_k_ab_nan",
+        "model_k_ab_inf", "model_k_ab_complex_inf", "splitter_stem_inf", "splitter_separation_inf",
+        "map_reference_inf"])
+def test_every_domain_dataclass_refuses_non_finite(build):
+    # each of these once built, and failed later (or wrote inf) in whatever consumed it
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
