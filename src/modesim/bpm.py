@@ -48,7 +48,7 @@ import numpy as np
 
 from ._errors import NumericalError, check_finite
 from ._io import write_bytes, write_csv
-from .waveguide import MIN_POINTS_ACROSS_CORE, SlabSpec, delta_beta, solve_slab_te_modes
+from .waveguide import CORE_MARGIN, MIN_POINTS_ACROSS_CORE, SlabSpec, delta_beta, solve_slab_te_modes
 
 __all__ = [
     "Grid",
@@ -61,6 +61,7 @@ __all__ = [
     "check_geometry_fits",
     "check_paraxial_dz",
     "check_core_resolution",
+    "check_core_fits",
     "build_geometry",
     "field_from_modes",
     "propagate",
@@ -226,13 +227,10 @@ def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
     """Raise ValueError unless the grid holds the branches' full separation in z
     and their outer edges, with a 5% margin, in x."""
     sep_end = geometry.separation_end_z()
-    margin = 1.05 * (geometry.branch_separation_final / 2.0 + geometry.core_width / 2.0)
     if sep_end > grid.z_max:
         raise ValueError(f"geometry exceeds grid: branches separate until z={sep_end:g} m "
                          f"but the grid ends at {grid.z_max:g} m")
-    if margin > min(-grid.x_min, grid.x_max):
-        raise ValueError(f"geometry exceeds grid: need |x| up to {margin:g} m inside "
-                         f"[{grid.x_min:g}, {grid.x_max:g}]")
+    check_core_fits(geometry.branch_separation_final + geometry.core_width, grid)  # both branches
 
 
 def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
@@ -337,6 +335,14 @@ def check_core_resolution(core_width: float, grid: Grid) -> None:
         raise ValueError(
             f"dx={grid.dx:g} puts fewer than {MIN_POINTS_ACROSS_CORE} points across the core"
         )
+
+
+def check_core_fits(core_width: float, grid: Grid) -> None:
+    """Raise ValueError unless the window holds a centered core, with a 5% margin, in x."""
+    margin = CORE_MARGIN * core_width / 2.0
+    if margin > min(-grid.x_min, grid.x_max):
+        raise ValueError(f"core exceeds grid: need |x| up to {margin:g} m inside "
+                         f"[{grid.x_min:g}, {grid.x_max:g}]")
 
 
 def _absorber(grid: Grid) -> np.ndarray:

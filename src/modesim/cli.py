@@ -34,21 +34,9 @@ import numpy as np
 from . import __version__
 from ._errors import NumericalError
 from ._io import write_csv, write_json
-from .bpm import (
-    Grid,
-    PhaseSection,
-    YSplitterGeometry,
-    branch_powers,
-    check_core_resolution,
-    check_geometry_fits,
-    check_paraxial_dz,
-    export_field_csv,
-    export_raster,
-    field_from_modes,
-    fig2_experiment,
-    propagate,
-    straight_slab_map,
-)
+from .bpm import (Grid, PhaseSection, YSplitterGeometry, branch_powers, check_core_fits,
+                  check_core_resolution, check_geometry_fits, check_paraxial_dz, export_field_csv,
+                  export_raster, field_from_modes, fig2_experiment, propagate, straight_slab_map)
 from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, export_bell_csv,
                           export_chsh_csv)
 from .decoherence import EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv, two_rail_evolve
@@ -263,10 +251,10 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
     if "span_factor" in params:  # modes: grid_points samples over span_factor core widths
         b.mode_grid = default_grid(b.spec.core_width, params["span_factor"], params["grid_points"])
-        # each of the ceil(2V / pi) guided modes: its profile at 8 B a point and 1 KB of objects
-        # and modes.csv row; then one mode file's CSV text, 400 B a point
-        modes = 2.0 * b.spec.v_number / math.pi + 1.0  # a float bound: V may be inf
-        b.memory += modes * (8 * params["grid_points"] + 1000) + 400 * params["grid_points"]
+        b.memory += 400 * params["grid_points"]  # one mode file's CSV text, 400 B a point
+    points = params.get("grid_points", params.get("nx"))  # modes, bpm-run and fig2 sample profiles
+    if points is not None:  # of each of the ceil(2V / pi) guided modes: 8 B a point, 1 KB of objects
+        b.memory += (2.0 * b.spec.v_number / math.pi + 1.0) * (8 * points + 1000)
     if "sigma" in params:
         b.model = PerturbationModel(sigma=params["sigma"], k_ab=params["k_ab_per_m"],
                                     corr_length=params["corr_length_um"] * 1e-6)
@@ -279,7 +267,7 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
     if "length_m" in params:
         b.evo = EvolutionParams(b.dbeta, b.rates, params["length_m"])
     if "length_max_m" in params:  # the phase grows with length, so the longest checks every row
-        EvolutionParams(b.dbeta, b.rates, params["length_max_m"])
+        b.evo = EvolutionParams(b.dbeta, b.rates, params["length_max_m"])
     if config.experiment == "delays":  # mode 1's group delay at k (1 +- dk_rel) needs it guided
         group_delay(b.spec, 1, params["length_max_m"])
         b.memory += 640.0 * params["n_lengths"]  # a row of five floats and its CSV text
@@ -315,6 +303,7 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
                        + [abs(dn) for dn in params.get("delta_n_list", [])])
         check_paraxial_dz(dz, b.spec.wavelength, contrast)
         check_core_resolution(core_width, b.grid)
+        check_core_fits(b.spec.core_width, b.grid)  # the slab, or fig2's stem, and its cladding
         b.memory += 256 * b.grid.nx  # the march's work arrays
     if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
         # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects
@@ -326,8 +315,10 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
     if b.memory > MEMORY_BUDGET:
         raise ValueError(f"the run needs about {b.memory / 1e9:.3g} GB, over the "
                          f"{MEMORY_BUDGET / 1e9:g} GB budget")
-    for spec in b.dual:  # last, as the one costly check: a dispersion solve, which the run reuses
+    for spec in b.dual:  # last, as the costly checks: dispersion solves, which the run reuses
         delta_beta(spec)
+    if "span_factor" in params:  # modes: every guided mode, which raises on an unresolvable beta
+        b.modes = solve_slab_te_modes(b.spec, grid=b.mode_grid)
     return b
 
 
@@ -337,14 +328,13 @@ def _derived_rates(b: SimpleNamespace) -> dict:
 
 
 def _run_modes(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
-    modes = solve_slab_te_modes(b.spec, grid=b.mode_grid)
-    for mode in modes:
+    for mode in b.modes:
         export_mode_csv(mode, stage / f"mode{mode.index}.csv")
     write_csv(stage / "modes.csv", header=("index", "beta_per_m", "n_eff"),
-              rows=[(m.index, m.beta, m.beta / b.spec.k) for m in modes])
-    derived = {"n_modes": len(modes)}
-    if len(modes) >= 2:
-        derived["delta_beta_per_m"] = modes[1].beta - modes[0].beta
+              rows=[(m.index, m.beta, m.beta / b.spec.k) for m in b.modes])
+    derived = {"n_modes": len(b.modes)}
+    if len(b.modes) >= 2:
+        derived["delta_beta_per_m"] = b.modes[1].beta - b.modes[0].beta
     return derived
 
 
@@ -385,16 +375,14 @@ def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
 
 def _run_delays(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
-    rows = []
-    for length in np.linspace(params["length_max_m"] / params["n_lengths"],
-                              params["length_max_m"], params["n_lengths"]):
-        evo = EvolutionParams(b.dbeta, b.rates, float(length))
-        pair = DelayPair(group_delay(b.spec, 0, float(length)), group_delay(b.spec, 1, float(length)))
-        cov_ent = delay_covariance(two_rail_evolve("phi_plus", evo), pair)
-        cov_prod = delay_covariance(two_rail_evolve("product", evo), pair)
-        rows.append((float(length), pair.tau0, pair.tau1, cov_ent, cov_prod))
+    lengths = np.linspace(params["length_max_m"] / params["n_lengths"], params["length_max_m"],
+                          params["n_lengths"])
+    pair = DelayPair(group_delay(b.spec, 0, lengths), group_delay(b.spec, 1, lengths))
+    # the covariance reads the states' diagonals, which do not depend on length
+    columns = [lengths, pair.tau0, pair.tau1, delay_covariance(two_rail_evolve("phi_plus", b.evo), pair),
+               delay_covariance(two_rail_evolve("product", b.evo), pair)]
     header = ("L_m", "tau0_s", "tau1_s", "cov_entangled_s2", "cov_product_s2")
-    write_csv(stage / "delays.csv", header=header, rows=rows)
+    write_csv(stage / "delays.csv", header=header, rows=zip(*(column.tolist() for column in columns)))
     return _derived_rates(b)
 
 

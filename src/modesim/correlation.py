@@ -56,7 +56,7 @@ class ChshAngles:
 
 @dataclass(frozen=True)
 class DelayPair:
-    """Group delays of TE0 and TE1 over the measured length, in seconds."""
+    """Group delays of TE0 and TE1 over the measured length, in seconds (floats or arrays)."""
 
     tau0: float
     tau1: float
@@ -115,20 +115,20 @@ def chsh_optimum(rho4: DensityMatrix) -> float:
     return 2.0 * float(np.linalg.norm(_correlation_table(rho4, xy, xy)))
 
 
-def delay_covariance(rho4: DensityMatrix, delays: DelayPair) -> float:
+def delay_covariance(rho4: DensityMatrix, delays: DelayPair):
     """Covariance of the two rails' delays diag(tau0, tau1): Delta^2 (p11 - p_c(1) p_t(1)).
 
     p is rho's diagonal over |ct>, p_c(1) = p10 + p11 and p_t(1) = p01 + p11; the
     delays are diagonal, and a covariance ignores their common shift tau0.  Delta =
     tau1 - tau0 is exact for tau1 / tau0 in [1/2, 2] (Sterbenz's lemma; a slab's two
     modes give about 1.0006), so phi_plus gives Delta^2 / 4 with one rounding and the
-    product state exactly 0.
+    product state exactly 0.  Array delays give one covariance per entry.
     """
     if rho4.rails != 2:
         raise ValueError("delay_covariance expects a two-rail 4x4 state")
     p = np.diag(rho4.matrix).real.tolist()
     delta = delays.tau1 - delays.tau0
-    return float(delta * delta * (p[3] - (p[2] + p[3]) * (p[1] + p[3])))
+    return delta * delta * (p[3] - (p[2] + p[3]) * (p[1] + p[3]))
 
 
 def export_bell_csv(rho4: DensityMatrix, thetas1, thetas2, destination) -> None:

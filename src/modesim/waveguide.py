@@ -12,21 +12,21 @@ relation splits into one branch per mode index m on u in
     even m:  u sin u - v cos u = 0      (equivalent to u tan u = v)
     odd  m:  u cos u + v sin u = 0      (equivalent to -u cot u = v)
 
-Both residual forms are continuous with opposite signs at the branch ends,
-so plain bisection brackets every root with no spurious solutions.  The
-bracket is shrunk by 1e-14 relative at each end; a top branch whose root then
-falls outside it lies within rounding of u = V, a mode at its cut-off, and
-counts as not guided.  The propagation constant is
-beta = sqrt((k n_co)^2 - kappa^2), strictly between k n_cl and k n_co.
-
-Each slab's dispersion relation is solved once and cached; beta, delta_beta
-and the group delays read that one solve.  Group delays are computed from the
-numerical dispersion beta(k) with a central difference; material dispersion
-is ignored (n independent of k), so only geometric dispersion is captured.
+Both residual forms are continuous with opposite signs at the branch ends, so
+bisection brackets every root.  The branches a caller reads (two for
+delta_beta, m + 1 for mode m's group delay, all for the profiles) are bisected
+together as arrays, and cached per slab.  Each bracket is shrunk by 1e-14
+relative at each end; a top branch whose root then falls outside it lies within
+rounding of u = V, a mode at its cut-off, and is not guided.  The propagation
+constant beta = sqrt((k n_co)^2 - kappa^2) lies strictly between k n_cl and
+k n_co; a lower mode whose beta rounds out of that interval raises ValueError,
+as the index contrast is below float64's resolution of beta.  Group delays take
+a central difference of beta(k); material dispersion is ignored.
 
 Mode profiles are sampled from the solve on a uniform grid (default 2048
-points spanning 6x the core width, at least 16 points across the core) and
-normalized so that the trapezoid integral of |psi|^2 is exactly 1.
+points spanning 6x the core width; at least 1.05 core widths, with at least 16
+points across the core) and normalized so that the trapezoid integral of
+|psi|^2 is exactly 1.
 """
 from __future__ import annotations
 
@@ -55,6 +55,8 @@ DEFAULT_GRID_POINTS = 2048
 DEFAULT_SPAN_FACTOR = 6.0
 #: a sampled core needs at least this many grid steps across it.
 MIN_POINTS_ACROSS_CORE = 16
+#: a sampled window must reach this many core half-widths from the core's center.
+CORE_MARGIN = 1.05
 #: below this normalized frequency the guiding is unresolvable in float64.
 MIN_NORMALIZED_FREQUENCY = 1e-6
 #: m/s, exact by the SI definition; equals scipy.constants.speed_of_light.
@@ -73,11 +75,12 @@ class SlabSpec:
     def __post_init__(self):
         if not (self.n_core > self.n_clad > 0):
             raise ValueError("need n_core > n_clad > 0")
-        if self.n_core >= 1e154:  # v_number squares n_core; float64 overflows above 1.8e308
-            raise ValueError("need n_core < 1e154, so that its square is a finite float64")
         if not (self.core_width > 0 and self.wavelength > 0):
             raise ValueError("core_width and wavelength must be positive")
         check_finite(self, "core_width", "n_core", "n_clad", "wavelength")
+        if not (self.n_core < 1e154 and math.isfinite(self.v_number)):  # v_number squares n_core
+            raise ValueError("need n_core < 1e154 and a finite V = k (core_width / 2) sqrt(n_core^2 - "
+                             "n_clad^2)")
 
     @property
     def k(self) -> float:
@@ -116,52 +119,18 @@ class GuidedMode:
         return x_min + dx * np.arange(count)
 
 
-def _branch_residual(m: int, u: np.ndarray, v_number: float):
-    v = np.sqrt(np.maximum(v_number ** 2 - u ** 2, 0.0))
-    if m % 2 == 0:
-        return u * np.sin(u) - v * np.cos(u)
-    return u * np.cos(u) + v * np.sin(u)
-
-
-def _solve_branch(m: int, v_number: float) -> float | None:
-    """The root u of branch m, or None if it lies within rounding of the cut-off u = V."""
-    lo = m * math.pi / 2.0
-    hi = min((m + 1) * math.pi / 2.0, v_number)
-    lo += 1e-14 * max(1.0, lo)
-    hi -= 1e-14 * max(1.0, hi)
-    f_lo = float(_branch_residual(m, np.array(lo), v_number))
-    f_hi = float(_branch_residual(m, np.array(hi), v_number))
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        if v_number <= (m + 1) * math.pi / 2.0:  # the top branch: its root is past hi = V (1 - 1e-14)
-            return None
-        raise RuntimeError(f"dispersion branch {m} lost its bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(_branch_residual(m, np.array(mid), v_number))
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def default_grid(core_width: float, span_factor: float = DEFAULT_SPAN_FACTOR,
                  points: int = DEFAULT_GRID_POINTS) -> tuple[float, float, int]:
     """(x_min, dx, count) of points samples over span_factor core widths, centered on the core.
 
     Raises ValueError unless the core holds (points - 1) / span_factor >=
-    MIN_POINTS_ACROSS_CORE grid steps: a coarser profile may miss the core.
+    MIN_POINTS_ACROSS_CORE grid steps, a coarser profile may miss the core, and unless the
+    window holds the core with bpm.check_core_fits' margin, span_factor >= CORE_MARGIN.
     """
     if not span_factor > 0 or points < 2:
         raise ValueError("need span_factor > 0 and points >= 2")
+    if not span_factor >= CORE_MARGIN:
+        raise ValueError(f"need span_factor >= {CORE_MARGIN}, so that the window holds the core")
     if points - 1 < MIN_POINTS_ACROSS_CORE * span_factor:  # integers: exactly 16 steps pass
         raise ValueError(f"the grid puts fewer than {MIN_POINTS_ACROSS_CORE} points across the "
                          f"core; need (grid_points - 1) / span_factor >= {MIN_POINTS_ACROSS_CORE}")
@@ -170,40 +139,76 @@ def default_grid(core_width: float, span_factor: float = DEFAULT_SPAN_FACTOR,
 
 
 @functools.lru_cache(maxsize=16)
-def _dispersion(spec: SlabSpec) -> tuple[tuple[int, float, float, float], ...]:
-    """(m, u, v, beta) of each guided TE mode, by descending beta."""
-    # cached: delta_beta and group_delay ask for the same few slabs again and again
-    v_number = spec.v_number
+def _solved(spec: SlabSpec, count: int) -> tuple[tuple[int, float, float, float], ...]:
+    """(m, u, v, beta) of the guided modes of branches 0 .. count - 1, bisected as arrays."""
+    v_number, half, modes = spec.v_number, spec.core_width / 2.0, []
     if v_number < MIN_NORMALIZED_FREQUENCY:
         return ()
-    half, modes, m = spec.core_width / 2.0, [], 0
-    while m * math.pi / 2.0 < v_number:
-        u = _solve_branch(m, v_number)
-        if u is None:  # a mode at its cut-off is not guided, and no higher branch exists
+
+    def residual(u, odd):
+        v = np.sqrt(np.maximum(v_number ** 2 - u ** 2, 0.0))
+        sin, cos = np.sin(u), np.cos(u)
+        return np.where(odd, u * cos + v * sin, u * sin - v * cos)
+
+    m = np.arange(count)
+    odd, lo, hi = m % 2 == 1, m * math.pi / 2.0, np.minimum((m + 1) * math.pi / 2.0, v_number)
+    lo, hi = lo + 1e-14 * np.maximum(1.0, lo), hi - 1e-14 * np.maximum(1.0, hi)
+    f_lo, f_hi = residual(lo, odd), residual(hi, odd)
+    roots = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))  # NaN: still open
+    lost = np.isnan(roots) & ((f_lo > 0) == (f_hi > 0))
+    if lost[:-1].any() or (lost[-1] and v_number > count * math.pi / 2.0):  # not the top branch
+        raise RuntimeError(f"dispersion branch {int(np.argmax(lost))} lost its bracket")
+    open_ = np.flatnonzero(np.isnan(roots) & ~lost)  # a lost top branch keeps NaN: not guided
+    lo, hi, odd, up = lo[open_], hi[open_], odd[open_], f_lo[open_] > 0  # f_lo keeps its sign
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = residual(mid, odd)
+        done = (mid == lo) | (mid == hi) | (f_mid == 0.0)  # adjacent floats, or an exact zero
+        same = (f_mid > 0) == up
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        close = ~done & (hi - lo <= 1e-16 * np.maximum(1.0, hi))
+        roots[open_[done]], roots[open_[close]] = mid[done], 0.5 * (lo[close] + hi[close])
+        keep = ~(done | close)
+        open_, lo, hi, odd, up = open_[keep], lo[keep], hi[keep], odd[keep], up[keep]
+        if not open_.size:
             break
+    roots[open_] = 0.5 * (lo + hi)
+    for m, u in enumerate(roots.tolist()):
         v = math.sqrt(max(v_number ** 2 - u ** 2, 0.0))
         beta = math.sqrt((spec.k * spec.n_core) ** 2 - (u / half) ** 2)
-        if spec.k * spec.n_clad < beta < spec.k * spec.n_core:
-            modes.append((m, u, v, beta))
-        m += 1
+        if not spec.k * spec.n_clad < beta < spec.k * spec.n_core:
+            if (m + 1) * math.pi / 2.0 < v_number:  # below the top: a skip would renumber the modes
+                raise ValueError(f"mode {m}'s beta rounds out of (k n_clad, k n_core): the index "
+                                 "contrast is below float64's resolution of beta")
+            break  # the top mode, at its cut-off (NaN) or within rounding of it, is not guided
+        modes.append((m, u, v, beta))
     return tuple(modes)
+
+
+def _dispersion(spec: SlabSpec, count: float) -> tuple[tuple[int, float, float, float], ...]:
+    """(m, u, v, beta) of the first count guided TE modes, or of all if fewer, by descending beta."""
+    # the slab's branches are the m with m pi / 2 < V; at least 2 are solved, so that a slab whose
+    # two modes are read one at a time, by delta_beta or a delays run, is solved once
+    v_number = spec.v_number
+    branches = math.ceil(2.0 * v_number / math.pi)  # corrected where 2V / pi rounds across an integer
+    branches += int(branches * math.pi / 2.0 < v_number) - int((branches - 1) * math.pi / 2.0 >= v_number)
+    return _solved(spec, min(max(count, 2), branches))[:min(count, branches)]
 
 
 def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = None) -> list[GuidedMode]:
     """All guided TE modes of a symmetric slab, sorted by descending beta.
 
-    The profiles are sampled on grid (x_min, dx, count), or on
-    default_grid(core_width).  Returns an empty list when the guide cannot hold
-    a numerically resolvable mode (normalized frequency below 1e-6).  Each
-    returned beta satisfies the dispersion relation to residual below 1e-12
-    and lies strictly inside (k n_clad, k n_core).
+    The profiles are sampled on grid (x_min, dx, count), or on default_grid(core_width).
+    Returns an empty list below normalized frequency 1e-6, and raises ValueError if a beta
+    below the top mode's is not resolvable in float64.  Each returned beta satisfies the
+    dispersion relation to residual below 1e-12 and lies strictly inside (k n_clad, k n_core).
     """
     x_min, dx, count = default_grid(spec.core_width) if grid is None else grid
     x = x_min + dx * np.arange(count)
     half = spec.core_width / 2.0
     inside = np.abs(x) <= half
     modes: list[GuidedMode] = []
-    for m, u, v, beta in _dispersion(spec):
+    for m, u, v, beta in _dispersion(spec, math.inf):
         profile = np.empty(count, dtype=np.float64)
         tail = np.exp(-(v / half) * (np.abs(x[~inside]) - half))
         if m % 2 == 0:
@@ -217,18 +222,17 @@ def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = 
     return modes
 
 
-def group_delay(spec: SlabSpec, mode_index: int, length: float,
-                dk_rel: float = 1e-4) -> float:
-    """Group delay tau = (L/c) dbeta/dk via a central difference at k(1 +- dk_rel).
-
-    Second-order convergent in the relative step.  Raises when the requested
-    mode is not guided at either perturbed wavenumber, whatever the length.
+def group_delay(spec: SlabSpec, mode_index: int, length, dk_rel: float = 1e-4):
+    """Group delay tau = (L/c) dbeta/dk via a central difference at k(1 +- dk_rel); an array of
+    lengths gives one delay each.  Second-order convergent in the relative step.  Raises when
+    the requested mode is not guided at either perturbed wavenumber, whatever the length.
     """
     if not dk_rel > 0:
         raise ValueError("dk_rel must be positive")
     betas = []
     for sign in (+1.0, -1.0):
-        modes = _dispersion(replace(spec, wavelength=2.0 * math.pi / (spec.k * (1.0 + sign * dk_rel))))
+        modes = _dispersion(replace(spec, wavelength=2.0 * math.pi / (spec.k * (1.0 + sign * dk_rel))),
+                            mode_index + 1)
         if mode_index >= len(modes):
             raise ValueError(f"mode {mode_index} near cutoff: not guided at the perturbed "
                              "wavenumber k (1 +- dk_rel); move away from cutoff or reduce dk_rel")
@@ -242,7 +246,7 @@ def delta_beta(spec: SlabSpec) -> float:
     Negative by the solver's descending-beta convention; the decoherence
     rates consume only its magnitude (even) or sign (odd) explicitly.
     """
-    modes = _dispersion(spec)
+    modes = _dispersion(spec, 2)
     if len(modes) < 2:
         raise ValueError(f"need at least 2 guided modes, found {len(modes)}")
     return modes[1][3] - modes[0][3]

@@ -55,6 +55,30 @@ GRID_AND_CUTOFF = [
 ]
 GRID_AND_CUTOFF_IDS = ["decohere_window_short", "decohere_snapped_dz", "delays_cutoff"]
 
+# Configs that exited 0 or 3, or whose dispersion solve never returned, with the key validate
+# names and its bound.  A core wider than its window, or a window far narrower than the core,
+# sampled no cladding or gave profiles whose norm underflowed.  At V = 100, n_core - n_clad of
+# 4 ulps leaves beta below float64's resolution; the 1e9 slabs need 2V / pi of 1e8 to 1e10
+# branches, and their beta is unresolvable too.  A 1e308 um core overflows V.
+NEAR_EQUAL_SLAB = "n_clad=1.4999999999999991\ncore_width_um=955808943\n"
+WINDOW_AND_RESOLUTION = [
+    ("experiment=bpm-run\ncore_width_um=200\n", "core_width_um", "core exceeds grid"),
+    ("experiment=bpm-run\nwindow_um=1e-300\n", "window_um", "core exceeds grid"),
+    ("experiment=modes\nspan_factor=1e-300\n", "span_factor", "span_factor >= 1.05"),
+    ("experiment=modes\n" + NEAR_EQUAL_SLAB, "core_width_um", "resolution of beta"),
+    ("experiment=delays\n" + NEAR_EQUAL_SLAB, "core_width_um", "resolution of beta"),
+    ("experiment=delays\ncore_width_um=1e9\n", "core_width_um", "resolution of beta"),
+    ("experiment=delays\nn_core=1e9\n", "n_core", "resolution of beta"),
+    ("experiment=delays\nwavelength_um=1e-9\n", "wavelength_um", "resolution of beta"),
+    ("experiment=fig2\ncore_width_um=1e9\n", "core_width_um", "core exceeds grid"),
+    ("experiment=bpm-run\ncore_width_um=1e9\n", "core_width_um", "core exceeds grid"),
+    ("experiment=delays\ncore_width_um=1e308\n", "core_width_um", "finite V"),  # V overflows
+]
+WINDOW_AND_RESOLUTION_IDS = ["bpm_core_over_window", "bpm_window_tiny", "modes_span_tiny",
+                             "modes_near_equal_index", "delays_near_equal_index",
+                             "delays_core_1e9", "delays_n_core_1e9", "delays_wavelength_1e-9",
+                             "fig2_core_1e9", "bpm_core_1e9", "delays_v_overflow"]
+
 # A slab at V = pi/2 (1 + 1e-12): mode 1's root lies within rounding of its cut-off.
 CUTOFF_SLAB = "n_core=1.25\nn_clad=1.0\nwavelength_um=0.4\ncore_width_um=0.2666666666669334\n"
 
@@ -144,22 +168,33 @@ class TestValidate:
         ("experiment=fig2\ndelta_n_list=;\n", "delta_n_list", "at least one delta_n"),
         *[(text, key, "GB budget") for text, key in OVER_BUDGET],
         *GRID_AND_CUTOFF,
+        *WINDOW_AND_RESOLUTION,
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
             "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
             "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow",
             "n_core_square_overflow", "fig2_no_bumps", "fig2_no_bumps_separator",
-            *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
+            *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS, *WINDOW_AND_RESOLUTION_IDS])
     def test_build_error_keyed_by_its_config_key(self, text, key, bound):
         # each message names the broken bound, not a bare arithmetic error
         diags = validate(parse_config_text(text))
         assert [(d.key, d.severity) for d in diags] == [(key, "error")]
         assert bound in diags[0].message
 
+    def test_wide_core_culprits_fail_before_a_full_solve(self):
+        # a 20 mm core (V = 7009) in a 40 mm window at nx=1e8 is over budget.  Probing
+        # core_width_um alone once solved all 4463 dispersion branches, about 4 s; each key alone
+        # now fails on the window or the budget (the profile of every guided mode), and a probe
+        # that builds solves only the two branches a bpm-run reads
+        text = "experiment=bpm-run\ncore_width_um=20000\nwindow_um=40000\nnx=100000000\n"
+        diags = validate(parse_config_text(text))
+        assert [d.key for d in diags] == ["core_width_um", "window_um", "nx"]
+        assert all("GB budget" in d.message for d in diags)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_every_culprit_is_named(self, threads):
-        # each key alone on the defaults is over budget (62.1 GB and 382 GB), so each is named,
+        # each key alone on the defaults is over budget (62.1 GB and 384 GB), so each is named,
         # with the config's one message; a key that only adds to another's error is not
         text = "experiment=bpm-run\nlength_um=1e7\nnx=100000000\nsnapshot_every=1\n"
         diags = validate(parse_config_text(text), threads=threads)
@@ -390,6 +425,8 @@ class TestMain:
         ("experiment=fig2\ndelta_n_list=;\n", []),
         *[(text, []) for text, _ in OVER_BUDGET],
         *[(text, []) for text, _, _ in GRID_AND_CUTOFF],
+        *[(text, []) for text, _, _ in WINDOW_AND_RESOLUTION],
+        ("experiment=bpm-run\ncore_width_um=20000\nwindow_um=40000\nnx=100000000\n", []),
     ], ids=["modes_core_width", "modes_grid_points_1", "modes_grid_points_0", "modes_span_factor",
             "bpm_nx", "bpm_snapshot_every", "delays_n_lengths", "delays_length_max",
             "bell_theta_points_0", "bell_theta_points_neg", "decohere_length_max",
@@ -399,7 +436,7 @@ class TestMain:
             "bell_theta_points_max", "bpm_nx_core", "fig2_nx_core", "fig2_delta_n_below_clad",
             "modes_grid_over_core", "chsh_phase_overflow", "delays_phase_overflow",
             "decohere_phase_overflow", "fig2_no_bumps", "fig2_no_bumps_separator",
-            *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS])
+            *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS, *WINDOW_AND_RESOLUTION_IDS, "bpm_wide_core_nx"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, text, flags):
         # each once exited 0 (inf, header-only or silently wrong CSVs), 1 or 3; an
         # over-budget config once died of a MemoryError (exit 1) or a bare numpy error

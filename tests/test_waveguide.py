@@ -45,26 +45,69 @@ def mode_overlap(a, b):
 # --- the earlier beta route, kept as an oracle -------------------------------
 #
 # delta_beta and the group delay's slope once read beta from a full
-# solve_slab_te_modes call on an 8-point placeholder grid.  Its beta loop is
-# kept here bit for bit: the cached dispersion solve must reproduce it.
+# solve_slab_te_modes call on an 8-point placeholder grid, which bisected one
+# branch at a time.  Its branch bisection and beta loop are kept here bit for
+# bit: the array dispersion solve must reproduce them.
 
-def placeholder_betas(spec):
-    """beta of each guided mode as the full solve computed it, by descending beta."""
+def branch_residual(m, u, v_number):
+    v = np.sqrt(np.maximum(v_number ** 2 - u ** 2, 0.0))
+    if m % 2 == 0:
+        return u * np.sin(u) - v * np.cos(u)
+    return u * np.cos(u) + v * np.sin(u)
+
+
+def solve_branch(m, v_number):
+    """The root u of branch m, or None if it lies within rounding of the cut-off u = V."""
+    lo = m * math.pi / 2.0
+    hi = min((m + 1) * math.pi / 2.0, v_number)
+    lo += 1e-14 * max(1.0, lo)
+    hi -= 1e-14 * max(1.0, hi)
+    f_lo = float(branch_residual(m, np.array(lo), v_number))
+    f_hi = float(branch_residual(m, np.array(hi), v_number))
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        if v_number <= (m + 1) * math.pi / 2.0:  # the top branch: its root is past hi = V (1 - 1e-14)
+            return None
+        raise RuntimeError(f"dispersion branch {m} lost its bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = float(branch_residual(m, np.array(mid), v_number))
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def placeholder_modes(spec):
+    """(m, u, v, beta) of each guided mode as the full solve computed it, by descending beta."""
     v_number = spec.v_number
     if v_number < waveguide.MIN_NORMALIZED_FREQUENCY:
         return []
     half = spec.core_width / 2.0
-    betas, m = [], 0
+    modes, m = [], 0
     while m * math.pi / 2.0 < v_number:
-        u = waveguide._solve_branch(m, v_number)
+        u = solve_branch(m, v_number)
         if u is None:  # a root within rounding of u = V: the mode is at its cut-off
             break
         kappa = u / half
         beta = math.sqrt((spec.k * spec.n_core) ** 2 - kappa ** 2)
         if spec.k * spec.n_clad < beta < spec.k * spec.n_core:
-            betas.append(beta)
+            modes.append((m, u, math.sqrt(max(v_number ** 2 - u ** 2, 0.0)), beta))
         m += 1
-    return betas
+    return modes
+
+
+def placeholder_betas(spec):
+    """beta of each guided mode as the full solve computed it, by descending beta."""
+    return [beta for _, _, _, beta in placeholder_modes(spec)]
 
 
 def placeholder_delta_beta(spec):
@@ -96,12 +139,15 @@ def outcome(function, *args):
 
 @st.composite
 def slabs(draw):
-    """A dual-mode, multi-mode or near cut-off slab: V drawn first, the core width solved from it."""
+    """A weakly guiding, dual-mode, multi-mode or near cut-off slab: V drawn first, the core width
+    solved from it."""
     n_clad = draw(st.floats(1.0, 3.5))
     n_core = n_clad * (1.0 + draw(st.floats(1e-4, 0.3)))
     wavelength = draw(st.floats(0.4e-6, 2.0e-6))
-    kind = draw(st.sampled_from(["dual", "multi", "cutoff"]))
-    if kind == "dual":
+    kind = draw(st.sampled_from(["weak", "dual", "multi", "cutoff"]))
+    if kind == "weak":  # one mode; below u = 0.5 the bracket-width stop ends its bisection
+        v_number = draw(st.floats(1e-6, 1.0))
+    elif kind == "dual":
         v_number = draw(st.floats(math.pi / 2 * 1.001, math.pi * 0.999))
     elif kind == "multi":
         v_number = draw(st.floats(math.pi, 30.0))
@@ -208,6 +254,13 @@ class TestSlabSolver:
         with pytest.raises(ValueError, match="span_factor > 0 and points >= 2"):
             waveguide.default_grid(default_slab.core_width, **kwargs)
 
+    def test_default_grid_must_hold_the_core(self, default_slab):
+        # span_factor=1e-300 once gave profiles whose norm underflowed to 0 (exit 3 in modes)
+        with pytest.raises(ValueError, match="need span_factor >= 1.05"):
+            waveguide.default_grid(default_slab.core_width, span_factor=1.0)
+        x_min, _, _ = waveguide.default_grid(default_slab.core_width, span_factor=1.05)
+        assert x_min == -1.05 * default_slab.core_width / 2.0
+
     def test_default_grid_must_resolve_the_core(self, default_slab):
         # span_factor=1e6 at 64 points once returned two modes whose profiles were all NaN
         with pytest.raises(ValueError, match="fewer than 16 points across the core"):
@@ -226,34 +279,58 @@ class TestSlabSolver:
     def test_cached_dispersion_matches_placeholder_route(self, spec):
         # bit for bit: every beta, delta_beta, and each mode's group delay (or its error)
         betas = placeholder_betas(spec)
-        assert [beta for _, _, _, beta in waveguide._dispersion(spec)] == betas
+        assert [beta for _, _, _, beta in waveguide._dispersion(spec, math.inf)] == betas
         assert [mode.beta for mode in solve_slab_te_modes(spec)] == betas
         assert outcome(delta_beta, spec) == outcome(placeholder_delta_beta, spec)
-        for index in {0, 1, len(betas) - 1, len(betas)}:  # the last mode is the nearest cut-off
+        for index in {0, 1, max(len(betas) - 1, 0), len(betas)}:  # the last mode: nearest cut-off
             assert (outcome(group_delay, spec, index, 0.7)
                     == outcome(placeholder_group_delay, spec, index, 0.7))
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=slabs())
+    @example(spec=SlabSpec(200e-6, 1.5, 1.49, 1.55e-6))  # V = 70, 45 modes
+    @example(spec=SlabSpec(0.02, 1.5, 1.49, 1.55e-6))  # V = 7009, 4463 modes
+    def test_prefix_solve_matches_per_branch_oracle(self, spec):
+        # the array bisection of the first count branches gives each (m, u, v, beta) of the
+        # one-branch-at-a-time route bit for bit, whether it solves 1, 2 or every branch
+        modes = placeholder_modes(spec)
+        for count in (1, 2, len(modes), math.inf):
+            assert list(waveguide._dispersion(spec, count)) == modes[:min(count, len(modes))]
+        if modes:  # one branch alone, not the two _dispersion solves at least
+            assert list(waveguide._solved(spec, 1)) == modes[:1]
+
     def test_fig2_defaults_solve_each_slab_once(self, tmp_path, monkeypatch):
         # the benchmark's splitter config: its 3 slabs (base and two bumps) once took 6 solver
-        # calls and 12 branch bisections; the march does not touch the solver, so it is stubbed
-        counts = {"solve": 0, "branch": 0}
+        # calls and 12 branch bisections; now each slab takes one array bisection of its two
+        # branches, a miss of the solve's cache.  The march does not touch the solver, so it is
+        # stubbed
+        calls, original = [], waveguide.solve_slab_te_modes
 
-        def counted(name, function):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return function(*args, **kwargs)
-            return wrapper
+        def solve(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-        solve = counted("solve", waveguide.solve_slab_te_modes)
         for module in (waveguide, bpm, cli):
             monkeypatch.setattr(module, "solve_slab_te_modes", solve)
-        monkeypatch.setattr(waveguide, "_solve_branch", counted("branch", waveguide._solve_branch))
         monkeypatch.setattr(bpm, "propagate", lambda field, *args, **kwargs: [field])
-        waveguide._dispersion.cache_clear()
+        waveguide._solved.cache_clear()
         config = cli.parse_config_text("experiment=fig2\n")
         assert cli.validate(config) == []
         cli.run(config, tmp_path / "out", quiet=True)
-        assert counts == {"solve": 1, "branch": 6}
+        assert len(calls) == 1
+        assert waveguide._solved.cache_info().misses == 3
+
+    def test_contrast_below_beta_resolution_raises(self):
+        # n_core - n_clad is 4 ulps of 1.5 and V = 100: beta rounds onto k n_clad or k n_core
+        # below the top branch.  Such modes were once skipped, which renumbered the rest: modes
+        # wrote mode19.csv as its first mode, and delays gave tau0 == tau1
+        spec = SlabSpec(955808943e-6, 1.5, 1.4999999999999991, 1.55e-6)
+        assert 99 < spec.v_number < 101
+        grid = waveguide.default_grid(spec.core_width)
+        for call in (lambda: delta_beta(spec), lambda: group_delay(spec, 0, 1.0),
+                     lambda: solve_slab_te_modes(spec, grid=grid)):
+            with pytest.raises(ValueError, match="below float64's resolution of beta"):
+                call()
 
     def test_mode_at_cutoff_is_not_guided(self):
         # the @example slab above: V = pi/2 (1 + 1e-12) carries TE0 alone
