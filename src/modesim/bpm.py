@@ -48,7 +48,7 @@ import numpy as np
 
 from ._errors import NumericalError, check_finite
 from ._io import write_bytes, write_csv
-from .waveguide import CORE_MARGIN, MIN_POINTS_ACROSS_CORE, SlabSpec, delta_beta, solve_slab_te_modes
+from .waveguide import SlabSpec, check_core_sampling, delta_beta, solve_slab_te_modes
 
 __all__ = [
     "Grid",
@@ -60,8 +60,6 @@ __all__ = [
     "straight_slab_map",
     "check_geometry_fits",
     "check_paraxial_dz",
-    "check_core_resolution",
-    "check_core_fits",
     "build_geometry",
     "field_from_modes",
     "propagate",
@@ -224,13 +222,13 @@ def straight_slab_map(grid: Grid, spec: SlabSpec, reference_n0: float | None = N
 
 
 def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
-    """Raise ValueError unless the grid holds the branches' full separation in z
-    and their outer edges, with a 5% margin, in x."""
+    """Raise ValueError unless the grid holds the branches' full separation in z and their outer
+    edges in x, as check_core_sampling holds a core; the raster takes cores of any width."""
     sep_end = geometry.separation_end_z()
     if sep_end > grid.z_max:
         raise ValueError(f"geometry exceeds grid: branches separate until z={sep_end:g} m "
                          f"but the grid ends at {grid.z_max:g} m")
-    check_core_fits(geometry.branch_separation_final + geometry.core_width, grid)  # both branches
+    check_core_sampling(geometry.branch_separation_final + geometry.core_width, grid.waveguide_grid(), 0)
 
 
 def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
@@ -327,22 +325,6 @@ def check_paraxial_dz(dz: float, wavelength: float, contrast: float) -> None:
         dz_limit = PARAXIAL_DZ_SAFETY * wavelength / (2.0 * contrast)
         if dz > dz_limit * (1 + 1e-12):
             raise ValueError(f"dz={dz:g} exceeds the paraxial accuracy limit {dz_limit:g}")
-
-
-def check_core_resolution(core_width: float, grid: Grid) -> None:
-    """Raise ValueError unless the grid puts MIN_POINTS_ACROSS_CORE points across a core."""
-    if core_width / grid.dx < MIN_POINTS_ACROSS_CORE:
-        raise ValueError(
-            f"dx={grid.dx:g} puts fewer than {MIN_POINTS_ACROSS_CORE} points across the core"
-        )
-
-
-def check_core_fits(core_width: float, grid: Grid) -> None:
-    """Raise ValueError unless the window holds a centered core, with a 5% margin, in x."""
-    margin = CORE_MARGIN * core_width / 2.0
-    if margin > min(-grid.x_min, grid.x_max):
-        raise ValueError(f"core exceeds grid: need |x| up to {margin:g} m inside "
-                         f"[{grid.x_min:g}, {grid.x_max:g}]")
 
 
 def _absorber(grid: Grid) -> np.ndarray:
@@ -494,7 +476,7 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     """
     if geometry.phase_section is None:
         raise ValueError("fig2_experiment needs a geometry with a phase section")
-    check_core_resolution(geometry.core_width, grid)
+    check_core_sampling(geometry.core_width, grid.waveguide_grid())  # a branch, before the solve
     modes = solve_slab_te_modes(base, grid=grid.waveguide_grid())
     if len(modes) < 2:
         raise ValueError("base guide must carry two modes")

@@ -34,15 +34,16 @@ import numpy as np
 from . import __version__
 from ._errors import NumericalError
 from ._io import write_csv, write_json
-from .bpm import (Grid, PhaseSection, YSplitterGeometry, branch_powers, check_core_fits,
-                  check_core_resolution, check_geometry_fits, check_paraxial_dz, export_field_csv,
-                  export_raster, field_from_modes, fig2_experiment, propagate, straight_slab_map)
+from .bpm import (Grid, PhaseSection, YSplitterGeometry, branch_powers, check_geometry_fits,
+                  check_paraxial_dz, export_field_csv, export_raster, field_from_modes, fig2_experiment,
+                  propagate, straight_slab_map)
 from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, export_bell_csv,
                           export_chsh_csv)
 from .decoherence import EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv, two_rail_evolve
 from .states import bell_state, density_of, product_state, superpose
 from .stochastic import PerturbationModel, rates
-from .waveguide import SlabSpec, default_grid, delta_beta, export_mode_csv, group_delay, solve_slab_te_modes
+from .waveguide import (DEFAULT_GRID_POINTS, DEFAULT_SPAN_FACTOR, SlabSpec, check_core_sampling, default_grid,
+                        delta_beta, export_mode_csv, group_delay, solve_slab_te_modes)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,6 +69,10 @@ class RunConfig:
     parameters: dict
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -92,11 +97,9 @@ def _bounded(parse, low, strict: bool = False, high=None):
     return parser
 
 
-_POSITIVE = _bounded(_finite, 0.0, strict=True)
-
-# Per-experiment parameter schemas: key -> (parser, default).  Keys that a
-# domain dataclass takes are checked by that dataclass; the rest are bounded
-# here.
+# Per-experiment parameter schemas: key -> (parser, default).  The library checks each key
+# that _build hands it; a bound here guards _build's own arithmetic, or a check that runs only
+# in the run, and says which.
 _SLAB_KEYS = {
     "core_width_um": (_finite, 8.0),
     "n_core": (_finite, 1.50),
@@ -111,21 +114,21 @@ _NOISE_KEYS = {
 }
 
 _SCHEMAS: dict[str, dict] = {
-    "modes": dict(_SLAB_KEYS, grid_points=(_bounded(int, 2), 2048),
-                  span_factor=(_POSITIVE, 6.0)),
+    "modes": dict(_SLAB_KEYS, grid_points=(int, DEFAULT_GRID_POINTS),
+                  span_factor=(_finite, DEFAULT_SPAN_FACTOR)),
     "rates": dict(_NOISE_KEYS, delta_beta_per_m=(_finite, 2.0e4)),
     "decohere": dict(
         _NOISE_KEYS,
         delta_beta_per_m=(_finite, 2.0e4),
-        length_max_m=(_POSITIVE, 0.8192),
-        n_lengths=(_bounded(int, 2), 20),
-        n_realizations=(_bounded(int, 1), 1000),
+        length_max_m=(_finite, 0.8192),
+        n_lengths=(int, 20),
+        n_realizations=(int, 1000),
     ),
-    "bell": {"state": (str, "phi_plus"), "theta_points": (_bounded(int, 1, high=1024), 19)},
+    "bell": {"state": (str, "phi_plus"), "theta_points": (_bounded(int, 1, high=1024), 19)},  # as grid_n
     "chsh-scan": dict(
         _NOISE_KEYS,
         state=(str, "phi_plus"),
-        grid_n=(_bounded(int, 8, high=1024), 16),
+        grid_n=(_bounded(int, 8, high=1024), 16),  # checked only in the run; the cap bounds its time
         delta_beta_per_m=(_finite, 2.0e4),
         length_m=(_finite, 0.0),
     ),
@@ -133,8 +136,8 @@ _SCHEMAS: dict[str, dict] = {
         **_SLAB_KEYS,
         **_NOISE_KEYS,
         delta_beta_per_m=(_finite, 0.0),  # 0 means "derive from the slab spec"
-        length_max_m=(_POSITIVE, 1.0),
-        n_lengths=(_bounded(int, 1), 10),
+        length_max_m=(_bounded(_finite, 0.0, strict=True), 1.0),  # no library call bounds it
+        n_lengths=(_bounded(int, 1), 10),  # the run divides length_max_m by it
     ),
     "fig2": dict(
         _SLAB_KEYS,
@@ -156,7 +159,7 @@ _SCHEMAS: dict[str, dict] = {
         window_um=(_finite, 96.0),
         nx=(_bounded(int, 2), 2048),  # _build divides by nx - 1
         dz_um=(_finite, 0.5),
-        snapshot_every=(_bounded(int, 1), 16),
+        snapshot_every=(_bounded(int, 1), 16),  # _build divides by it; propagate checks it in the run
     ),
 }
 
@@ -206,8 +209,6 @@ def parse_config_text(text: str) -> RunConfig:
         seed = int(seed_text)
     except ValueError as exc:
         raise ConfigError(f"seed must be an integer, got {seed_text!r}") from exc
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
 
     schema = _SCHEMAS[experiment]
     parameters = {}
@@ -268,18 +269,19 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
         b.evo = EvolutionParams(b.dbeta, b.rates, params["length_m"])
     if "length_max_m" in params:  # the phase grows with length, so the longest checks every row
         b.evo = EvolutionParams(b.dbeta, b.rates, params["length_max_m"])
-    if config.experiment == "delays":  # mode 1's group delay at k (1 +- dk_rel) needs it guided
-        group_delay(b.spec, 1, params["length_max_m"])
+    if config.experiment == "delays":  # mode 1 guided at k (1 +- dk_rel), tau1 - tau0 largest at L_max
+        DelayPair(*(group_delay(b.spec, mode, params["length_max_m"]) for mode in (0, 1)))
         b.memory += 640.0 * params["n_lengths"]  # a row of five floats and its CSV text
     if "n_realizations" in params:  # decohere: 190 B a step per loop; 96 B a state, in the stack and np.var
-        steps = ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"])
+        steps = ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"],
+                               params["n_realizations"])
         b.memory += 190.0 * steps * threads + 96.0 * params["n_realizations"] * params["n_lengths"]
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
     if "nx" in params:  # bpm-run and fig2 launch (TE0 + TE1) / sqrt(2): the slab must carry both
         b.dual.append(b.spec)
     if "length_um" in params:
-        length, core_width = params["length_um"] * 1e-6, b.spec.core_width
+        length = params["length_um"] * 1e-6
     if "stem_length_um" in params:
         b.geometry = YSplitterGeometry(
             stem_length=params["stem_length_um"] * 1e-6,
@@ -289,7 +291,6 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
             phase_section=PhaseSection(0.0, params["phase_length_um"] * 1e-6, z_start=50e-6),
         )
         length = b.geometry.separation_end_z() + params["lead_out_um"] * 1e-6
-        core_width = b.geometry.core_width  # a branch, the narrowest core
         if not params["delta_n_list"]:
             raise ValueError("delta_n_list must hold at least one delta_n")
         for delta_n in params["delta_n_list"]:  # SlabSpec checks each bumped phase section
@@ -302,14 +303,14 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
         contrast = max([b.spec.n_core - b.spec.n_clad]
                        + [abs(dn) for dn in params.get("delta_n_list", [])])
         check_paraxial_dz(dz, b.spec.wavelength, contrast)
-        check_core_resolution(core_width, b.grid)
-        check_core_fits(b.spec.core_width, b.grid)  # the slab, or fig2's stem, and its cladding
+        check_core_sampling(b.spec.core_width, b.grid.waveguide_grid())  # the slab, or fig2's stem
         b.memory += 256 * b.grid.nx  # the march's work arrays
     if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
         # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects
         b.memory += 512 * b.grid.nx + (24 * b.grid.nx + 512) * ((b.grid.nz - 1) // params["snapshot_every"] + 2)
     if "stem_length_um" in params:  # fig2: at most nz + bumps distinct rows, a row index per bump
         check_geometry_fits(b.geometry, b.grid)
+        check_core_sampling(b.geometry.core_width, b.grid.waveguide_grid())  # a branch
         bumps = len(params["delta_n_list"])
         b.memory += ((b.grid.nz + bumps) * b.grid.nx + bumps * b.grid.nz) * 8
     if b.memory > MEMORY_BUDGET:
@@ -517,9 +518,7 @@ def main(argv=None) -> int:
             raise ConfigError("threads must be at least 1")
         config = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            config.seed = args.seed
+            config = replace(config, seed=args.seed)
         diagnostics = validate(config, args.threads)
         for diag in diagnostics:
             if not args.quiet or diag.severity == "error":

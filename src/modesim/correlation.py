@@ -61,6 +61,10 @@ class DelayPair:
     tau0: float
     tau1: float
 
+    def __post_init__(self):
+        if not np.all(np.abs(np.subtract(self.tau1, self.tau0)) < 1e154):  # NaN fails too
+            raise ValueError("need |tau1 - tau0| < 1e154 s, so that delay_covariance's square is finite")
+
 
 def _correlation_table(rho4: DensityMatrix, thetas1, thetas2) -> np.ndarray:
     """E[i, k] = Tr rho (D(thetas1[i]) (x) D(thetas2[k])) / Tr rho for every setting pair."""

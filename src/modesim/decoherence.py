@@ -272,9 +272,12 @@ class DecoherenceScan:
     n_realizations: int
 
 
-def ensemble_steps(model: PerturbationModel, delta_beta: float, length_max: float, n_lengths: int) -> int:
+def ensemble_steps(model: PerturbationModel, delta_beta: float, length_max: float, n_lengths: int,
+                   n_realizations: int) -> int:
     """The step count of ensemble_scan: dz resolves D/8 and the beat, then snaps to length_max,
-    where it must pass sample_path's checks."""
+    where it must pass sample_path's checks.  Raises ValueError on the scan's sizes too."""
+    if n_lengths < 2 or n_realizations < 1:
+        raise ValueError("need n_lengths >= 2 and n_realizations >= 1")
     dz = model.corr_length * MAX_DZ_FRACTION
     if delta_beta != 0.0:
         dz = min(dz, (2.0 * math.pi / abs(delta_beta)) / MIN_STEPS_PER_BEAT)
@@ -296,9 +299,7 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     """
     if rho0.rails != 1:
         raise ValueError("ensemble_scan expects a single-rail 2x2 state")
-    if n_lengths < 2 or n_realizations < 1:
-        raise ValueError("need n_lengths >= 2 and n_realizations >= 1")
-    total = ensemble_steps(model, delta_beta, length_max, n_lengths)
+    total = ensemble_steps(model, delta_beta, length_max, n_lengths, n_realizations)
     dz = length_max / total
     marks = sorted({max(1, int(round(total * (j + 1) / n_lengths))) for j in range(n_lengths)})
     lengths = np.array([m * dz for m in marks])

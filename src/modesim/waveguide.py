@@ -47,6 +47,7 @@ __all__ = [
     "delta_beta",
     "export_mode_csv",
     "default_grid",
+    "check_core_sampling",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_SPAN_FACTOR",
 ]
@@ -119,23 +120,26 @@ class GuidedMode:
         return x_min + dx * np.arange(count)
 
 
+def check_core_sampling(core_width: float, grid: tuple[float, float, int],
+                        min_steps: int = MIN_POINTS_ACROSS_CORE) -> None:
+    """Raise ValueError unless the grid (x_min, dx, count) puts min_steps steps across a core
+    centered at x = 0 and reaches CORE_MARGIN of its half-width on both sides (to 1e-12)."""
+    x_min, dx, count = grid
+    if not min_steps * dx <= core_width * (1 + 1e-12):
+        raise ValueError(f"the grid puts fewer than {min_steps} points across the core")
+    margin, x_max = CORE_MARGIN * core_width / 2.0, x_min + dx * (count - 1)
+    if not margin <= min(-x_min, x_max) * (1 + 1e-12):
+        raise ValueError(f"core exceeds grid: need |x| up to {margin:g} m inside [{x_min:g}, {x_max:g}]")
+
+
 def default_grid(core_width: float, span_factor: float = DEFAULT_SPAN_FACTOR,
                  points: int = DEFAULT_GRID_POINTS) -> tuple[float, float, int]:
-    """(x_min, dx, count) of points samples over span_factor core widths, centered on the core.
-
-    Raises ValueError unless the core holds (points - 1) / span_factor >=
-    MIN_POINTS_ACROSS_CORE grid steps, a coarser profile may miss the core, and unless the
-    window holds the core with bpm.check_core_fits' margin, span_factor >= CORE_MARGIN.
-    """
-    if not span_factor > 0 or points < 2:
-        raise ValueError("need span_factor > 0 and points >= 2")
-    if not span_factor >= CORE_MARGIN:
-        raise ValueError(f"need span_factor >= {CORE_MARGIN}, so that the window holds the core")
-    if points - 1 < MIN_POINTS_ACROSS_CORE * span_factor:  # integers: exactly 16 steps pass
-        raise ValueError(f"the grid puts fewer than {MIN_POINTS_ACROSS_CORE} points across the "
-                         f"core; need (grid_points - 1) / span_factor >= {MIN_POINTS_ACROSS_CORE}")
+    """(x_min, dx, count) of points samples over span_factor core widths, centered on the core;
+    check_core_sampling needs (points - 1) / span_factor >= 16 and span_factor >= 1.05."""
     span = span_factor * core_width
-    return (-span / 2.0, span / (points - 1), points)
+    grid = (-span / 2.0, span / max(points - 1, 1), points)  # points < 2 reach no cladding
+    check_core_sampling(core_width, grid)
+    return grid
 
 
 @functools.lru_cache(maxsize=16)
@@ -227,8 +231,8 @@ def group_delay(spec: SlabSpec, mode_index: int, length, dk_rel: float = 1e-4):
     lengths gives one delay each.  Second-order convergent in the relative step.  Raises when
     the requested mode is not guided at either perturbed wavenumber, whatever the length.
     """
-    if not dk_rel > 0:
-        raise ValueError("dk_rel must be positive")
+    if not (dk_rel > 0 and mode_index >= 0):
+        raise ValueError(f"need dk_rel > 0 and mode_index >= 0, got {dk_rel!r} and {mode_index!r}")
     betas = []
     for sign in (+1.0, -1.0):
         modes = _dispersion(replace(spec, wavelength=2.0 * math.pi / (spec.k * (1.0 + sign * dk_rel))),

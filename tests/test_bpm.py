@@ -21,7 +21,6 @@ from modesim.bpm import (
     YSplitterGeometry,
     branch_powers,
     build_geometry,
-    check_core_resolution,
     decompose,
     export_field_csv,
     export_raster,
@@ -30,7 +29,7 @@ from modesim.bpm import (
     propagate,
     straight_slab_map,
 )
-from modesim.waveguide import SlabSpec, solve_slab_te_modes
+from modesim.waveguide import SlabSpec, check_core_sampling, solve_slab_te_modes
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -318,7 +317,7 @@ class TestPropagation:
         grid = straight_grid(nz=2001)  # 1 mm at dz = 0.5 um
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         ri_map = straight_slab_map(grid, default_slab)
-        check_core_resolution(default_slab.core_width, grid)
+        check_core_sampling(default_slab.core_width, grid.waveguide_grid())
         snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid,
                           default_slab.wavelength, snapshot_every=200)
         assert abs(snaps[-1].power / snaps[0].power - 1.0) < 1e-6
@@ -401,7 +400,7 @@ class TestPropagation:
     def test_transverse_resolution_enforced(self, default_slab):
         grid = Grid(-200e-6, 400e-6 / 127, 128, 0.5e-6, 100)
         with pytest.raises(ValueError, match="points across the core"):
-            check_core_resolution(default_slab.core_width, grid)
+            check_core_sampling(default_slab.core_width, grid.waveguide_grid())
         # the splitter experiment checks its branch cores before it marches
         geometry = default_geometry()
         coarse = Grid(-32e-6, 64e-6 / 127, 128, 1e-6, int(geometry.separation_end_z() / 1e-6) + 2)

@@ -47,13 +47,16 @@ OVER_BUDGET_IDS = ["bpm_over_budget", "fig2_over_budget", "decohere_steps_over_b
 
 # Configs that once exited 3 from the run, with the key validate names and its bound: the
 # Monte Carlo window is under 20 D, the snapped step (rounded down to 200 steps) is over
-# D/8, and mode 1 is guided at k but not at k (1 - 1e-4), where its group delay is taken.
+# D/8, mode 1 is guided at k but not at k (1 - 1e-4), where its group delay is taken, and
+# (tau1 - tau0)^2 overflowed at length_max_m=1e300, after two numpy overflow warnings.
 GRID_AND_CUTOFF = [
     ("experiment=decohere\nlength_max_m=0.001\n", "length_max_m", "too short"),
     ("experiment=decohere\nlength_max_m=0.00250625\n", "length_max_m", "does not resolve"),
     ("experiment=delays\nwavelength_um=2.7666\n", "wavelength_um", "near cutoff"),
+    ("experiment=delays\nlength_max_m=1e300\n", "length_max_m", "|tau1 - tau0| < 1e154 s"),
 ]
-GRID_AND_CUTOFF_IDS = ["decohere_window_short", "decohere_snapped_dz", "delays_cutoff"]
+GRID_AND_CUTOFF_IDS = ["decohere_window_short", "decohere_snapped_dz", "delays_cutoff",
+                       "delays_spread_overflow"]
 
 # Configs that exited 0 or 3, or whose dispersion solve never returned, with the key validate
 # names and its bound.  A core wider than its window, or a window far narrower than the core,
@@ -64,7 +67,7 @@ NEAR_EQUAL_SLAB = "n_clad=1.4999999999999991\ncore_width_um=955808943\n"
 WINDOW_AND_RESOLUTION = [
     ("experiment=bpm-run\ncore_width_um=200\n", "core_width_um", "core exceeds grid"),
     ("experiment=bpm-run\nwindow_um=1e-300\n", "window_um", "core exceeds grid"),
-    ("experiment=modes\nspan_factor=1e-300\n", "span_factor", "span_factor >= 1.05"),
+    ("experiment=modes\nspan_factor=1e-300\n", "span_factor", "core exceeds grid"),
     ("experiment=modes\n" + NEAR_EQUAL_SLAB, "core_width_um", "resolution of beta"),
     ("experiment=delays\n" + NEAR_EQUAL_SLAB, "core_width_um", "resolution of beta"),
     ("experiment=delays\ncore_width_um=1e9\n", "core_width_um", "resolution of beta"),
@@ -121,6 +124,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config_text("experiment=rates\nsigma=lots\n")
 
+    def test_negative_seed_rejected(self):
+        # RunConfig checks the seed, so a config's seed and a --seed override share one check
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            parse_config_text("experiment=rates\nseed=-1\n")
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            RunConfig("rates", {}, seed=-1)
+
     def test_list_values(self):
         config = parse_config_text("experiment=fig2\ndelta_n_list=0;1e-4;2.1e-4\n")
         assert config.parameters["delta_n_list"] == [0.0, 1e-4, 2.1e-4]
@@ -156,6 +166,9 @@ class TestValidate:
         ("experiment=rates\nsigma=1e150\nk_ab_per_m=1e100\n", "sigma", "must be finite"),
         ("experiment=bpm-run\nnx=64\n", "nx", "points across the core"),
         ("experiment=fig2\nnx=128\n", "nx", "points across the core"),
+        # a stem narrower than its branches must be resolved too: the modes launch in it
+        ("experiment=fig2\nn_core=1.6\ncore_width_um=2\ndz_um=0.5\nnx=300\n", "core_width_um",
+         "points across the core"),
         ("experiment=fig2\ndelta_n_list=0;-0.02\n", "delta_n_list", "n_core > n_clad"),
         ("experiment=modes\nspan_factor=1e6\ngrid_points=64\n", "span_factor", "across the core"),
         ("experiment=modes\ngrid_points=64\n", "grid_points", "across the core"),
@@ -172,7 +185,7 @@ class TestValidate:
     ], ids=["corr_length", "sigma_first", "n_clad", "nx", "launch", "dz", "angle", "length_m",
             "state", "bpm_dz", "bpm_dz_paraxial", "fig2_window", "fig2_phase_length",
             "sigma_overflow", "k_ab_overflow", "rates_inf", "bpm_nx_core", "fig2_nx_core",
-            "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
+            "fig2_stem_core", "fig2_delta_n_below_clad", "modes_span_core", "modes_points_core",
             "chsh_phase_overflow", "delays_phase_overflow", "decohere_phase_overflow",
             "n_core_square_overflow", "fig2_no_bumps", "fig2_no_bumps_separator",
             *OVER_BUDGET_IDS, *GRID_AND_CUTOFF_IDS, *WINDOW_AND_RESOLUTION_IDS])
@@ -467,10 +480,22 @@ class TestMain:
         for name in ("mode0.csv", "mode1.csv"):
             assert np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)).all()
 
-    def test_non_finite_output_exits_3_and_writes_nothing(self, tmp_path):
-        # length_max_m=1e300 once exited 0 with NaN in delays.csv; (tau1 - tau0)^2 overflows,
-        # and the CSV is formatted before its file, or the directory, is made
-        config = write_config(tmp_path, "experiment=delays\nlength_max_m=1e300\n")
+    @pytest.mark.parametrize("text,flags", [("experiment=rates\nseed=-1\n", []),
+                                            ("experiment=rates\n", ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, text, flags):
+        # RunConfig checks the seed, so a config's seed and a --seed override share one check
+        config, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet", *flags]) == EXIT_CONFIG
+        assert "config error: seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_output_exits_3_and_writes_nothing(self, tmp_path, monkeypatch):
+        # length_max_m=1e300 once exited 0 with NaN in delays.csv, then 3 when (tau1 - tau0)^2
+        # overflowed; validate now refuses it, so a covariance of inf stands in.  The CSV is
+        # formatted before its file, or the directory, is made
+        monkeypatch.setattr(cli, "delay_covariance", lambda rho, pair: np.full(np.shape(pair.tau0), np.inf))
+        config = write_config(tmp_path, "experiment=delays\n")
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
         assert not out.exists()

@@ -206,6 +206,14 @@ class TestEnsemble:
             unitary = products[round(checkpoint / dz)]
             assert np.abs(out - unitary @ EQUAL.matrix @ unitary.conj().T).max() < 1e-13
 
+    @pytest.mark.parametrize("n_lengths,n_realizations", [(1, 4), (0, 4), (2, 0), (2, -1)])
+    def test_scan_sizes_checked_with_the_step_count(self, default_model, n_lengths, n_realizations):
+        # ensemble_steps, which the CLI runs before any output, checks the sizes the scan checks
+        for call in (lambda: decoherence.ensemble_steps(default_model, 2e4, 0.004, n_lengths, n_realizations),
+                     lambda: ensemble_scan(EQUAL, default_model, 2e4, 0.004, n_lengths, n_realizations, 0)):
+            with pytest.raises(ValueError, match="need n_lengths >= 2 and n_realizations >= 1"):
+                call()
+
     def test_zero_sigma_ensemble_is_free_evolution(self):
         model = PerturbationModel(0.0, 100e-6, 500.0)
         delta_beta = 2e4

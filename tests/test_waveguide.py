@@ -250,13 +250,14 @@ class TestSlabSolver:
     @pytest.mark.parametrize("kwargs", [dict(span_factor=0.0), dict(span_factor=-6.0),
                                         dict(points=1), dict(points=0)])
     def test_degenerate_default_grid_rejected(self, default_slab, kwargs):
-        # span_factor=0 once gave inf profiles; points=1 a ZeroDivisionError
-        with pytest.raises(ValueError, match="span_factor > 0 and points >= 2"):
+        # span_factor=0 once gave inf profiles; points=1 a ZeroDivisionError.  Such a grid
+        # reaches no cladding, or steps over the core
+        with pytest.raises(ValueError, match="core exceeds grid|points across the core"):
             waveguide.default_grid(default_slab.core_width, **kwargs)
 
     def test_default_grid_must_hold_the_core(self, default_slab):
         # span_factor=1e-300 once gave profiles whose norm underflowed to 0 (exit 3 in modes)
-        with pytest.raises(ValueError, match="need span_factor >= 1.05"):
+        with pytest.raises(ValueError, match="core exceeds grid"):
             waveguide.default_grid(default_slab.core_width, span_factor=1.0)
         x_min, _, _ = waveguide.default_grid(default_slab.core_width, span_factor=1.05)
         assert x_min == -1.05 * default_slab.core_width / 2.0
@@ -270,6 +271,19 @@ class TestSlabSolver:
         modes = solve_slab_te_modes(default_slab, grid=grid)
         assert len(modes) == 2
         assert all(np.isfinite(mode.profile).all() for mode in modes)
+
+    @pytest.mark.parametrize("core_width", [8e-6, 1e-7, 3.3e-5])
+    def test_exact_core_sampling_passes_whatever_dx_rounds_to(self, core_width):
+        # check_core_sampling compares dx, not the integers default_grid once compared: exactly
+        # 16 steps across the core, and a window of exactly 1.05 core widths, still pass
+        for span_factor in range(2, 130):
+            waveguide.default_grid(core_width, span_factor, 16 * span_factor + 1)
+            with pytest.raises(ValueError, match="fewer than 16 points across the core"):
+                waveguide.default_grid(core_width, span_factor, 16 * span_factor)
+        for points in (18, 64, 97, 1000, 2048, 4097):
+            waveguide.default_grid(core_width, 1.05, points)
+            with pytest.raises(ValueError, match="core exceeds grid"):
+                waveguide.default_grid(core_width, 1.05 * (1 - 1e-9), points)
 
     @settings(max_examples=40, deadline=None)
     @given(spec=slabs())
@@ -409,6 +423,11 @@ class TestGroupDelay:
         second_change = abs(taus[1] - taus[2])
         ratio = first_change / second_change
         assert 3.2 < ratio < 4.8
+
+    def test_negative_mode_index_rejected(self, default_slab):
+        # mode -1 once read the last of zero solved modes: an IndexError
+        with pytest.raises(ValueError, match="mode_index >= 0, got 0.0001 and -1"):
+            group_delay(default_slab, -1, 1.0)
 
     def test_near_cutoff_error(self, default_slab):
         # mode 2 does not exist for the default guide at any nearby k
