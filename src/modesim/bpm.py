@@ -25,8 +25,8 @@ consecutive rows: it LU-factors a run's tridiagonal step matrix once (LAPACK
 scipy, which provides them, is imported on the first march, not with this
 module.
 
-build_geometry rasterizes symmetric Y-splitters: a dual-mode stem, an
-optional phase section where the core index is raised by delta_n, and two
+build_geometry rasterizes symmetric Y-splitters: a dual-mode stem, a
+phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
@@ -185,14 +185,14 @@ class YSplitterGeometry:
     branch cores of width core_width start side by side and separate at
     branch_half_angle each until their centers are branch_separation_final
     apart.  With core_width = stem_width / 2 and zero angle the map reduces
-    to the straight stem.
+    to the straight stem.  The default phase section has zero length: no bump.
     """
 
     stem_length: float
     branch_half_angle: float
     branch_separation_final: float
     core_width: float
-    phase_section: PhaseSection | None = None
+    phase_section: PhaseSection = PhaseSection(0.0, 0.0)
 
     def __post_init__(self):
         if not (self.stem_length > 0 and self.core_width > 0):
@@ -201,8 +201,7 @@ class YSplitterGeometry:
             raise ValueError("branch_half_angle must lie in [0, 2 deg) for paraxial validity")
         if not self.branch_separation_final >= self.core_width:
             raise ValueError("final separation must be at least one branch width")
-        phase = self.phase_section
-        if phase is not None and phase.z_start + phase.length > self.stem_length:
+        if self.phase_section.z_start + self.phase_section.length > self.stem_length:
             raise ValueError("phase section must sit inside the stem")
         check_finite(self, "stem_length", "branch_half_angle", "branch_separation_final", "core_width")
 
@@ -238,31 +237,31 @@ def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
     so the raster integrates to the analytic core area and the discrete mode constants are free
     of staircase bias.  A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice,
     or the branch cores.  Each distinct key is one row of one rows array that every map shares,
-    in order of first use, deduplicated geometry by geometry.
+    numbered in order of first use over the geometries' keys in turn.
     """
     z, contrast, stem_half = grid.z, base.n_core - base.n_clad, base.core_width / 2.0
-    distinct, indices = np.empty((0, 5)), []
+    keys = [np.empty((0, 5))]
     for geometry in geometries:
         check_geometry_fits(geometry, grid)
         half = geometry.core_width / 2.0
         center = half + np.minimum((z - geometry.stem_length) * math.tan(geometry.branch_half_angle),
                                    (geometry.branch_separation_final - geometry.core_width) / 2.0)
-        keys = np.stack([np.full(grid.nz, contrast), -center - half, -center + half,
-                         center - half, center + half], axis=1)
-        keys[z < geometry.stem_length, 1:] = (-stem_half, stem_half, -stem_half, stem_half)
-        phase = geometry.phase_section
-        if phase is not None:  # the section ends inside the stem
-            keys[(phase.z_start <= z) & (z < phase.z_start + phase.length), 0] = contrast + phase.delta_n
-        keys = np.concatenate([distinct, keys])
-        order = np.lexsort(keys.T)  # stable: each run of equal keys starts at the key's first use
-        ordered = keys[order]
-        lead = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
-        first = order[lead]  # each distinct key's first use; ranked, they number the rows
-        index = np.argsort(np.argsort(first))[np.cumsum(lead) - 1][np.argsort(order)]
-        distinct = keys[np.sort(first)]  # the earlier distinct keys keep their places
-        indices.append(index[len(keys) - grid.nz:])
-    rows = _rows(distinct, grid, base.n_clad)
-    return [RIMap(rows, index, base.n_core) for index in indices]
+        step_keys = np.stack([np.full(grid.nz, contrast), -center - half, -center + half,
+                              center - half, center + half], axis=1)
+        step_keys[z < geometry.stem_length, 1:] = (-stem_half, stem_half, -stem_half, stem_half)
+        phase = geometry.phase_section  # it ends inside the stem
+        step_keys[(phase.z_start <= z) & (z < phase.z_start + phase.length), 0] = contrast + phase.delta_n
+        keys.append(step_keys)
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T)  # stable: each run of equal keys starts at the key's first use
+    ordered = keys[order]
+    lead = np.ones(len(keys), dtype=bool)  # sized by the keys: an empty list has no lead
+    lead[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[lead]  # each distinct key's first use; ranked, they number the rows
+    index = np.empty(len(keys), dtype=np.intp)
+    index[order] = np.argsort(np.argsort(first))[np.cumsum(lead) - 1]
+    rows = _rows(keys[np.sort(first)], grid, base.n_clad)
+    return [RIMap(rows, steps, base.n_core) for steps in index.reshape(-1, grid.nz)]
 
 
 def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
@@ -431,12 +430,12 @@ def decompose(field: Field, modes, grid: Grid) -> tuple[np.ndarray, float]:
     return coefficients, residual
 
 
-def branch_powers(field: Field, split_x: float, grid: Grid) -> tuple[float, float]:
-    """Normalized power (x < split_x, x >= split_x) of a field snapshot."""
+def branch_powers(field: Field, grid: Grid) -> tuple[float, float]:
+    """Normalized power (x < 0, x >= 0) of a field snapshot."""
     x = grid.x
     intensity = np.abs(field.values) ** 2
-    left = float(np.sum(intensity[x < split_x]) * grid.dx)
-    right = float(np.sum(intensity[x >= split_x]) * grid.dx)
+    left = float(np.sum(intensity[x < 0.0]) * grid.dx)
+    right = float(np.sum(intensity[x >= 0.0]) * grid.dx)
     total = left + right
     if total <= 0:
         raise ValueError("field carries no power")
@@ -474,9 +473,8 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     split; the row records the final branch powers and the solver-predicted
     controller angle theta.
     """
-    if geometry.phase_section is None:
-        raise ValueError("fig2_experiment needs a geometry with a phase section")
-    check_core_sampling(geometry.core_width, grid.waveguide_grid())  # a branch, before the solve
+    for core_width in (base.core_width, geometry.core_width):  # the stem and a branch, before the solve
+        check_core_sampling(core_width, grid.waveguide_grid())
     modes = solve_slab_te_modes(base, grid=grid.waveguide_grid())
     if len(modes) < 2:
         raise ValueError("base guide must carry two modes")
@@ -489,7 +487,7 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     rows = []
     for delta_n, theta, ri_map in zip(delta_n_list, thetas, build_geometry(bumps, grid, base)):
         final = propagate(launch, ri_map, grid, base.wavelength, snapshot_every=grid.nz)[-1]
-        left, right = branch_powers(final, 0.0, grid)
+        left, right = branch_powers(final, grid)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))
     return rows
 

@@ -39,7 +39,8 @@ from .bpm import (Grid, PhaseSection, YSplitterGeometry, branch_powers, check_ge
                   propagate, straight_slab_map)
 from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, export_bell_csv,
                           export_chsh_csv)
-from .decoherence import EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv, two_rail_evolve
+from .decoherence import (TWO_RAIL_STATES, EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv,
+                          two_rail_evolve)
 from .states import bell_state, density_of, product_state, superpose
 from .stochastic import PerturbationModel, rates
 from .waveguide import (DEFAULT_GRID_POINTS, DEFAULT_SPAN_FACTOR, SlabSpec, check_core_sampling, default_grid,
@@ -68,10 +69,13 @@ class RunConfig:
     experiment: str
     parameters: dict
     seed: int = 0
+    threads: int = 1  # the pull loops an ensemble runs, each of which holds its own buffers
 
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if self.threads < 1:
+            raise ConfigError("threads must be at least 1")
 
 
 def _finite(text: str) -> float:
@@ -171,9 +175,6 @@ _STATES = {
     "product": lambda: density_of(product_state()),
 }
 
-#: the states chsh-scan can decohere over length_m; it ignores length_m for the rest.
-_DECOHERED_STATES = ("phi_plus", "product")
-
 _LAUNCHES = {
     "te0": [1.0, 0.0],
     "te1": [0.0, 1.0],
@@ -228,7 +229,7 @@ def parse_config_text(text: str) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -239,14 +240,13 @@ def _choice(table: dict, params: dict, key: str):
     return table[params[key]]
 
 
-def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
+def _build(config: RunConfig) -> SimpleNamespace:
     """Build and check the run's domain objects, one per key group; compute nothing.
 
     A bad or over-budget config raises ValueError (or ArithmeticError) here, before any output.
-    threads is the number of pull loops an ensemble runs, each of which holds its own buffers.
     """
     # memory: 1 MiB for numpy's reduction buffers and small objects, then each term below
-    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20, threads=threads, dual=[])
+    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20, dual=[])
     if "n_core" in params:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
@@ -275,7 +275,7 @@ def _build(config: RunConfig, threads: int = 1) -> SimpleNamespace:
     if "n_realizations" in params:  # decohere: 190 B a step per loop; 96 B a state, in the stack and np.var
         steps = ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"],
                                params["n_realizations"])
-        b.memory += 190.0 * steps * threads + 96.0 * params["n_realizations"] * params["n_lengths"]
+        b.memory += 190.0 * steps * config.threads + 96.0 * params["n_realizations"] * params["n_lengths"]
     if "launch" in params:
         b.coeffs = _choice(_LAUNCHES, params, "launch")
     if "nx" in params:  # bpm-run and fig2 launch (TE0 + TE1) / sqrt(2): the slab must carry both
@@ -349,7 +349,7 @@ def _run_decohere(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     scan = ensemble_scan(density_of(superpose(1.0, 1.0)), b.model, b.dbeta, params["length_max_m"],
                          params["n_lengths"], params["n_realizations"], base_seed=config.seed,
-                         n_jobs=b.threads)
+                         n_jobs=config.threads)
     export_scan_csv(scan, stage / "decohere.csv")
     return _derived_rates(b)
 
@@ -364,10 +364,10 @@ def _run_bell(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
 def _run_chsh_scan(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     rho = b.rho
-    if b.evo.length > 0 and params["state"] in _DECOHERED_STATES:
+    if b.evo.length > 0 and params["state"] in TWO_RAIL_STATES:
         rho = two_rail_evolve(params["state"], b.evo)
     best, angles = chsh_scan(rho, params["grid_n"])
-    export_chsh_csv([(best, angles)], stage / "chsh_scan.csv")
+    export_chsh_csv(best, angles, stage / "chsh_scan.csv")
     derived = {"max_abs_B": best, "max_abs_B_exact": chsh_optimum(rho), "state": params["state"]}
     if b.evo.length > 0:
         derived.update(_derived_rates(b))
@@ -402,7 +402,7 @@ def _run_bpm(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     ri_map = straight_slab_map(grid, spec)
     snapshots = propagate(launch, ri_map, grid, spec.wavelength,
                           snapshot_every=config.parameters["snapshot_every"])
-    left, right = branch_powers(snapshots[-1], 0.0, grid)
+    left, right = branch_powers(snapshots[-1], grid)
     export_field_csv(snapshots[-1], grid, stage / "field_final.csv")
     export_raster(snapshots, grid, stage / "raster.bin")
     return {"power_drift": snapshots[-1].power / snapshots[0].power - 1.0,
@@ -422,13 +422,13 @@ _RUNNERS = {
 }
 
 
-def _culprits(config: RunConfig, message: str, threads: int) -> list[str]:
+def _culprits(config: RunConfig, message: str) -> list[str]:
     """The keys behind a build error: threads if the config builds at one thread; else every key
     that alone on the defaults fails to build and whose reset alone changes the error; else,
     setting keys back to their defaults in schema order, the first whose reset changes it."""
-    def error(parameters: dict, at: int = threads) -> str | None:
+    def error(parameters: dict, threads: int = config.threads) -> str | None:
         try:
-            _build(RunConfig(config.experiment, parameters, config.seed), at)
+            _build(replace(config, parameters=parameters, threads=threads))
         except (ValueError, ArithmeticError) as exc:
             return str(exc)
         return None
@@ -448,18 +448,18 @@ def _culprits(config: RunConfig, message: str, threads: int) -> list[str]:
     return ["experiment"]
 
 
-def validate(config: RunConfig, threads: int = 1) -> list[Diagnostic]:
-    """Machine-readable diagnostics of a run on threads; errors block the run, warnings do not."""
+def validate(config: RunConfig) -> list[Diagnostic]:
+    """Machine-readable diagnostics of a run; errors block the run, warnings do not."""
     try:
-        rate_consts = _build(config, threads).rates
+        rate_consts = _build(config).rates
     except (ValueError, ArithmeticError) as exc:
-        return [Diagnostic(key, str(exc), "error") for key in _culprits(config, str(exc), threads)]
+        return [Diagnostic(key, str(exc), "error") for key in _culprits(config, str(exc))]
     diagnostics: list[Diagnostic] = []
     params = config.parameters
     if (config.experiment == "chsh-scan" and params["length_m"] > 0
-            and params["state"] not in _DECOHERED_STATES):
+            and params["state"] not in TWO_RAIL_STATES):
         diagnostics.append(Diagnostic(
-            "length_m", "decohered scans support only phi_plus and product states; "
+            "length_m", f"decohered scans support only {' and '.join(TWO_RAIL_STATES)} states; "
             "length_m is ignored for this state", "warning"))
     if rate_consts is not None and not rate_consts.regime_ok:
         diagnostics.append(Diagnostic(
@@ -471,17 +471,21 @@ def validate(config: RunConfig, threads: int = 1) -> list[Diagnostic]:
     return diagnostics
 
 
-def run(config: RunConfig, out_dir, quiet: bool = False, threads: int = 1) -> dict:
+def run(config: RunConfig, out_dir, quiet: bool = False) -> dict:
     """Execute the configured experiment; returns the manifest payload.
 
     The runner writes every file, then the manifest, into a new staging directory: beside an
     absent out_dir, which it then becomes, or inside an existing one, whose namesakes its files
-    replace, the manifest last.  A run that fails before the moves leaves out_dir as it was.
+    replace, the manifest last.  A run that fails before the moves leaves out_dir as it was; an
+    out_dir the stage cannot be made in, such as a file, raises ConfigError.
     """
-    built, out = _build(config, threads), Path(out_dir)
+    built, out = _build(config), Path(out_dir)
     fresh = not out.exists()  # staging beside out then needs no more than creating out does
     stage = (out.parent if fresh else out) / f".{out.name}.{os.urandom(8).hex()}"  # a new name
-    stage.mkdir(parents=fresh)  # the umask's mode, which out keeps if the stage becomes out
+    try:
+        stage.mkdir(parents=fresh)  # the umask's mode, which out keeps if the stage becomes out
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out}: {exc}") from exc
     try:
         derived = _RUNNERS[config.experiment](config, built, stage)
         manifest = {"experiment": config.experiment, "seed": config.seed, "version": __version__,
@@ -514,23 +518,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.threads < 1:
-            raise ConfigError("threads must be at least 1")
         config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        diagnostics = validate(config, args.threads)
+        config = replace(config, seed=config.seed if args.seed is None else args.seed, threads=args.threads)
+        diagnostics = validate(config)
         for diag in diagnostics:
             if not args.quiet or diag.severity == "error":
                 print(f"{diag.severity}: {diag.key}: {diag.message}", file=sys.stderr)
         if any(d.severity == "error" for d in diagnostics):
             return EXIT_CONFIG
-    except ConfigError as exc:
+        run(config, args.out, quiet=args.quiet)
+    except ConfigError as exc:  # a ValueError, so caught before the numerical failures
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        run(config, args.out, quiet=args.quiet, threads=args.threads)
     except (NumericalError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -143,10 +143,7 @@ def export_bell_csv(rho4: DensityMatrix, thetas1, thetas2, destination) -> None:
     write_csv(destination, ("theta1", "theta2", "E"), rows)
 
 
-def export_chsh_csv(entries, destination) -> None:
-    """Write CHSH rows (theta1, theta1p, theta2, theta2p, B) as CSV."""
-    rows = [
-        (angles.theta1, angles.theta1p, angles.theta2, angles.theta2p, float(value))
-        for value, angles in entries
-    ]
-    write_csv(destination, ("theta1", "theta1p", "theta2", "theta2p", "B"), rows)
+def export_chsh_csv(value: float, angles: ChshAngles, destination) -> None:
+    """Write one CHSH row (theta1, theta1p, theta2, theta2p, B) as CSV."""
+    write_csv(destination, ("theta1", "theta1p", "theta2", "theta2p", "B"),
+              [(angles.theta1, angles.theta1p, angles.theta2, angles.theta2p, float(value))])

@@ -63,10 +63,14 @@ __all__ = [
     "two_rail_evolve",
     "export_scan_csv",
     "MIN_STEPS_PER_BEAT",
+    "TWO_RAIL_STATES",
 ]
 
 #: ensemble_scan takes dz <= (2 pi / |dbeta|) / MIN_STEPS_PER_BEAT, then snaps it to whole steps.
 MIN_STEPS_PER_BEAT = 16
+
+#: the two-rail inputs two_rail_evolve decoheres.
+TWO_RAIL_STATES = ("phi_plus", "product")
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
@@ -369,7 +373,7 @@ def fit_decay_rate(scan: DecoherenceScan) -> float:
 
 
 def two_rail_evolve(state: str, params: EvolutionParams) -> DensityMatrix:
-    """Evolve a two-rail input ("phi_plus" or "product") through matched rails.
+    """Evolve a two-rail input, one of TWO_RAIL_STATES, through matched rails.
 
     Both rails share the same statistics and length and are statistically
     independent.  Returns the published two-rail matrices verbatim.  For the
@@ -378,8 +382,8 @@ def two_rail_evolve(state: str, params: EvolutionParams) -> DensityMatrix:
     single-rail maps would populate the cross terms |01>, |10> at order
     (1 - exp(-2 gamma L)).
     """
-    if state not in ("phi_plus", "product"):
-        raise ValueError(f"state must be 'phi_plus' or 'product', got {state!r}")
+    if state not in TWO_RAIL_STATES:
+        raise ValueError(f"state must be one of {TWO_RAIL_STATES}, got {state!r}")
     gamma, kappa, length = params.rates.gamma, params.rates.kappa, params.length
     single = np.exp((1j * (params.delta_beta + kappa) - gamma) * length)
     double = np.exp(2.0 * (1j * (params.delta_beta + kappa) - gamma) * length)

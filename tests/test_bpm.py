@@ -366,7 +366,7 @@ class TestPropagation:
         launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
         ri_map = straight_slab_map(grid, default_slab)
         snaps = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
-        lefts = np.array([branch_powers(s, 0.0, grid)[0] for s in snaps])
+        lefts = np.array([branch_powers(s, grid)[0] for s in snaps])
         zs = np.array([s.z for s in snaps])
         osc = lefts - lefts.mean()
         spectrum = np.abs(np.fft.rfft(osc * np.hanning(len(osc))))
@@ -406,6 +406,17 @@ class TestPropagation:
         coarse = Grid(-32e-6, 64e-6 / 127, 128, 1e-6, int(geometry.separation_end_z() / 1e-6) + 2)
         with pytest.raises(ValueError, match="points across the core"):
             fig2_experiment([0.0], default_slab, geometry, coarse)
+
+    def test_splitter_checks_its_stem_sampling(self, monkeypatch):
+        # a 2 um dual-mode stem at nx=300 has about 9 steps across it, its 4 um branches 19:
+        # the splitter experiment once marched it, where the CLI refuses the same config
+        stem = SlabSpec(2e-6, 1.6, 1.49, 1.55e-6)
+        geometry = default_geometry(stem_um=1130.0, phase_len_um=1000.0)
+        nz = int(math.ceil((geometry.separation_end_z() + 250e-6) / 0.5e-6)) + 1
+        grid = Grid(-32e-6, 64e-6 / 299, 300, 0.5e-6, nz)
+        monkeypatch.setattr(bpm, "propagate", None)  # refused before any march
+        with pytest.raises(ValueError, match="points across the core"):
+            fig2_experiment([0.0], stem, geometry, grid)
 
 
 class TestRIMap:
@@ -582,7 +593,7 @@ class TestBranchPowers:
     def test_symmetric_field_splits_evenly(self, default_slab):
         grid = straight_grid(nz=101)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-        left, right = branch_powers(field_from_modes([modes[0]], [1.0], grid), 0.0, grid)
+        left, right = branch_powers(field_from_modes([modes[0]], [1.0], grid), grid)
         assert abs(left - 0.5) < 1e-9
         assert abs(right - 0.5) < 1e-9
 
@@ -591,7 +602,7 @@ class TestBranchPowers:
         grid = Grid(-40e-6, 80e-6 / 1024, 1025, 0.5e-6, 101)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         field = field_from_modes([modes[1]], [1.0], grid)
-        left, right = branch_powers(field, 0.0, grid)
+        left, right = branch_powers(field, grid)
         assert abs(left - 0.5) < 1e-9
         center = int(np.argmin(np.abs(grid.x)))
         assert abs(field.values[center]) < 1e-9 * np.abs(field.values).max()
@@ -613,7 +624,7 @@ class TestBranchPowers:
                               snapshot_every=grid.nz)[-1]
             # adiabatic transition: radiation loss below 5 percent
             assert final.power / launch.power > 0.95
-            outcomes[name] = branch_powers(final, 0.0, grid)
+            outcomes[name] = branch_powers(final, grid)
         assert max(outcomes["plus"]) > 0.95
         assert max(outcomes["minus"]) > 0.95
         # opposite branches
@@ -636,7 +647,7 @@ def test_grid_convergence_of_branch_powers(default_slab):
         ri_map = build_geometry([geometry], grid, default_slab)[0]
         final = propagate(launch, ri_map, grid, default_slab.wavelength,
                           snapshot_every=grid.nz)[-1]
-        results.append(branch_powers(final, 0.0, grid))
+        results.append(branch_powers(final, grid))
     print("\nconvergence table (dx, dz halved):")
     for (nx, dz), (left, right) in zip(((2048, 1e-6), (4095, 0.5e-6)), results):
         print(f"  nx={nx:5d} dz={dz * 1e6:.2f}um: p_left={left:.6f} p_right={right:.6f}")

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +211,7 @@ class TestValidate:
         # each key alone on the defaults is over budget (62.1 GB and 384 GB), so each is named,
         # with the config's one message; a key that only adds to another's error is not
         text = "experiment=bpm-run\nlength_um=1e7\nnx=100000000\nsnapshot_every=1\n"
-        diags = validate(parse_config_text(text), threads=threads)
+        diags = validate(replace(parse_config_text(text), threads=threads))
         assert [(d.key, d.severity) for d in diags] == [("length_um", "error"), ("nx", "error")]
         assert diags[0].message == diags[1].message
         assert "4.8e+07 GB, over the 1 GB budget" in diags[0].message
@@ -226,7 +227,7 @@ class TestValidate:
             raise AssertionError("the ensemble started")
 
         monkeypatch.setattr(cli, "ensemble_scan", refuse)
-        diags = validate(parse_config_text(text), threads=threads)
+        diags = validate(replace(parse_config_text(text), threads=threads))
         assert [(d.key, d.severity) for d in diags] == [(key, "error")]
         assert "GB budget" in diags[0].message
         config, out = write_config(tmp_path, text), tmp_path / "out"
@@ -510,6 +511,27 @@ class TestMain:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "--quiet"]) == EXIT_CONFIG
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # it once ended in a UnicodeDecodeError traceback, exit 1
+        config, out = tmp_path / "run.cfg", tmp_path / "out"
+        config.write_bytes(b"experiment=rates\n\xff\xfe\n")
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("through", [False, True], ids=["file", "through_file"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, through):
+        # the staging mkdir once raised NotADirectoryError, exit 1 with a traceback; the file
+        # stays as it was and no staging directory is left beside or inside it
+        config, taken = write_config(tmp_path, "experiment=rates\n"), tmp_path / "taken"
+        taken.write_bytes(b"keep")
+        out = taken / "out" if through else taken
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write to") and "Traceback" not in err
+        assert taken.read_bytes() == b"keep"
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
 
     def test_numerical_failure_exit(self, tmp_path, capsys):
         # single-mode guide cannot run the dual-mode straight-guide experiment: a config error
@@ -826,11 +848,11 @@ class TestMemoryEstimate:
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted
         import scipy.linalg.lapack  # noqa: F401
-        config = parse_config_text(text)
-        estimate = cli._build(config, threads).memory
+        config = replace(parse_config_text(text), threads=threads)
+        estimate = cli._build(config).memory
         tracemalloc.start()
         try:
-            run(config, tmp_path, quiet=True, threads=threads)
+            run(config, tmp_path, quiet=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

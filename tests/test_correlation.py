@@ -370,7 +370,7 @@ def test_export_bell_csv(tmp_path):
 def test_export_chsh_csv(tmp_path):
     best, angles = chsh_scan(PHI_PLUS, 16)
     target = tmp_path / "chsh.csv"
-    export_chsh_csv([(best, angles)], target)
+    export_chsh_csv(best, angles, target)
     lines = target.read_text().splitlines()
     assert lines[0] == "theta1,theta1p,theta2,theta2p,B"
     values = [float(v) for v in lines[1].split(",")]
