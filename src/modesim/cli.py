@@ -132,7 +132,7 @@ _SCHEMAS: dict[str, dict] = {
     "chsh-scan": dict(
         _NOISE_KEYS,
         state=(str, "phi_plus"),
-        grid_n=(_bounded(int, 8, high=1024), 16),  # checked only in the run; the cap bounds its time
+        grid_n=(_bounded(int, 8, high=1024), 16),  # checked only in the run; the cap bounds its n^2 memory
         delta_beta_per_m=(_finite, 2.0e4),
         length_m=(_finite, 0.0),
     ),
@@ -477,7 +477,8 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> dict:
     The runner writes every file, then the manifest, into a new staging directory: beside an
     absent out_dir, which it then becomes, or inside an existing one, whose namesakes its files
     replace, the manifest last.  A run that fails before the moves leaves out_dir as it was; an
-    out_dir the stage cannot be made in, such as a file, raises ConfigError.
+    out_dir the stage cannot be made in, such as a file, or one holding a directory by the name
+    of an output, raises ConfigError.
     """
     built, out = _build(config), Path(out_dir)
     fresh = not out.exists()  # staging beside out then needs no more than creating out does
@@ -495,7 +496,10 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> dict:
         if fresh:
             os.rename(stage, out)  # the whole run appears in one step
         else:
-            for name in [*manifest["outputs"], "manifest.json"]:
+            names = [*manifest["outputs"], "manifest.json"]  # os.replace puts no file over a directory
+            if taken := [name for name in names if (out / name).is_dir() and not (out / name).is_symlink()]:
+                raise ConfigError(f"cannot write to {out}: {', '.join(taken)} is a directory")
+            for name in names:
                 os.replace(stage / name, out / name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)  # renamed away, emptied, or a failed run's

@@ -12,10 +12,16 @@ CHSH, |E(t1,t2) - E(t1,t2') + E(t1',t2') + E(t1',t2)|, reaches 2 sqrt(2) for
 the maximally entangled state and stays <= 2 for the product state.  On a
 grid, with s = E[i] + E[j] and d = E[i] - E[j], B[i,j,k,l] = s[k] - d[l], so
 max |B| over (k, l) is max(max s - min d, max d - min s) bit for bit (rounding
-is monotone).  chsh_scan reduces s and d over k for fixed-size blocks of i,
-with no loop over i: O(n^3) time and O(n^2) memory.  D(theta) = cos 2theta X +
-sin 2theta Y sweeps the Bloch xy plane, so the exact optimum is the planar
-Horodecki bound 2 ||T||_F, T the xy correlation block (PLA 200, 340 (1995)).
+is monotone).  D(theta) = cos 2theta X + sin 2theta Y sweeps the Bloch xy
+plane, so E[i, k] = u_i^T T v_k, u and v = (cos 2theta, sin 2theta) and T the xy
+correlation block, and the exact optimum is the planar Horodecki bound 2 ||T||_F
+(PLA 200, 340 (1995)).  chsh_scan takes O(n^2) time and memory: over k, s is a
+sinusoid whose phase is the angle of T^T (u_i + u_j) = 2 cos(theta_i - theta_j)
+T^T e(theta_i + theta_j), a function of i + j (d likewise, a quarter turn on), so
+the grid points bracketing the phase and its opposite hold the computed s's max
+and min bit for bit while its amplitude exceeds 1e-14 n^2 ||T|| (README).  Pairs
+with u_j = -u_i, and sums whose |T^T e| is under 5e-15 n^3 of the largest, take
+their whole rows; i = j needs neither, its d is exactly 0, nor a table of zeros.
 
 Group delays diag(tau0, tau1): their covariance, Delta^2 (p11 - p_c(1) p_t(1)) on
 rho's diagonal p with Delta = tau1 - tau0 exact, tells entangled from product.
@@ -88,6 +94,35 @@ def chsh_B(rho4: DensityMatrix, angles: ChshAngles) -> float:
     return abs(float(e11 - e12 + e22 + e21))
 
 
+def _scan_rows(table: np.ndarray) -> np.ndarray:
+    """row[i, j] = max |B| over (k, l) of the grid's table E[i, k], bit for bit, in O(n^2)."""
+    n = len(table)
+    z = np.exp(1j * math.pi / n * np.arange(2 * n))  # e(theta_i + theta_j) at m = i + j; z[::2] is u
+    w = table @ z[::2].real + 1j * (table @ z[::2].imag)  # (n / 2) T^T u_i, as complex numbers
+    az, bz = (z[::2].conj() @ w) * z, (z[::2] @ w) * z.conj()
+    g = np.stack([az + bz, 1j * (az - bz)])  # T^T e(.) at each m: the direction of s, then of d
+    first = np.floor(np.angle(g)[:, None] * (n / (2 * math.pi)) + [[0.0], [n / 2]])  # below phi, phi + pi
+    picks = (first[:, :, None] + [[0.0], [1.0]]).astype(np.intp).reshape(8, 2 * n) % n
+    flat, j = table.ravel(), np.arange(n)
+    row = np.empty((n, n))
+    step = max(1, 2 ** 11 // n)  # theta1 rows per block of 8 candidates a pair: 2^14 floats, 128 KB
+    for lo in range(0, n, step):
+        i = np.arange(lo, min(lo + step, n))[:, None]
+        cols = np.take(picks, i + j, axis=1)  # cols[q, i, j]: the candidates of sum i + j
+        ei, ej = np.take(flat, cols + n * i), np.take(flat, cols + n * j)  # E[i, .], E[j, .]
+        s, d = ei[:4] + ej[:4], ei[4:] - ej[4:]
+        row[lo:lo + step] = np.maximum(s.max(0) - d.min(0), d.max(0) - s.min(0))
+    amp = np.abs(g)  # whole rows: j = i + n/2 (u_j = -u_i), and the pairs of near-zero sums
+    near = (amp <= 5e-15 * n ** 3 * amp.max()).any(axis=0) & table.any()  # a zero table needs none
+    fi, fj = np.nonzero(near[j[:, None] + j] | (j == (j[:, None] + n // 2) % n))
+    step = max(1, 2 ** 16 // n)  # pairs per 2^16 floats of whole rows
+    for lo in range(0, len(fi), step):
+        i, j = fi[lo:lo + step], fj[lo:lo + step]
+        s, d = table[i] + table[j], table[i] - table[j]
+        row[i, j] = np.maximum(s.max(1) - d.min(1), d.max(1) - s.min(1))
+    return row
+
+
 def chsh_scan(rho4: DensityMatrix, grid_n: int) -> tuple[float, ChshAngles]:
     """Exhaustive maximum of |B| over a uniform 4D grid of angles in [0, pi).
 
@@ -97,17 +132,10 @@ def chsh_scan(rho4: DensityMatrix, grid_n: int) -> tuple[float, ChshAngles]:
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     thetas = np.arange(grid_n) * math.pi / grid_n
-    cols = _correlation_table(rho4, thetas, thetas).T.copy()  # cols[k, i] = E[i, k]
-    row = np.empty((grid_n, grid_n))  # row[i, j] = max |B| over (k, l)
-    step = max(1, 2 ** 17 // grid_n ** 2)  # i rows per block of 2^17 floats (1 MB), at least one
-    for lo in range(0, grid_n, step):
-        block = cols[:, lo:lo + step, None]
-        cube = block + cols[:, None, :]  # s[k, i, j]
-        s_max, s_min = cube.max(axis=0), cube.min(axis=0)
-        d = np.subtract(block, cols[:, None, :], out=cube)  # d[l, i, j], in s's memory
-        row[lo:lo + step] = np.maximum(s_max - d.min(axis=0), d.max(axis=0) - s_min)
+    table = _correlation_table(rho4, thetas, thetas)
+    row = _scan_rows(table)
     i, j = divmod(int(np.argmax(row)), grid_n)
-    s, d = cols[:, i] + cols[:, j], cols[:, i] - cols[:, j]
+    s, d = table[i] + table[j], table[i] - table[j]
     k, l = np.unravel_index(int(np.argmax(np.abs(s[:, None] - d[None, :]))), (grid_n, grid_n))
     return float(row[i, j]), ChshAngles(float(thetas[i]), float(thetas[j]),
                                         float(thetas[k]), float(thetas[l]))

@@ -533,6 +533,20 @@ class TestMain:
         assert taken.read_bytes() == b"keep"
         assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
 
+    @pytest.mark.parametrize("name", ["rates.csv", "manifest.json"])
+    def test_output_name_held_by_a_directory_exits_2(self, tmp_path, capsys, name):
+        # os.replace once raised IsADirectoryError, exit 1 with a traceback, and with the
+        # manifest's name taken, after rates.csv had been moved; now nothing moves, and no
+        # staging directory is left inside out
+        config, out = write_config(tmp_path, "experiment=rates\n"), tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        (out / name / "kept").write_bytes(b"keep")
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write to {out}: {name} is a directory")
+        assert "Traceback" not in err
+        assert os.listdir(out) == [name] and (out / name / "kept").read_bytes() == b"keep"
+
     def test_numerical_failure_exit(self, tmp_path, capsys):
         # single-mode guide cannot run the dual-mode straight-guide experiment: a config error
         config = write_config(tmp_path, "experiment=bpm-run\ncore_width_um=3\nlength_um=20\n")

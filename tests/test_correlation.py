@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modesim.analyzer import intensity_split_operator
@@ -11,6 +11,7 @@ from modesim.correlation import (
     ChshAngles,
     DelayPair,
     _correlation_table,
+    _scan_rows,
     chsh_B,
     chsh_optimum,
     chsh_scan,
@@ -68,14 +69,21 @@ def brute_chsh_scan(rho, grid_n):
     return float(np.abs(b).max())
 
 
+def loop_rows(table):
+    """row[i, j] = max |B| over (k, l), one theta1 row at a time: s[j, k] and d[j, l]."""
+    rows = []
+    for e in table:
+        s, d = e + table, e - table
+        rows.append(np.maximum(s.max(axis=1) - d.min(axis=1), d.max(axis=1) - s.min(axis=1)))
+    return np.array(rows)
+
+
 def loop_chsh_scan(rho, grid_n):
     """Oracle: the per-theta1 loop over the table, its ties to the smallest (i, j), then (k, l)."""
     thetas = np.arange(grid_n) * math.pi / grid_n
     table = _correlation_table(rho, thetas, thetas)
     best, best_ij = -1.0, (0, 0)
-    for i in range(grid_n):
-        s, d = table[i] + table, table[i] - table  # s[j, k], d[j, l]
-        row = np.maximum(s.max(axis=1) - d.min(axis=1), d.max(axis=1) - s.min(axis=1))
+    for i, row in enumerate(loop_rows(table)):
         j = int(np.argmax(row))
         if row[j] > best:
             best, best_ij = float(row[j]), (i, j)
@@ -217,17 +225,28 @@ class TestChshProperties:
 
 
 class TestBlockedScan:
-    """The blocked, loop-free scan against the per-theta1 loop, bit for bit.
+    """The O(n^2) scan against the per-theta1 loop, bit for bit.
 
-    Blocks hold 2^17 // grid_n^2 rows of theta1: grid 8 and 48 scan in one block,
-    64 in 2 and 100 in 8, the last one short.
+    The scan reads eight candidates per (theta1, theta1') pair, in blocks of 2^11 // grid_n
+    theta1 rows: grids 8 to 31 scan in one block, 48 and 64 in 2, 100 in 5 and 256 in 32.
+    Pairs whose s or d may be of rounding size take their whole rows: theta1' = theta1 +-
+    pi/2 in every state, and every pair of a sum i + j along which T^T e vanishes, i + j =
+    n/2 and 3n/2 for the product state's T = diag(1, 0). The maximally mixed state's table
+    is 0 throughout, so its candidates are exact and it takes no whole rows beyond theta1' =
+    theta1 +- pi/2.
     """
 
-    @pytest.mark.parametrize("grid_n", [8, 48, 64, 100])
-    @pytest.mark.parametrize("rho", [PHI_PLUS, PRODUCT, MIXED], ids=["phi+", "product", "mixed"])
+    @pytest.mark.parametrize("grid_n", [8, 9, 31, 48, 64, 100, 256])
+    @pytest.mark.parametrize("rho", BELL_STATES + [PRODUCT, MIXED],
+                             ids=["phi+", "phi-", "psi+", "psi-", "product", "mixed"])
     def test_matches_loop(self, rho, grid_n):
-        # the maximally mixed state ties every setting at 0: both take the first
+        # the maximally mixed state ties every setting at 0: both take the first.  Every row
+        # too, sign bits and all: the product state's s is of rounding size on the sums
+        # i + j = n/2 and 3n/2, rows the maximum never reads
         assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
+        thetas = np.arange(grid_n) * math.pi / grid_n
+        table = _correlation_table(rho, thetas, thetas)
+        assert _scan_rows(table).tobytes() == loop_rows(table).tobytes()
 
     def test_decohered_state_matches_loop(self):
         params = EvolutionParams(2.0e4, RateConstants(0.3, 0.01), 2.0)
@@ -235,14 +254,55 @@ class TestBlockedScan:
         for grid_n in (48, 100):
             assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
 
-    @given(density_matrices(4), st.sampled_from([8, 48, 64, 100]))
-    @settings(max_examples=20, deadline=None)
+    @given(density_matrices(4), st.sampled_from([8, 9, 31, 48, 64, 100]))
+    @example(DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]) + 0.05 * np.fliplr(np.eye(4))), 256)
+    @settings(max_examples=30, deadline=None)
     def test_matches_loop_on_random_states(self, rho, grid_n):
         assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
 
+    @given(density_matrices(4), st.sampled_from([1e-6, 1e-13, 0.0]), st.sampled_from([9, 31, 48]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_loop_near_maximally_mixed(self, rho, p, grid_n):
+        # E reads only the coherences, so T and every s and d shrink with p; p = 0 gives T = 0
+        mixed = DensityMatrix((1 - p) * np.eye(4) / 4 + p * rho.matrix)
+        assert chsh_scan(mixed, grid_n) == loop_chsh_scan(mixed, grid_n)
+
+    @given(density_matrices(2), density_matrices(2), st.sampled_from([8, 9, 31, 48]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_loop_on_product_states(self, a, b, grid_n):
+        # a product state's T is rank 1, so s or d vanishes along whole sums i + j
+        rho = DensityMatrix(np.kron(a.matrix, b.matrix))
+        assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
+
+    @given(st.one_of(density_matrices(4),
+                     st.tuples(density_matrices(2), density_matrices(2)).map(
+                         lambda ab: DensityMatrix(np.kron(ab[0].matrix, ab[1].matrix))),
+                     st.sampled_from(BELL_STATES + [PRODUCT, MIXED])),
+           st.sampled_from([1.0, 1e-6, 1e-13]), st.sampled_from([8, 9, 31, 48, 100]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_matches_loop(self, rho, p, grid_n):
+        # every entry of the (n, n) row array, not only its maximum, and its sign bits;
+        # the rows far below the maximum are where a candidate error would hide
+        thetas = np.arange(grid_n) * math.pi / grid_n
+        mixed = DensityMatrix((1 - p) * np.eye(4) / 4 + p * rho.matrix)
+        table = _correlation_table(mixed, thetas, thetas)
+        assert _scan_rows(table).tobytes() == loop_rows(table).tobytes()
+
+    def test_memory_at_largest_grid(self):
+        # grid_n = 1024, the CLI's cap: the table and the row array take 16 MB, plus the scan's
+        # 2^16-float blocks or, later, the (k, l) pick's two n x n temporaries (16 MB):
+        # 34 MB measured.  The n^3 cube of one theta1 row would take 8 MB, of all rows 8 GB
+        tracemalloc.start()
+        try:
+            chsh_scan(PHI_PLUS, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+
 
 class TestSeparableScan:
-    """The O(n^3) scan against the n^4 brute force, and the closed-form optimum."""
+    """The O(n^2) scan against the n^4 brute force, and the closed-form optimum."""
 
     def check_against_brute_force(self, rho, grid_n):
         best, angles = chsh_scan(rho, grid_n)
