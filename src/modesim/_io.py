@@ -29,10 +29,8 @@ def format_value(value) -> str:
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV file: a header line, then one line per row of formatted values."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    lines = [",".join(header), *(",".join(map(format_value, row)) for row in rows), ""]
+    Path(path).write_bytes("\n".join(lines).encode("ascii"))  # the last "" ends the text in "\n"
 
 
 def write_json(path, payload: dict) -> None:

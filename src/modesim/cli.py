@@ -357,7 +357,7 @@ def _run_decohere(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
 def _run_bell(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     params = config.parameters
     thetas = np.linspace(0.0, math.pi, params["theta_points"], endpoint=False)
-    export_bell_csv(b.rho, thetas, thetas, stage / "bell.csv")
+    export_bell_csv(b.rho, thetas, stage / "bell.csv")
     return {"state": params["state"]}
 
 

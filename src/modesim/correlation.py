@@ -6,21 +6,23 @@ The normalized correlation of the two analyzers is
 
 whose denominator is Tr rho at every setting (I+ + I- = 1): one division, no
 check (DensityMatrix holds Tr rho to 1e-12).  One einsum contracts the state
-with a stack of D = I+ - I- per axis; E, CHSH and the Bell surface read it.
+with one stack of D = I+ - I- on both axes; E, CHSH and the Bell surface read it.
 
 CHSH, |E(t1,t2) - E(t1,t2') + E(t1',t2') + E(t1',t2)|, reaches 2 sqrt(2) for
 the maximally entangled state and stays <= 2 for the product state.  On a
 grid, with s = E[i] + E[j] and d = E[i] - E[j], B[i,j,k,l] = s[k] - d[l], so
 max |B| over (k, l) is max(max s - min d, max d - min s) bit for bit (rounding
-is monotone).  D(theta) = cos 2theta X + sin 2theta Y sweeps the Bloch xy
-plane, so E[i, k] = u_i^T T v_k, u and v = (cos 2theta, sin 2theta) and T the xy
-correlation block, and the exact optimum is the planar Horodecki bound 2 ||T||_F
-(PLA 200, 340 (1995)).  chsh_scan takes O(n^2) time and memory: over k, s is a
-sinusoid whose phase is the angle of T^T (u_i + u_j) = 2 cos(theta_i - theta_j)
-T^T e(theta_i + theta_j), a function of i + j (d likewise, a quarter turn on), so
-the grid points bracketing the phase and its opposite hold the computed s's max
-and min bit for bit while its amplitude exceeds 1e-14 n^2 ||T|| (README).  Pairs
-with u_j = -u_i, and sums whose |T^T e| is under 5e-15 n^3 of the largest, take
+is monotone), first reached at the first k where max(s[k] - min d, max d - s[k])
+equals it, then at the first l where |s[k] - d[l]| does.  D(theta) =
+cos 2theta X + sin 2theta Y sweeps the Bloch xy plane, so E[i, k] = u_i^T T v_k,
+u and v = (cos 2theta, sin 2theta) and T the xy correlation block, and the exact
+optimum is the planar Horodecki bound 2 ||T||_F (PLA 200, 340 (1995)).
+chsh_scan takes O(n^2) time and memory: over k, s is a sinusoid whose phase is
+the angle of T^T (u_i + u_j) = 2 cos(theta_i - theta_j) T^T e(theta_i + theta_j),
+a function of i + j (d likewise, a quarter turn on), so the grid points
+bracketing the phase and its opposite hold the computed s's max and min bit for
+bit while its amplitude exceeds 1e-14 n^2 ||T|| (README).  Pairs with
+u_j = -u_i, and sums whose |T^T e| is under 5e-15 n^3 of the largest, take
 their whole rows; i = j needs neither, its d is exactly 0, nor a table of zeros.
 
 Group delays diag(tau0, tau1): their covariance, Delta^2 (p11 - p_c(1) p_t(1)) on
@@ -72,25 +74,25 @@ class DelayPair:
             raise ValueError("need |tau1 - tau0| < 1e154 s, so that delay_covariance's square is finite")
 
 
-def _correlation_table(rho4: DensityMatrix, thetas1, thetas2) -> np.ndarray:
-    """E[i, k] = Tr rho (D(thetas1[i]) (x) D(thetas2[k])) / Tr rho for every setting pair."""
+def _correlation_table(rho4: DensityMatrix, thetas) -> np.ndarray:
+    """E[i, k] = Tr rho (D(thetas[i]) (x) D(thetas[k])) / Tr rho for every setting pair."""
     if rho4.rails != 2:
         raise ValueError("correlations need a two-rail 4x4 state")
-    diff1, diff2 = intensity_split_operator(thetas1), intensity_split_operator(thetas2)
-    # rho[(a,b),(c,d)] against (D1 (x) D2)[(c,d),(a,b)] = D1[c,a] D2[d,b]
-    table = np.einsum("abcd,ica,kdb->ik", rho4.matrix.reshape(2, 2, 2, 2), diff1, diff2).real
+    diff = intensity_split_operator(thetas)
+    # rho[(a,b),(c,d)] against (D_i (x) D_k)[(c,d),(a,b)] = D_i[c,a] D_k[d,b]
+    table = np.einsum("abcd,ica,kdb->ik", rho4.matrix.reshape(2, 2, 2, 2), diff, diff).real
     return table / np.trace(rho4.matrix).real
 
 
 def correlation_E(rho4: DensityMatrix, theta1: float, theta2: float) -> float:
     """Normalized two-analyzer correlation of a two-rail state."""
-    return float(_correlation_table(rho4, [theta1], [theta2])[0, 0])
+    return float(_correlation_table(rho4, [theta1, theta2])[0, 1])
 
 
 def chsh_B(rho4: DensityMatrix, angles: ChshAngles) -> float:
     """|B| of the four-setting CHSH combination for the given state."""
     (e11, e12), (e21, e22) = _correlation_table(
-        rho4, [angles.theta1, angles.theta1p], [angles.theta2, angles.theta2p])
+        rho4, [angles.theta1, angles.theta1p, angles.theta2, angles.theta2p])[:2, 2:]
     return abs(float(e11 - e12 + e22 + e21))
 
 
@@ -132,19 +134,19 @@ def chsh_scan(rho4: DensityMatrix, grid_n: int) -> tuple[float, ChshAngles]:
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     thetas = np.arange(grid_n) * math.pi / grid_n
-    table = _correlation_table(rho4, thetas, thetas)
+    table = _correlation_table(rho4, thetas)
     row = _scan_rows(table)
     i, j = divmod(int(np.argmax(row)), grid_n)
     s, d = table[i] + table[j], table[i] - table[j]
-    k, l = np.unravel_index(int(np.argmax(np.abs(s[:, None] - d[None, :]))), (grid_n, grid_n))
+    k = int(np.argmax(np.maximum(s - d.min(), d.max() - s) == row[i, j]))  # first k, then first l
+    l = int(np.argmax(np.abs(s[k] - d) == row[i, j]))
     return float(row[i, j]), ChshAngles(float(thetas[i]), float(thetas[j]),
                                         float(thetas[k]), float(thetas[l]))
 
 
 def chsh_optimum(rho4: DensityMatrix) -> float:
     """Exact CHSH optimum 2 ||T||_F; T is the table at {0, pi/4}, where D is sigma_x, sigma_y."""
-    xy = [0.0, math.pi / 4]
-    return 2.0 * float(np.linalg.norm(_correlation_table(rho4, xy, xy)))
+    return 2.0 * float(np.linalg.norm(_correlation_table(rho4, [0.0, math.pi / 4])))
 
 
 def delay_covariance(rho4: DensityMatrix, delays: DelayPair):
@@ -163,11 +165,10 @@ def delay_covariance(rho4: DensityMatrix, delays: DelayPair):
     return delta * delta * (p[3] - (p[2] + p[3]) * (p[1] + p[3]))
 
 
-def export_bell_csv(rho4: DensityMatrix, thetas1, thetas2, destination) -> None:
-    """Write a correlation surface as CSV with columns (theta1, theta2, E)."""
-    table = _correlation_table(rho4, thetas1, thetas2).tolist()
-    rows = [(float(t1), float(t2), value)
-            for t1, values in zip(thetas1, table) for t2, value in zip(thetas2, values)]
+def export_bell_csv(rho4: DensityMatrix, thetas, destination) -> None:
+    """Write a correlation surface as CSV (theta1, theta2, E), one theta1 row at a time."""
+    table, angles = _correlation_table(rho4, thetas), [float(t) for t in thetas]
+    rows = ((t1, t2, e) for t1, es in zip(angles, table) for t2, e in zip(angles, es.tolist()))
     write_csv(destination, ("theta1", "theta2", "E"), rows)
 
 

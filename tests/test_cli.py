@@ -817,7 +817,7 @@ class TestOutputBytes:
         # the delay covariance from rho's diagonal: cov_entangled is exactly (tau1 - tau0)^2 / 4
         ("experiment=delays\n",
          {"delays.csv": "a32ac2ae44eb1abf328a637a0462661f8e65d0ee4fe01d7081bb3d91ddb44693"}),
-        # the CHSH table from one stacked analyzer operator per axis, and the blocked maximum
+        # the CHSH table from one stack of analyzer operators on both axes, and the blocked maximum
         ("experiment=bell\n",
          {"bell.csv": "2779f36749aec353b1f805b6cd71fb7712cd5ec38f03732a2f1dc4bb94ba4e5b"}),
         ("experiment=bell\nstate=product\n",

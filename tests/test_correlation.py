@@ -81,7 +81,7 @@ def loop_rows(table):
 def loop_chsh_scan(rho, grid_n):
     """Oracle: the per-theta1 loop over the table, its ties to the smallest (i, j), then (k, l)."""
     thetas = np.arange(grid_n) * math.pi / grid_n
-    table = _correlation_table(rho, thetas, thetas)
+    table = _correlation_table(rho, thetas)
     best, best_ij = -1.0, (0, 0)
     for i, row in enumerate(loop_rows(table)):
         j = int(np.argmax(row))
@@ -245,7 +245,7 @@ class TestBlockedScan:
         # i + j = n/2 and 3n/2, rows the maximum never reads
         assert chsh_scan(rho, grid_n) == loop_chsh_scan(rho, grid_n)
         thetas = np.arange(grid_n) * math.pi / grid_n
-        table = _correlation_table(rho, thetas, thetas)
+        table = _correlation_table(rho, thetas)
         assert _scan_rows(table).tobytes() == loop_rows(table).tobytes()
 
     def test_decohered_state_matches_loop(self):
@@ -285,20 +285,22 @@ class TestBlockedScan:
         # the rows far below the maximum are where a candidate error would hide
         thetas = np.arange(grid_n) * math.pi / grid_n
         mixed = DensityMatrix((1 - p) * np.eye(4) / 4 + p * rho.matrix)
-        table = _correlation_table(mixed, thetas, thetas)
+        table = _correlation_table(mixed, thetas)
         assert _scan_rows(table).tobytes() == loop_rows(table).tobytes()
 
     def test_memory_at_largest_grid(self):
-        # grid_n = 1024, the CLI's cap: the table and the row array take 16 MB, plus the scan's
-        # 2^16-float blocks or, later, the (k, l) pick's two n x n temporaries (16 MB):
-        # 34 MB measured.  The n^3 cube of one theta1 row would take 8 MB, of all rows 8 GB
+        # grid_n = 1024, the CLI's cap: the table and the row array take 16 MB, and the
+        # einsum's complex (n, n) result 16 MB more while the table is built; the scan adds
+        # 2^16-float blocks, and the (k, l) pick reads the extremes of s and d in O(n): 25.9
+        # MiB measured.  An argmax over |s[k] - d[l]| would add two n x n temporaries (16 MB),
+        # the n^3 cube of one theta1 row 8 MB, of all rows 8 GB
         tracemalloc.start()
         try:
             chsh_scan(PHI_PLUS, 1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2 ** 20
+        assert peak < 28 * 2 ** 20
 
 
 class TestSeparableScan:
@@ -327,7 +329,7 @@ class TestSeparableScan:
         # summed as s[k] - d[l], the n^4 tensor's maximum is the scan's bit for bit, and
         # its first flat argmax is the lexicographically smallest of the tied settings
         thetas = np.arange(grid_n) * math.pi / grid_n
-        e = _correlation_table(rho, thetas, thetas)
+        e = _correlation_table(rho, thetas)
         b = np.abs((e[:, None, :, None] + e[None, :, :, None])
                    - (e[:, None, None, :] - e[None, :, None, :]))
         first = thetas[list(np.unravel_index(int(np.argmax(b)), b.shape))]
@@ -421,10 +423,26 @@ class TestDelayCovariance:
 def test_export_bell_csv(tmp_path):
     thetas = np.linspace(0, math.pi, 5, endpoint=False)
     target = tmp_path / "bell.csv"
-    export_bell_csv(PHI_PLUS, thetas, thetas, target)
+    export_bell_csv(PHI_PLUS, thetas, target)
     lines = target.read_text().splitlines()
     assert lines[0] == "theta1,theta2,E"
     assert len(lines) == 1 + 25
+
+
+def test_export_bell_csv_memory(tmp_path):
+    # the writer holds one line string per setting and the file's text and bytes, once each;
+    # n^2 (theta1, theta2, E) tuples of Python floats, or the text copied a second time to
+    # end it in a newline, would each add about a file's size
+    thetas = np.linspace(0, math.pi, 256, endpoint=False)
+    target = tmp_path / "bell.csv"
+    tracemalloc.start()
+    try:
+        export_bell_csv(PHI_PLUS, thetas, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(target.read_bytes().splitlines()) == 1 + 256 ** 2
+    assert peak < 5 * target.stat().st_size
 
 
 def test_export_chsh_csv(tmp_path):
