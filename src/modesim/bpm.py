@@ -236,11 +236,12 @@ def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
     Core cells take n_core (plus delta_n inside the phase section); edge cells are area weighted
     so the raster integrates to the analytic core area and the discrete mode constants are free
     of staircase bias.  A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice,
-    or the branch cores.  Each distinct key is one row of one rows array that every map shares,
-    numbered in order of first use over the geometries' keys in turn.
+    or the branch cores.  One dict numbers the distinct keys in order of first use, one geometry
+    at a time, and each is one row of one rows array that every map shares.  Equal float tuples
+    are equal keys, -0.0 and 0.0 too.
     """
     z, contrast, stem_half = grid.z, base.n_core - base.n_clad, base.core_width / 2.0
-    keys = [np.empty((0, 5))]
+    first_use, indices = {}, []
     for geometry in geometries:
         check_geometry_fits(geometry, grid)
         half = geometry.core_width / 2.0
@@ -251,17 +252,10 @@ def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
         step_keys[z < geometry.stem_length, 1:] = (-stem_half, stem_half, -stem_half, stem_half)
         phase = geometry.phase_section  # it ends inside the stem
         step_keys[(phase.z_start <= z) & (z < phase.z_start + phase.length), 0] = contrast + phase.delta_n
-        keys.append(step_keys)
-    keys = np.concatenate(keys)
-    order = np.lexsort(keys.T)  # stable: each run of equal keys starts at the key's first use
-    ordered = keys[order]
-    lead = np.ones(len(keys), dtype=bool)  # sized by the keys: an empty list has no lead
-    lead[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    first = order[lead]  # each distinct key's first use; ranked, they number the rows
-    index = np.empty(len(keys), dtype=np.intp)
-    index[order] = np.argsort(np.argsort(first))[np.cumsum(lead) - 1]
-    rows = _rows(keys[np.sort(first)], grid, base.n_clad)
-    return [RIMap(rows, steps, base.n_core) for steps in index.reshape(-1, grid.nz)]
+        indices.append(np.fromiter((first_use.setdefault(key, len(first_use))
+                                    for key in zip(*step_keys.T.tolist())), np.intp, grid.nz))
+    rows = _rows(np.array(list(first_use), dtype=np.float64).reshape(-1, 5), grid, base.n_clad)
+    return [RIMap(rows, index, base.n_core) for index in indices]
 
 
 def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
@@ -452,18 +446,6 @@ class FigTwoRow:
     theta: float
 
 
-def _differential_phase(base: SlabSpec, delta_n: float, length: float) -> float:
-    """Half the differential phase 2*theta accumulated over the phase section.
-
-    2*theta = [beta1(n+dn) - beta0(n+dn) - beta1(n) + beta0(n)] * length,
-    from the slab solver at the bumped and unbumped core indices.
-    """
-    if delta_n == 0.0 or length == 0.0:
-        return 0.0
-    bumped = SlabSpec(base.core_width, base.n_core + delta_n, base.n_clad, base.wavelength)
-    return (delta_beta(bumped) - delta_beta(base)) * length / 2.0
-
-
 def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
                     grid: Grid) -> list[FigTwoRow]:
     """Branch powers of the splitter versus phase-section index bump.
@@ -479,9 +461,11 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     if len(modes) < 2:
         raise ValueError("base guide must carry two modes")
     launch = field_from_modes(modes[:2], [1 / math.sqrt(2.0), 1 / math.sqrt(2.0)], grid)
-    # every bump must leave the guide dual-mode before any row is marched
+    # 2 theta = ([beta1 - beta0](n_core + delta_n) - [beta1 - beta0](n_core)) length: the solves refuse,
+    # before any march, a bump in the section that leaves the guide single-mode
     length = geometry.phase_section.length
-    thetas = [_differential_phase(base, float(delta_n), length) for delta_n in delta_n_list]
+    thetas = [(delta_beta(replace(base, n_core=base.n_core + float(delta_n))) - delta_beta(base))
+              * length / 2.0 if length else 0.0 for delta_n in delta_n_list]
     bumps = [replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
              for delta_n in delta_n_list]
     rows = []

@@ -306,13 +306,15 @@ def _build(config: RunConfig) -> SimpleNamespace:
         check_core_sampling(b.spec.core_width, b.grid.waveguide_grid())  # the slab, or fig2's stem
         b.memory += 256 * b.grid.nx  # the march's work arrays
     if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
-        # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects
-        b.memory += 512 * b.grid.nx + (24 * b.grid.nx + 512) * ((b.grid.nz - 1) // params["snapshot_every"] + 2)
+        # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects; the map's row index,
+        # RIMap's copy of it and its range-check masks at 24 B a z step
+        b.memory += (512 * b.grid.nx + 24 * b.grid.nz
+                     + (24 * b.grid.nx + 512) * ((b.grid.nz - 1) // params["snapshot_every"] + 2))
     if "stem_length_um" in params:  # fig2: at most nz + bumps distinct rows, a row index per bump
         check_geometry_fits(b.geometry, b.grid)
         check_core_sampling(b.geometry.core_width, b.grid.waveguide_grid())  # a branch
         bumps = len(params["delta_n_list"])
-        b.memory += ((b.grid.nz + bumps) * b.grid.nx + bumps * b.grid.nz) * 8
+        b.memory += (b.grid.nz + bumps) * b.grid.nx * 8 + 2 * bumps * b.grid.nz * 8  # RIMap copies an index
     if b.memory > MEMORY_BUDGET:
         raise ValueError(f"the run needs about {b.memory / 1e9:.3g} GB, over the "
                          f"{MEMORY_BUDGET / 1e9:g} GB budget")

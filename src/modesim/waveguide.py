@@ -16,12 +16,12 @@ Both residual forms are continuous with opposite signs at the branch ends, so
 bisection brackets every root.  The branches a caller reads (two for
 delta_beta, m + 1 for mode m's group delay, all for the profiles) are bisected
 together as arrays, and cached per slab.  Each bracket is shrunk by 1e-14
-relative at each end; a top branch whose root then falls outside it lies within
-rounding of u = V, a mode at its cut-off, and is not guided.  The propagation
-constant beta = sqrt((k n_co)^2 - kappa^2) lies strictly between k n_cl and
-k n_co; a lower mode whose beta rounds out of that interval raises ValueError,
-as the index contrast is below float64's resolution of beta.  Group delays take
-a central difference of beta(k); material dispersion is ignored.
+relative at each end, and a root outside it is NaN.  One rule refuses a beta =
+sqrt((k n_co)^2 - kappa^2) that is NaN or not strictly inside (k n_cl, k n_co):
+on the top branch, whose bracket ends at u = V, the mode is at its cut-off and
+not guided; below it, ValueError, as the index contrast is below float64's
+resolution of beta.  Group delays take a central difference of beta(k);
+material dispersion is ignored.
 
 Mode profiles are sampled from the solve on a uniform grid (default 2048
 points spanning 6x the core width; at least 1.05 core widths, with at least 16
@@ -159,10 +159,7 @@ def _solved(spec: SlabSpec, count: int) -> tuple[tuple[int, float, float, float]
     lo, hi = lo + 1e-14 * np.maximum(1.0, lo), hi - 1e-14 * np.maximum(1.0, hi)
     f_lo, f_hi = residual(lo, odd), residual(hi, odd)
     roots = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))  # NaN: still open
-    lost = np.isnan(roots) & ((f_lo > 0) == (f_hi > 0))
-    if lost[:-1].any() or (lost[-1] and v_number > count * math.pi / 2.0):  # not the top branch
-        raise RuntimeError(f"dispersion branch {int(np.argmax(lost))} lost its bracket")
-    open_ = np.flatnonzero(np.isnan(roots) & ~lost)  # a lost top branch keeps NaN: not guided
+    open_ = np.flatnonzero(np.isnan(roots) & ((f_lo > 0) != (f_hi > 0)))  # a lost bracket keeps NaN
     lo, hi, odd, up = lo[open_], hi[open_], odd[open_], f_lo[open_] > 0  # f_lo keeps its sign
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -41,10 +41,18 @@ OVER_BUDGET = [
     ("experiment=decohere\nn_realizations=1000000000\n", "n_realizations"),
     ("experiment=modes\ncore_width_um=1000000\n", "core_width_um"),
     ("experiment=delays\nn_lengths=1000000000\n", "n_lengths"),
+    # a sparse snapshot stride leaves the row index of 2e9 or 1e12 z steps: once a MemoryError
+    ("experiment=bpm-run\nlength_um=1e9\nsnapshot_every=1000000\n", "length_um"),
+    ("experiment=bpm-run\nlength_um=1e9\nsnapshot_every=1000000000\n", "length_um"),
+    ("experiment=bpm-run\nlength_um=1e9\nsnapshot_every=1000000000000000000\n", "length_um"),
+    ("experiment=bpm-run\ndz_um=1e-9\nsnapshot_every=1000000000\n", "dz_um"),
+    ("experiment=bpm-run\ndz_um=1e-9\nsnapshot_every=1000000000000000000\n", "dz_um"),
 ]
 OVER_BUDGET_IDS = ["bpm_over_budget", "fig2_over_budget", "decohere_steps_over_budget",
                    "decohere_lengths_over_budget", "decohere_realizations_over_budget",
-                   "modes_over_budget", "delays_over_budget"]
+                   "modes_over_budget", "delays_over_budget", "bpm_length_sparse_1e6",
+                   "bpm_length_sparse_1e9", "bpm_length_sparse_1e18", "bpm_dz_sparse_1e9",
+                   "bpm_dz_sparse_1e18"]
 
 # Configs that once exited 3 from the run, with the key validate names and its bound: the
 # Monte Carlo window is under 20 D, the snapped step (rounded down to 200 steps) is over
@@ -74,6 +82,10 @@ WINDOW_AND_RESOLUTION = [
     ("experiment=delays\ncore_width_um=1e9\n", "core_width_um", "resolution of beta"),
     ("experiment=delays\nn_core=1e9\n", "n_core", "resolution of beta"),
     ("experiment=delays\nwavelength_um=1e-9\n", "wavelength_um", "resolution of beta"),
+    # two 1e9 keys together once raised "dispersion branch 0 lost its bracket" out of validate
+    ("experiment=delays\ncore_width_um=1e9\nn_core=1e9\n", "n_core", "resolution of beta"),
+    ("experiment=delays\ncore_width_um=1e9\nwavelength_um=1e-9\n", "wavelength_um", "resolution of beta"),
+    ("experiment=delays\nn_core=1e9\nwavelength_um=1e-9\n", "wavelength_um", "resolution of beta"),
     ("experiment=fig2\ncore_width_um=1e9\n", "core_width_um", "core exceeds grid"),
     ("experiment=bpm-run\ncore_width_um=1e9\n", "core_width_um", "core exceeds grid"),
     ("experiment=delays\ncore_width_um=1e308\n", "core_width_um", "finite V"),  # V overflows
@@ -81,6 +93,8 @@ WINDOW_AND_RESOLUTION = [
 WINDOW_AND_RESOLUTION_IDS = ["bpm_core_over_window", "bpm_window_tiny", "modes_span_tiny",
                              "modes_near_equal_index", "delays_near_equal_index",
                              "delays_core_1e9", "delays_n_core_1e9", "delays_wavelength_1e-9",
+                             "delays_core_n_core_1e9", "delays_core_wavelength_1e9",
+                             "delays_n_core_wavelength_1e9",
                              "fig2_core_1e9", "bpm_core_1e9", "delays_v_overflow"]
 
 # A slab at V = pi/2 (1 + 1e-12): mode 1's root lies within rounding of its cut-off.
@@ -856,8 +870,13 @@ class TestMemoryEstimate:
         ("experiment=decohere\nlength_max_m=0.2\nn_realizations=8\n", 2),
         ("experiment=modes\ncore_width_um=400\n", 1),
         ("experiment=delays\nn_lengths=2000\n", 1),
+        # two snapshots of 64 points: the row index of 100001 z steps holds most of the peak
+        ("experiment=bpm-run\nnx=64\nwindow_um=16\nlength_um=50000\nsnapshot_every=1000000\n", 1),
+        # 20 bumps: each its own row index and RIMap's copy of it
+        ("experiment=fig2\ndelta_n_list=" + ";".join(f"{i}e-7" for i in range(20))
+         + "\nstem_length_um=400\nphase_length_um=300\nnx=256\nwindow_um=48\n", 1),
     ], ids=["bpm-run", "fig2", "decohere", "decohere-realizations", "decohere-threads",
-            "decohere-long-threads", "modes-many", "delays-long"])
+            "decohere-long-threads", "modes-many", "delays-long", "bpm-run-sparse", "fig2-bumps"])
     def test_estimate_bounds_the_traced_peak(self, tmp_path, text, threads):
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted

@@ -1,11 +1,16 @@
-"""Every config that sets one numeric key alone to an extreme value ends in one of three ways.
+"""Every config that sets one or two numeric keys to extreme values ends in one of three ways.
 
 Each numeric key of each experiment is set, alone on the defaults, to every value of its type
-below.  The config then fails to parse (ConfigError), or validate returns error diagnostics
-keyed by schema keys, or it validates clean.  Nothing else may raise.  The clean set is pinned,
-so a change in any config's exit code shows in this file's diff; CI runs each clean config
-under a 2 GiB address-space limit and a 120 s timeout, with numpy warnings as errors.
+below, and so is each pair of numeric keys of one experiment.  The config then fails to parse
+(ConfigError), or validate returns error diagnostics keyed by schema keys, or it validates
+clean.  Nothing else may raise.  The single-key clean set is pinned, so a change in any such
+config's exit code shows in this file's diff; CI runs each clean config under a 2 GiB
+address-space limit and a 120 s timeout, with numpy warnings as errors.  The two-key sweep
+pins each experiment's count of each outcome.
 """
+import itertools
+from collections import Counter
+
 from modesim import cli
 from modesim.cli import ConfigError, parse_config_text, validate
 
@@ -53,13 +58,39 @@ CLEAN = [
 ]
 
 
+def numeric_keys(schema: dict) -> list[tuple[str, tuple[str, ...]]]:
+    """(key, swept values) of each numeric key of a schema, in schema order."""
+    return [(key, INT_VALUES if isinstance(default, int) else FLOAT_VALUES)
+            for key, (_, default) in schema.items() if isinstance(default, (int, float))]
+
+
+# per experiment, the count of each outcome of the two-key sweep: 7776 configs, none of which raises
+PAIR_OUTCOMES = {
+    "modes": {"keyed": 512, "clean": 28},
+    "rates": {"keyed": 83, "clean": 133},
+    "decohere": {"keyed": 656, "clean": 100},
+    "bell": {},
+    "chsh-scan": {"parse": 180, "keyed": 137, "clean": 223},
+    "delays": {"parse": 160, "keyed": 1153, "clean": 307},
+    "fig2": {"parse": 144, "keyed": 2649, "clean": 15},
+    "bpm-run": {"parse": 142, "keyed": 1136, "clean": 18},
+}
+
+
 def sweep():
     """(name, config text) of each swept config, in schema order."""
     for experiment, schema in cli._SCHEMAS.items():
-        for key, (_, default) in schema.items():
-            if isinstance(default, (int, float)):
-                for value in INT_VALUES if isinstance(default, int) else FLOAT_VALUES:
-                    yield f"{experiment} {key}={value}", f"experiment={experiment}\n{key}={value}\n"
+        for key, values in numeric_keys(schema):
+            for value in values:
+                yield f"{experiment} {key}={value}", f"experiment={experiment}\n{key}={value}\n"
+
+
+def pair_sweep():
+    """(experiment, config text) of each config that sets two numeric keys of one experiment."""
+    for experiment, schema in cli._SCHEMAS.items():
+        for (key1, values1), (key2, values2) in itertools.combinations(numeric_keys(schema), 2):
+            for value1, value2 in itertools.product(values1, values2):
+                yield experiment, f"experiment={experiment}\n{key1}={value1}\n{key2}={value2}\n"
 
 
 def outcome(text: str) -> str:
@@ -77,3 +108,11 @@ def test_every_swept_config_parses_fails_keyed_or_validates_clean():
     outcomes = {name: outcome(text) for name, text in sweep()}
     assert len(outcomes) == 336
     assert [name for name, result in outcomes.items() if result == "clean"] == CLEAN
+
+
+def test_every_two_key_config_parses_fails_keyed_or_validates_clean():
+    counts = {experiment: Counter() for experiment in cli._SCHEMAS}
+    for experiment, text in pair_sweep():  # a config that raises out of validate fails the test
+        counts[experiment][outcome(text)] += 1
+    assert sum(count.total() for count in counts.values()) == 7776
+    assert counts == PAIR_OUTCOMES
