@@ -18,22 +18,24 @@ effective index beta/k.  Mode-dependent phase error of order
 A complex absorber (imaginary potential, quadratic ramp over the outer 10%
 of the window on each side) removes radiation before it can wrap around.
 
-An index map stores each distinct transverse row once, plus a row index per
-z step.  The march takes its steps in runs between the same pair of
-consecutive rows: it LU-factors a run's tridiagonal step matrix once (LAPACK
-?gttrf) and solves each step with ?gttrs, or solves a one-step run with ?gtsv.
-scipy, which provides them, is imported on the first march, not with this
-module.
+An index map stores each distinct transverse row as its key (core value and
+core intervals), plus a row index per z step.  The march takes its steps in
+runs between the same pair of consecutive rows: it LU-factors a run's
+tridiagonal step matrix once (LAPACK ?gttrf) and solves each step with
+?gttrs, or solves a one-step run with ?gtsv.  It rasterizes the rows of a
+block of runs as it reaches them, so no march holds more than two blocks of rows.
+scipy, which provides the solvers, is imported on the first march, not with
+this module.
 
-build_geometry rasterizes symmetric Y-splitters: a dual-mode stem, a
+build_geometry lays out symmetric Y-splitters: a dual-mode stem, a
 phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
-phase 2*theta controlled by delta_n.  It rasterizes a list of geometries into
-one rows array; the fig2 experiment passes one per delta_n: all share the stem
-and branch-taper rows, each adds only its own phase-section row, and each
-marches with its own row index.
+phase 2*theta controlled by delta_n.  It numbers the row keys of a list of
+geometries in one key table; the fig2 experiment passes one per delta_n: all
+share the stem and branch-taper keys, each adds only its own phase-section
+key, and each marches with its own row index.
 A row starts as cladding; its wholly covered cells copy one fully covered
 row, and only the few partly covered cells at each core edge are area
 weighted, so each row is bit-identical to area-weighting every cell.
@@ -78,6 +80,8 @@ DEFAULT_ABSORBER_STRENGTH = 2.0e5  # 1/m, peak imaginary potential
 PARAXIAL_DZ_SAFETY = 0.1
 #: per-step relative power growth beyond this aborts the march.
 INSTABILITY_GROWTH = 1e-6
+#: cells of a block of rows, rasterized or marched at once: it bounds the temporaries of both
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,30 +125,37 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class RIMap:
-    """Refractive-index landscape n(x_i, z_j) = n[j, i] = rows[index[j], i] plus reference index."""
+    """Refractive-index landscape n(x_i, z_j): row keys[index[j]] rasterized over cladding n_clad
+    (see _rows), plus the reference index.
 
-    rows: np.ndarray
+    A key is (value, lo1, hi1, lo2, hi2): the core index n_clad + value over the intervals
+    [lo1, hi1] and [lo2, hi2] in x (m), lo1 <= lo2.  The map holds read-only views of the arrays
+    it is given, not copies.  A rasterized cell is n_clad + value * coverage with coverage in
+    [0, 1], so it lies within bounds = (n_clad + min(0, value), n_clad + max(0, value)).
+    """
+
+    keys: np.ndarray
     index: np.ndarray
+    n_clad: float
     reference_n0: float
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)  # no copy: a map can be tens of MB
-        index = np.array(self.index)
-        if rows.ndim != 2 or index.ndim != 1 or index.dtype.kind not in "iu":
-            raise ValueError("index map needs 2D rows (rows, nx) and a 1D integer row index (nz,)")
-        if not np.all((0 <= index) & (index < len(rows))):
-            raise ValueError(f"row index entries must lie in [0, {len(rows)})")
-        object.__setattr__(self, "bounds", (rows.min(), rows.max()))  # the least and greatest n
-        if not (self.bounds[0] > 0 and self.reference_n0 > 0):  # a NaN in the rows makes the least NaN
+        keys, index = np.asarray(self.keys, dtype=np.float64).view(), np.asarray(self.index).view()
+        if keys.ndim != 2 or keys.shape[1] != 5 or index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ValueError("index map needs row keys (rows, 5) and a 1D integer row index (nz,)")
+        if not (len(index) and 0 <= index.min() and index.max() < len(keys)):
+            raise ValueError(f"row index entries must lie in [0, {len(keys)})")
+        check_finite(self, "n_clad", "reference_n0")
+        if np.isnan(keys).any():
+            raise ValueError("row keys must not be NaN")
+        values = keys[:, 0]
+        object.__setattr__(self, "bounds", (self.n_clad + min(0.0, float(values.min())),
+                                            self.n_clad + max(0.0, float(values.max()))))
+        if not (self.bounds[0] > 0 and self.reference_n0 > 0):
             raise ValueError("refractive index (every row and reference_n0) must be positive")
-        check_finite(self, "reference_n0")
-        for name, array in (("rows", rows), ("index", index)):
+        for name, array in (("keys", keys), ("index", index)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.index), self.rows.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +227,9 @@ class YSplitterGeometry:
 def straight_slab_map(grid: Grid, spec: SlabSpec, reference_n0: float | None = None) -> RIMap:
     """z-invariant slab profile of the given spec on the grid."""
     half = spec.core_width / 2.0
-    rows = _rows(np.array([[spec.n_core - spec.n_clad, -half, half, -half, half]]), grid, spec.n_clad)
-    return RIMap(rows, np.zeros(grid.nz, dtype=np.intp), spec.n_core if reference_n0 is None else reference_n0)
+    return RIMap(np.array([[spec.n_core - spec.n_clad, -half, half, -half, half]]),
+                 np.zeros(grid.nz, dtype=np.intp), spec.n_clad,
+                 spec.n_core if reference_n0 is None else reference_n0)
 
 
 def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
@@ -231,14 +243,15 @@ def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
 
 
 def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
-    """Rasterize Y-splitters onto the grid: one map per geometry, reference index base.n_core.
+    """Lay out Y-splitters on the grid: one map per geometry, reference index base.n_core.
 
     Core cells take n_core (plus delta_n inside the phase section); edge cells are area weighted
     so the raster integrates to the analytic core area and the discrete mode constants are free
     of staircase bias.  A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice,
     or the branch cores.  One dict numbers the distinct keys in order of first use, one geometry
-    at a time, and each is one row of one rows array that every map shares.  Equal float tuples
-    are equal keys, -0.0 and 0.0 too.
+    at a time, reading only the steps whose key differs from the step before; every map shares
+    the one key table, and no row is rasterized here.  Equal float tuples are equal keys, -0.0
+    and 0.0 too, as numpy's != finds them.
     """
     z, contrast, stem_half = grid.z, base.n_core - base.n_clad, base.core_width / 2.0
     first_use, indices = {}, []
@@ -252,10 +265,12 @@ def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
         step_keys[z < geometry.stem_length, 1:] = (-stem_half, stem_half, -stem_half, stem_half)
         phase = geometry.phase_section  # it ends inside the stem
         step_keys[(phase.z_start <= z) & (z < phase.z_start + phase.length), 0] = contrast + phase.delta_n
-        indices.append(np.fromiter((first_use.setdefault(key, len(first_use))
-                                    for key in zip(*step_keys.T.tolist())), np.intp, grid.nz))
-    rows = _rows(np.array(list(first_use), dtype=np.float64).reshape(-1, 5), grid, base.n_clad)
-    return [RIMap(rows, index, base.n_core) for index in indices]
+        starts = np.flatnonzero(np.r_[True, (step_keys[1:] != step_keys[:-1]).any(axis=1)])
+        numbers = np.fromiter((first_use.setdefault(key, len(first_use))
+                               for key in zip(*step_keys[starts].T.tolist())), np.intp, len(starts))
+        indices.append(np.repeat(numbers, np.diff(np.r_[starts, grid.nz])))
+    keys = np.array(list(first_use), dtype=np.float64).reshape(-1, 5)
+    return [RIMap(keys, index, base.n_clad, base.n_core) for index in indices]
 
 
 def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
@@ -272,7 +287,7 @@ def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
     enter, inside = np.searchsorted(right, lo, "right"), np.searchsorted(left, lo)
     leave, past = np.searchsorted(right, hi, "right"), np.searchsorted(left, hi)
     rows = np.empty((len(keys), grid.nx))
-    step = max(1, (1 << 16) // grid.nx)  # rows of a block of at most 2^16 cells, bounding temporaries
+    step = max(1, BLOCK_CELLS // grid.nx)
     for start in range(0, len(keys), step):  # cladding, and the wholly covered cells
         block, cut = rows[start:start + step], slice(start, start + step)
         block.fill(n_clad)
@@ -342,9 +357,12 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     above 1e-6 per step aborts with diagnostics, and a lossless straight
     guide conserves power to rounding.  A step allocates nothing, and the
     monitor is one dot product; each snapshot's power is the exact _power.
+    The runs are taken in blocks of at most BLOCK_CELLS cells: a block
+    rasterizes the rows its runs use that the block before did not, and builds
+    the step matrices' diagonals of all its runs at once.
     """
-    if ri_map.shape != (grid.nz, grid.nx):
-        raise ValueError("index map shape does not match grid")
+    if len(ri_map.index) != grid.nz:
+        raise ValueError("index map length does not match grid")
     if field.values.shape != (grid.nx,):
         raise ValueError("field length does not match grid")
     if snapshot_every < 1:
@@ -354,62 +372,81 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
     low, high = ri_map.bounds
-    contrast = max(high - n0, n0 - low)  # max |rows - n0|, exactly
-    check_paraxial_dz(grid.dz, wavelength, float(contrast))
+    contrast = max(high - n0, n0 - low)  # bounds every |n - n0| the rows hold
+    check_paraxial_dz(grid.dz, wavelength, contrast)
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
     coupling = 0.5j * grid.dz * off_diag
     lower = np.full(grid.nx - 1, coupling)
-    # (1 + i dz/2 A) u' = (1 - i dz/2 A) u: real diagonal parts 1 +/- (dz/2) absorber in every run
+    # a run is a stretch of steps between the same pair of rows, so with one step matrix
+    before, after = ri_map.index[:-1], ri_map.index[1:]
+    starts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | (after[1:] != after[:-1])])
+    stops = np.r_[starts[1:], grid.nz - 1]
+    per_block = min(len(starts), max(1, BLOCK_CELLS // grid.nx))
+    # (1 + i dz/2 A) u' = (1 - i dz/2 A) u: real diagonal parts 1 +/- (dz/2) absorber in every run;
+    # scaled is the imaginary part of each run of a block
     half_absorber = 0.5 * grid.dz * _absorber(grid)
-    rhs_diag = (1.0 - half_absorber).astype(np.complex128)
-    diag, scaled = np.empty_like(rhs_diag), np.empty(grid.nx)  # scaled: a run's imaginary part
+    scaled = np.empty((per_block, grid.nx))
+    diags, rhs_diags = np.empty((2, per_block, grid.nx), dtype=np.complex128)
+    np.subtract(1.0, half_absorber, out=rhs_diags.real)
+    held, held_rows = np.array([-1]), np.empty((1, grid.nx))  # the rows of the block before: none
 
     values = np.array(field.values, dtype=np.complex128)
     rhs, coupled = np.empty_like(values), np.empty_like(values)
     snapshots = [Field(values, 0.0, _power(values, grid.dx))]
     power_prev = snapshots[0].power
 
-    # a run is a stretch of steps between the same pair of rows, so with one step matrix
-    before, after = ri_map.index[:-1], ri_map.index[1:]
-    starts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | (after[1:] != after[:-1])])
-    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [grid.nz - 1]):
+    for first in range(0, len(starts), per_block):
+        runs = starts[first:first + per_block]
+        n = len(runs)
+        used, pair = np.unique(np.r_[before[runs], after[runs]], return_inverse=True)
+        at = np.minimum(np.searchsorted(held, used), len(held) - 1)  # both sorted, so a row held
+        fresh = held[at] != used  # by the block before sits where searchsorted puts it
+        rows = np.empty((len(used), grid.nx))
+        rows[~fresh] = held_rows[at[~fresh]]
+        rows[fresh] = _rows(ri_map.keys[used[fresh]], grid, ri_map.n_clad)
+        held, held_rows = used, rows
         # n_mid = (row_before + row_after) / 2; potential = k / (2 n0) (n0^2 - n_mid^2)
-        np.add(ri_map.rows[before[start]], ri_map.rows[after[start]], out=scaled)
-        scaled *= 0.5
-        np.multiply(scaled, scaled, out=scaled)
-        np.subtract(n0 * n0, scaled, out=scaled)
-        scaled *= k / (2.0 * n0)
-        scaled += laplacian_diag
-        scaled *= 0.5 * grid.dz
-        np.subtract(0.0, scaled, out=rhs_diag.imag)  # 0 - x and 0 + x: the zeros of 1 -/+ i x
-        np.add(1.0, half_absorber, out=diag.real)  # a one-step run's zgtsv overwrites diag
-        np.add(0.0, scaled, out=diag.imag)
-        if stop - start > 1:
-            *factors, info = zgttrf(lower, diag, lower)
-            _check_nonsingular(info, grid.dz * start)
-        for j in range(start, stop):
-            np.multiply(rhs_diag, values, out=rhs)
-            np.multiply(coupling, values, out=coupled)
-            rhs[:-1] -= coupled[1:]
-            rhs[1:] -= coupled[:-1]
+        block = scaled[:n]
+        # take's "clip" writes into block unbuffered; the indices are in range, so it never clips
+        np.take(rows, pair[:n], axis=0, out=block, mode="clip")
+        block += rows[pair[n:]]
+        block *= 0.5
+        np.multiply(block, block, out=block)
+        np.subtract(n0 * n0, block, out=block)
+        block *= k / (2.0 * n0)
+        block += laplacian_diag
+        block *= 0.5 * grid.dz
+        np.subtract(0.0, block, out=rhs_diags.imag[:n])  # 0 - x and 0 + x: the zeros of 1 -/+ i x
+        np.add(1.0, half_absorber, out=diags.real[:n])  # a one-step run's zgtsv overwrites diag
+        np.add(0.0, block, out=diags.imag[:n])
+        for start, stop, diag, rhs_diag in zip(runs.tolist(), stops[first:first + n].tolist(),
+                                               diags, rhs_diags):
             if stop - start > 1:
-                solved, _ = zgttrs(*factors, rhs, overwrite_b=1)
-            else:  # lower is shared by every run, so only the main diagonal is overwritten
-                *_, solved, info = zgtsv(lower, diag, lower, rhs, overwrite_d=1, overwrite_b=1)
-                _check_nonsingular(info, grid.dz * j)
-            values, rhs = solved, values
-            power = np.vdot(values, values).real * grid.dx
-            if not math.isfinite(power) or power > power_prev * (1.0 + INSTABILITY_GROWTH):
-                raise NumericalError(
-                    f"propagation unstable at z={grid.dz * (j + 1):g} m: power "
-                    f"{power_prev:g} -> {power:g}"
-                )
-            power_prev = power
-            step = j + 1
-            if step % snapshot_every == 0 or step == grid.nz - 1:
-                snapshots.append(Field(values, grid.dz * step, _power(values, grid.dx)))
+                *factors, info = zgttrf(lower, diag, lower)
+                _check_nonsingular(info, grid.dz * start)
+            for j in range(start, stop):
+                np.multiply(rhs_diag, values, out=rhs)
+                np.multiply(coupling, values, out=coupled)
+                rhs[:-1] -= coupled[1:]
+                rhs[1:] -= coupled[:-1]
+                if stop - start > 1:
+                    solved, _ = zgttrs(*factors, rhs, overwrite_b=1)
+                else:  # lower is shared by every run, so only the main diagonal is overwritten
+                    *_, solved, info = zgtsv(lower, diag, lower, rhs, overwrite_d=1, overwrite_b=1)
+                    _check_nonsingular(info, grid.dz * j)
+                values, rhs = solved, values
+                power = np.vdot(values, values).real * grid.dx
+                if not math.isfinite(power) or power > power_prev * (1.0 + INSTABILITY_GROWTH):
+                    raise NumericalError(
+                        f"propagation unstable at z={grid.dz * (j + 1):g} m: power "
+                        f"{power_prev:g} -> {power:g}"
+                    )
+                power_prev = power
+                step = j + 1
+                if step % snapshot_every == 0 or step == grid.nz - 1:
+                    snapshots.append(Field(values, grid.dz * step, _power(values, grid.dx)))
     return snapshots
 
 

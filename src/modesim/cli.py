@@ -34,9 +34,9 @@ import numpy as np
 from . import __version__
 from ._errors import NumericalError
 from ._io import write_csv, write_json
-from .bpm import (Grid, PhaseSection, YSplitterGeometry, branch_powers, check_geometry_fits,
-                  check_paraxial_dz, export_field_csv, export_raster, field_from_modes, fig2_experiment,
-                  propagate, straight_slab_map)
+from .bpm import (BLOCK_CELLS, Grid, PhaseSection, YSplitterGeometry, branch_powers,
+                  check_geometry_fits, check_paraxial_dz, export_field_csv, export_raster,
+                  field_from_modes, fig2_experiment, propagate, straight_slab_map)
 from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, export_bell_csv,
                           export_chsh_csv)
 from .decoherence import (TWO_RAIL_STATES, EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv,
@@ -306,15 +306,19 @@ def _build(config: RunConfig) -> SimpleNamespace:
         check_core_sampling(b.spec.core_width, b.grid.waveguide_grid())  # the slab, or fig2's stem
         b.memory += 256 * b.grid.nx  # the march's work arrays
     if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
-        # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects; the map's row index,
-        # RIMap's copy of it and its range-check masks at 24 B a z step
+        # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects; 24 B a z step for
+        # the map's row index and the march's run table
         b.memory += (512 * b.grid.nx + 24 * b.grid.nz
                      + (24 * b.grid.nx + 512) * ((b.grid.nz - 1) // params["snapshot_every"] + 2))
-    if "stem_length_um" in params:  # fig2: at most nz + bumps distinct rows, a row index per bump
+    if "stem_length_um" in params:  # fig2: 16 B a z step and bump, a row index and a run table;
+        # a march's block of runs, at most BLOCK_CELLS cells (or one row) at 80 B a cell (73 B
+        # traced); and 8 B a cell of at most nz + bumps distinct rows.  The march holds a block of
+        # rows at a time, so this last term bounds the cells the marches cross, not memory held
         check_geometry_fits(b.geometry, b.grid)
         check_core_sampling(b.geometry.core_width, b.grid.waveguide_grid())  # a branch
         bumps = len(params["delta_n_list"])
-        b.memory += (b.grid.nz + bumps) * b.grid.nx * 8 + 2 * bumps * b.grid.nz * 8  # RIMap copies an index
+        b.memory += (2 * bumps * b.grid.nz * 8 + 80 * min(max(b.grid.nx, BLOCK_CELLS), b.grid.nz * b.grid.nx)
+                     + (b.grid.nz + bumps) * b.grid.nx * 8)
     if b.memory > MEMORY_BUDGET:
         raise ValueError(f"the run needs about {b.memory / 1e9:.3g} GB, over the "
                          f"{MEMORY_BUDGET / 1e9:g} GB budget")

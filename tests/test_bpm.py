@@ -38,14 +38,14 @@ def straight_grid(nz=801, nx=1024, window=80e-6, dz=0.5e-6):
     return Grid(-window / 2, window / (nx - 1), nx, dz, nz)
 
 
-def full_map(ri_map):
-    """The (nz, nx) index map that ri_map stores as distinct rows plus a row index."""
-    return ri_map.rows[ri_map.index]
+def full_map(ri_map, grid):
+    """The (nz, nx) index map that ri_map stores as distinct row keys plus a row index."""
+    return bpm._rows(ri_map.keys, grid, ri_map.n_clad)[ri_map.index]
 
 
 def uniform_map(grid, index):
     """Homogeneous-medium index map (free diffraction), referenced to its own index."""
-    return RIMap(np.full((1, grid.nx), index), np.zeros(grid.nz, dtype=int), index)
+    return RIMap(np.zeros((1, 5)), np.zeros(grid.nz, dtype=int), index, index)
 
 
 def reference_propagate(field, ri_map, grid, wavelength, snapshot_every=1):
@@ -53,7 +53,7 @@ def reference_propagate(field, ri_map, grid, wavelength, snapshot_every=1):
     the oracle that propagate's kept factorizations must match bit for bit."""
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    n = full_map(ri_map)
+    n = full_map(ri_map, grid)
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
     damping = bpm._absorber(grid)
@@ -96,10 +96,11 @@ def step_loop_propagate(field, ri_map, grid, wavelength, snapshot_every=1):
     values = field.values.astype(np.complex128)
     power_prev = bpm._power(values, grid.dx)
     snapshots = [Field(values.copy(), 0.0, power_prev)]
+    rows = bpm._rows(ri_map.keys, grid, ri_map.n_clad)
     before, after = ri_map.index[:-1], ri_map.index[1:]
     starts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | (after[1:] != after[:-1])])
     for start, stop in zip(starts.tolist(), starts[1:].tolist() + [grid.nz - 1]):
-        n_mid = 0.5 * (ri_map.rows[before[start]] + ri_map.rows[after[start]])
+        n_mid = 0.5 * (rows[before[start]] + rows[after[start]])
         potential = (k / (2.0 * n0)) * (n0 * n0 - n_mid * n_mid)
         scaled = half_step * (laplacian_diag + potential - damping)
         rhs_diag = 1.0 - scaled
@@ -132,11 +133,11 @@ def unstable_at(march, *args):
     return re.search(r"at z=(\S+) m", str(caught.value)).group(1)
 
 
-def small_splitter(default_slab, delta_n=4e-4):
-    """A short Y-splitter with a phase section, its grid and the |+> launch."""
+def small_splitter(default_slab, delta_n=4e-4, nx=512):
+    """A short Y-splitter with a phase section (121 runs), its grid and the |+> launch."""
     geometry = YSplitterGeometry(60e-6, math.radians(1.0), 8e-6, 4e-6,
                                  phase_section=PhaseSection(delta_n, 30e-6, z_start=10e-6))
-    grid = Grid(-24e-6, 48e-6 / 511, 512, 1e-6, int(geometry.separation_end_z() / 1e-6) + 21)
+    grid = Grid(-24e-6, 48e-6 / (nx - 1), nx, 1e-6, int(geometry.separation_end_z() / 1e-6) + 21)
     modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
     launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
     return build_geometry([geometry], grid, default_slab)[0], grid, launch
@@ -185,8 +186,9 @@ def coverage(x, dx, intervals):
 
 
 def reference_raster(geometries, grid, base):
-    """build_geometry's rows and row indices as one coverage call per distinct (core value,
-    intervals) key, the keys found by a loop over z and numbered in order of first use."""
+    """The rows of build_geometry's keys, and its row indices, as one coverage call per distinct
+    (core value, intervals) key, the keys found by a loop over z and numbered in order of first
+    use."""
     stem_half = base.core_width / 2.0
     contrast = base.n_core - base.n_clad
     keys, indices = {}, []
@@ -255,14 +257,14 @@ class TestGeometry:
         geometry = YSplitterGeometry(stem_length=10e-6, branch_half_angle=0.0,
                                      branch_separation_final=4e-6, core_width=4e-6)
         ri_map = build_geometry([geometry], grid, default_slab)[0]
-        assert np.abs(full_map(ri_map) - full_map(ri_map)[0]).max() < 1e-15
+        assert np.abs(full_map(ri_map, grid) - full_map(ri_map, grid)[0]).max() < 1e-15
 
     def test_zero_delta_n_matches_no_phase_section(self, default_slab):
         grid = straight_grid(nz=2101, dz=1e-6)
         with_section = build_geometry([default_geometry(delta_n=0.0)], grid, default_slab)[0]
         without = build_geometry(
             [YSplitterGeometry(400e-6, math.radians(0.4), 24e-6, 4e-6)], grid, default_slab)[0]
-        assert np.abs(full_map(with_section) - full_map(without)).max() < 1e-15
+        assert np.abs(full_map(with_section, grid) - full_map(without, grid)).max() < 1e-15
 
     def test_raster_area_matches_analytic(self, default_slab):
         # area-weighted rasterization integrates to the analytic core area
@@ -272,7 +274,8 @@ class TestGeometry:
         assert geometry.separation_end_z() < grid.z_max
         ri_map = build_geometry([geometry], grid, default_slab)[0]
         contrast = default_slab.n_core - default_slab.n_clad
-        raster_area = float(np.sum(full_map(ri_map) - default_slab.n_clad) / contrast) * grid.dx * grid.dz
+        raster = full_map(ri_map, grid)
+        raster_area = float(np.sum(raster - default_slab.n_clad) / contrast) * grid.dx * grid.dz
         analytic = (geometry.stem_length * default_slab.core_width
                     + (grid.nz * grid.dz - geometry.stem_length) * 2 * geometry.core_width)
         cell_row = default_slab.core_width * grid.dz
@@ -281,17 +284,19 @@ class TestGeometry:
     @given(splitters())
     @settings(max_examples=200, deadline=None)
     def test_rows_match_coverage_oracle(self, case):
-        # every row bit for bit, in the same order, with the same row index per geometry
+        # every row of the key table bit for bit, in the same order, with the same row index
+        # per geometry
         geometries, grid, base = case
         maps = build_geometry(geometries, grid, base)
-        rows = maps[0].rows
+        rows = bpm._rows(maps[0].keys, grid, base.n_clad)
         expected_rows, expected_indices = reference_raster(geometries, grid, base)
         assert rows.shape == expected_rows.shape and rows.tobytes() == expected_rows.tobytes()
         for ri_map, expected in zip(maps, expected_indices, strict=True):
-            assert ri_map.rows is rows and ri_map.reference_n0 == base.n_core
+            assert np.shares_memory(ri_map.keys, maps[0].keys)
+            assert (ri_map.n_clad, ri_map.reference_n0) == (base.n_clad, base.n_core)
             assert ri_map.index.dtype == expected.dtype and np.array_equal(ri_map.index, expected)
         half = base.core_width / 2.0
-        straight = straight_slab_map(grid, base).rows
+        straight = bpm._rows(straight_slab_map(grid, base).keys, grid, base.n_clad)
         expected = base.n_clad + (base.n_core - base.n_clad) * coverage(grid.x, grid.dx, [(-half, half)])
         assert straight.tobytes() == expected.tobytes()
 
@@ -419,35 +424,71 @@ class TestPropagation:
             fig2_experiment([0.0], stem, geometry, grid)
 
 
+@st.composite
+def row_keys(draw):
+    """Row keys (value, lo1, hi1, lo2, hi2), lo1 <= hi1 and lo1 <= lo2 <= hi2, with positive
+    bounds over a cladding index, on a grid whose window they may overhang, miss or split."""
+    dx = draw(st.floats(0.1, 1.0)) * 1e-6
+    grid = Grid(-draw(st.floats(0.0, 200.0)) * dx, dx, draw(st.integers(64, 160)), 1e-6, 2)
+    n_clad = draw(st.sampled_from([1.0, 1.45, 3.5]))
+    cells = st.floats(-20.0, 220.0)
+    keys = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo1, lo2 = sorted((draw(cells), draw(cells)))
+        hi1, hi2 = lo1 + draw(st.floats(0.0, 30.0)), lo2 + draw(st.floats(0.0, 30.0))
+        offset = np.array([lo1, hi1, lo2, hi2]) * dx + grid.x_min
+        keys.append([draw(st.floats(-0.9 * n_clad, 1.0)), *offset])
+    return np.array(keys), grid, n_clad
+
+
 class TestRIMap:
-    @pytest.mark.parametrize("rows,index", [
-        (np.ones((2, 64)), [0, 2]),
-        (np.ones((2, 64)), [-1, 0]),
-        (np.ones((2, 64)), [0.0, 1.0]),
-        (np.ones((2, 64)), [[0, 1]]),
-        (np.vstack([np.ones(64), np.r_[np.ones(63), 0.0]]), [0, 1]),
-        (np.full((1, 64), np.nan), [0, 0]),
-        (np.ones(64), [0, 0]),
+    @pytest.mark.parametrize("keys,index", [
+        (np.zeros((2, 5)), [0, 2]),
+        (np.zeros((2, 5)), [-1, 0]),
+        (np.zeros((2, 5)), [0.0, 1.0]),
+        (np.zeros((2, 5)), [[0, 1]]),
+        (np.array([[0.0] * 5, [-1.0, 0.0, 1e-6, 0.0, 1e-6]]), [0, 1]),
+        (np.full((1, 5), np.nan), [0, 0]),
+        (np.zeros(5), [0, 0]),
+        (np.zeros((2, 4)), [0, 1]),
+        (np.zeros((2, 5)), np.empty(0, dtype=int)),
     ], ids=["index_above", "index_negative", "index_float", "index_2d", "row_nonpositive",
-            "row_nan", "rows_1d"])
-    def test_invalid_map_rejected(self, rows, index):
+            "row_nan", "rows_1d", "keys_4_wide", "index_empty"])
+    def test_invalid_map_rejected(self, keys, index):
         with pytest.raises(ValueError):
-            RIMap(rows, index, 1.0)
+            RIMap(keys, index, 1.0, 1.0)
 
     def test_nonpositive_reference_rejected(self):
         with pytest.raises(ValueError, match="reference_n0"):
-            RIMap(np.ones((1, 64)), [0, 0], 0.0)
+            RIMap(np.zeros((1, 5)), [0, 0], 1.0, 0.0)
 
     def test_materialized_view(self):
-        rows = np.array([np.full(64, 1.49), np.full(64, 1.5)])
-        ri_map = RIMap(rows, [1, 0, 0, 1], 1.5)
-        assert ri_map.shape == (4, 64)
-        assert np.array_equal(full_map(ri_map), rows[[1, 0, 0, 1]])
-        assert not ri_map.rows.flags.writeable and not ri_map.index.flags.writeable
+        # a key over the whole window raises every cell; the map holds the index it is given
+        # as a read-only view, and leaves the caller's array writeable
+        grid = straight_grid(nz=4, nx=64)
+        keys, index = np.array([[0.0] * 5, [0.01, -1.0, 1.0, -1.0, 1.0]]), np.array([1, 0, 0, 1])
+        ri_map = RIMap(keys, index, 1.49, 1.5)
+        assert np.array_equal(full_map(ri_map, grid), np.full((4, 64), 1.49) + [[0.01], [0], [0], [0.01]])
+        assert np.shares_memory(ri_map.index, index) and np.shares_memory(ri_map.keys, keys)
+        assert not ri_map.keys.flags.writeable and not ri_map.index.flags.writeable
+        assert index.flags.writeable and keys.flags.writeable
+
+    @given(row_keys(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_enclose_every_rasterized_cell(self, case, data):
+        keys, grid, n_clad = case
+        low, high = RIMap(keys, [0, len(keys) - 1], n_clad, 1.5).bounds
+        rows = bpm._rows(keys, grid, n_clad)
+        assert low <= rows.min() and rows.max() <= high
+        assert (low, high) == (n_clad + min(0.0, keys[:, 0].min()), n_clad + max(0.0, keys[:, 0].max()))
+        broken = keys.copy()
+        broken.flat[data.draw(st.integers(0, broken.size - 1))] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            RIMap(broken, [0, len(keys) - 1], n_clad, 1.5)
 
     def test_splitter_stores_each_distinct_row_once(self, default_slab):
         ri_map, grid, _ = small_splitter(default_slab)
-        assert len(np.unique(ri_map.rows, axis=0)) == len(ri_map.rows) < grid.nz
+        assert len(np.unique(ri_map.keys, axis=0)) == len(ri_map.keys) < grid.nz
         # stem before and after the phase section is one row
         stem_rows = ri_map.index[grid.z < 60e-6]
         assert stem_rows[0] == stem_rows[-1] != stem_rows[len(stem_rows) // 2]
@@ -456,8 +497,8 @@ class TestRIMap:
 class TestKeptFactorization:
     @staticmethod
     def _case(name, default_slab):
-        if name == "splitter":
-            ri_map, grid, launch = small_splitter(default_slab)
+        if name.startswith("splitter"):  # at nx = 2048 its 121 runs span 4 blocks of 32
+            ri_map, grid, launch = small_splitter(default_slab, nx=2048 if name == "splitter_wide" else 512)
             return ri_map, grid, launch, default_slab.wavelength
         if name == "straight":
             grid = straight_grid(nz=201, nx=512)
@@ -469,7 +510,7 @@ class TestKeptFactorization:
         launch = Field(values, 0.0, float(np.sum(np.abs(values) ** 2) * grid.dx))
         return uniform_map(grid, 1.0), grid, launch, 1.55e-6
 
-    @pytest.mark.parametrize("name", ["straight", "splitter", "free"])
+    @pytest.mark.parametrize("name", ["straight", "splitter", "free", "splitter_wide"])
     def test_snapshots_match_solve_banded_march(self, name, default_slab):
         ri_map, grid, launch, wavelength = self._case(name, default_slab)
         snaps = propagate(launch, ri_map, grid, wavelength, snapshot_every=7)
@@ -519,6 +560,19 @@ class TestKeptFactorization:
         self._assert_matches_step_loop(launch, ri_map, grid, default_slab.wavelength,
                                        grid.nz if every == "nz" else every)
 
+    @pytest.mark.parametrize("runs_per_block", [1, 4])
+    def test_runs_across_blocks_match_oracles(self, runs_per_block, default_slab, monkeypatch):
+        # the splitter's 121 runs in blocks of 1 or 4: a block carries over the rows it shares
+        # with the block before and rasterizes the others, bit for bit as one raster of all
+        ri_map, grid, launch = small_splitter(default_slab)
+        expected = reference_propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
+        monkeypatch.setattr(bpm, "BLOCK_CELLS", runs_per_block * grid.nx)
+        snaps = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
+        assert len(snaps) == len(expected)
+        for snap, values in zip(snaps, expected):
+            assert np.array_equal(snap.values, values)
+        self._assert_matches_step_loop(launch, ri_map, grid, default_slab.wavelength, 5)
+
     def test_lossless_straight_guide_matches_step_loop_oracle(self, default_slab, monkeypatch):
         monkeypatch.setattr(bpm, "DEFAULT_ABSORBER_STRENGTH", 0.0)
         ri_map, grid, launch, wavelength = self._case("straight", default_slab)
@@ -566,7 +620,7 @@ class TestKeptFactorization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ri_map.rows.shape == (1, grid.nx)
+        assert ri_map.keys.shape == (1, 5)
         assert len(snaps) == 127
         assert peak < 16e6
 
@@ -672,42 +726,62 @@ def test_fig2_rows_monotone(default_slab):
         a > b for a, b in zip(sequence, sequence[1:]))
 
 
+def taper_march_peak(default_slab, angle_deg, nz):
+    """Traced peak of one march through a Y-splitter whose taper ends inside nz steps of 1 um."""
+    geometry = YSplitterGeometry(100e-6, math.radians(angle_deg), 24e-6, 4e-6)
+    grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, nz)
+    modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
+    launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
+    ri_map = build_geometry([geometry], grid, default_slab)[0]
+    tracemalloc.start()
+    try:
+        propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=grid.nz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return len(np.unique(ri_map.index)), peak
+
+
 class TestFigTwoSharedRaster:
     def test_bump_maps_match_build_geometry(self, default_slab, monkeypatch):
-        # the bumps share one raster of the geometry; each rasterizes only its own
-        # phase-section row, and its map equals build_geometry of its own geometry
+        # the bumps share one key table of the geometry, and each map equals build_geometry of
+        # its own geometry.  No row is rasterized before the first march, and each march
+        # rasterizes each row it uses once
         geometry = default_geometry(stem_um=400.0, phase_len_um=300.0)
         z_total = geometry.separation_end_z() + 200e-6
         grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, int(z_total / 1e-6) + 1)
-        shared_rows = len(build_geometry([geometry], grid, default_slab)[0].rows)
         marched, rasterized = [], []
         original_propagate, original_rows = bpm.propagate, bpm._rows
 
         def recording_propagate(field, ri_map, march_grid, *args, **kwargs):
-            marched.append((full_map(ri_map), ri_map.reference_n0, march_grid))
+            marched.append((ri_map, march_grid))
             return original_propagate(field, ri_map, march_grid, *args, **kwargs)
 
         def counting_rows(keys, *args):
-            rasterized.append(len(keys))
+            rasterized.append((len(marched), keys.tolist()))
             return original_rows(keys, *args)
 
         monkeypatch.setattr(bpm, "propagate", recording_propagate)
         monkeypatch.setattr(bpm, "_rows", counting_rows)
         bumps = [0.0, 3e-4, 6e-4]
         fig2_experiment(bumps, default_slab, geometry, grid)
-        assert sum(rasterized) == shared_rows + 2
-        assert len(marched) == len(bumps)
-        for delta_n, (n, reference_n0, march_grid) in zip(bumps, marched):
+        monkeypatch.setattr(bpm, "_rows", original_rows)
+        assert len(marched) == len(bumps) and rasterized[0][0] == 1
+        for march, (delta_n, (ri_map, march_grid)) in enumerate(zip(bumps, marched), 1):
             alone = build_geometry([default_geometry(400.0, delta_n, 300.0)], grid, default_slab)[0]
             assert march_grid is grid
-            assert reference_n0 == alone.reference_n0
-            assert np.array_equal(n, full_map(alone))
+            assert (ri_map.n_clad, ri_map.reference_n0) == (alone.n_clad, alone.reference_n0)
+            assert np.array_equal(full_map(ri_map, grid), full_map(alone, grid))
+            made = [tuple(key) for during, keys in rasterized if during == march for key in keys]
+            used = ri_map.keys[np.unique(ri_map.index)].tolist()
+            assert sorted(made) == sorted(map(tuple, used))
 
     def test_map_memory_at_benchmark_size(self, default_slab):
         # fig2 at the benchmark's bpm_splitter size: 2814 z steps of 2048 points.
-        # Every bump marches on one rows array of 1437 rows, 23.5 MB; no bump
-        # copies it.  scipy.linalg is imported at the top of this module, so its
-        # import is not counted.
+        # The bumps share one key table of 1437 rows, and each march rasterizes its rows a
+        # block of at most 2^16 cells at a time: 5.3 MB traced, where the rows array of the
+        # 1437 rows alone took 23.5 MB.  scipy.linalg is imported at the top of this module,
+        # so its import is not counted.
         geometry = YSplitterGeometry(1130e-6, math.radians(0.4), 24e-6, 4e-6,
                                      phase_section=PhaseSection(0.0, 1000e-6, z_start=50e-6))
         nz = int(math.ceil((geometry.separation_end_z() + 250e-6) / 1e-6)) + 1
@@ -720,9 +794,19 @@ class TestFigTwoSharedRaster:
         finally:
             tracemalloc.stop()
         assert len(rows) == 3
-        assert peak <= 32e6
+        assert peak <= 7e6
 
-    def test_bumps_march_on_one_rows_array(self, default_slab, monkeypatch):
+    def test_march_memory_does_not_grow_with_the_taper(self, default_slab):
+        # a taper at a quarter of the angle takes four times the distinct rows over the same
+        # grid (479 and 1911 rows of 1024 cells); the march holds a block of them at a time,
+        # so only its table of runs, about 24 B a run, grows with them
+        nz = int(YSplitterGeometry(100e-6, math.radians(0.3), 24e-6, 4e-6).separation_end_z() / 1e-6) + 50
+        few, few_peak = taper_march_peak(default_slab, 1.2, nz)
+        many, many_peak = taper_march_peak(default_slab, 0.3, nz)
+        assert many > 3.9 * few
+        assert many_peak < few_peak + 0.1e6
+
+    def test_bumps_march_on_one_key_table(self, default_slab, monkeypatch):
         geometry = default_geometry(stem_um=400.0, phase_len_um=300.0)
         grid = Grid(-32e-6, 64e-6 / 1023, 1024, 1e-6, int(geometry.separation_end_z() / 1e-6) + 201)
         marched = []
@@ -735,8 +819,8 @@ class TestFigTwoSharedRaster:
         monkeypatch.setattr(bpm, "propagate", recording_propagate)
         fig2_experiment([0.0, 3e-4, 6e-4], default_slab, geometry, grid)
         assert len(marched) == 3
-        assert len({len(ri_map.rows) for ri_map in marched}) == 1
-        assert all(np.shares_memory(ri_map.rows, marched[0].rows) for ri_map in marched[1:])
+        assert len({len(ri_map.keys) for ri_map in marched}) == 1
+        assert all(np.shares_memory(ri_map.keys, marched[0].keys) for ri_map in marched[1:])
         assert len({ri_map.index.tobytes() for ri_map in marched}) == 3
 
 

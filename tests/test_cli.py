@@ -872,11 +872,15 @@ class TestMemoryEstimate:
         ("experiment=delays\nn_lengths=2000\n", 1),
         # two snapshots of 64 points: the row index of 100001 z steps holds most of the peak
         ("experiment=bpm-run\nnx=64\nwindow_um=16\nlength_um=50000\nsnapshot_every=1000000\n", 1),
-        # 20 bumps: each its own row index and RIMap's copy of it
+        # 20 bumps: each its own row index
         ("experiment=fig2\ndelta_n_list=" + ";".join(f"{i}e-7" for i in range(20))
          + "\nstem_length_um=400\nphase_length_um=300\nnx=256\nwindow_um=48\n", 1),
+        # a short splitter on a coarse grid: the march's block of runs holds most of the peak
+        ("experiment=fig2\nnx=256\nwindow_um=48\nbranch_half_angle_deg=1.9\nstem_length_um=100\n"
+         "phase_length_um=40\nlead_out_um=0\n", 1),
     ], ids=["bpm-run", "fig2", "decohere", "decohere-realizations", "decohere-threads",
-            "decohere-long-threads", "modes-many", "delays-long", "bpm-run-sparse", "fig2-bumps"])
+            "decohere-long-threads", "modes-many", "delays-long", "bpm-run-sparse", "fig2-bumps",
+            "fig2-short"])
     def test_estimate_bounds_the_traced_peak(self, tmp_path, text, threads):
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted
