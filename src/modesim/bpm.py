@@ -18,24 +18,21 @@ effective index beta/k.  Mode-dependent phase error of order
 A complex absorber (imaginary potential, quadratic ramp over the outer 10%
 of the window on each side) removes radiation before it can wrap around.
 
-An index map stores each distinct transverse row as its key (core value and
-core intervals), plus a row index per z step.  The march takes its steps in
-runs between the same pair of consecutive rows: it LU-factors a run's
-tridiagonal step matrix once (LAPACK ?gttrf) and solves each step with
-?gttrs, or solves a one-step run with ?gtsv.  It rasterizes the rows of a
-block of runs as it reaches them, so no march holds more than two blocks of rows.
-scipy, which provides the solvers, is imported on the first march, not with
-this module.
+An index map stores one row key (core value and core intervals) per z step.
+The march takes its steps in runs between the same pair of consecutive
+keys: it LU-factors a run's tridiagonal step matrix once (LAPACK ?gttrf) and
+solves each step with ?gttrs, or solves a one-step run with ?gtsv.  It
+rasterizes the rows of a block of runs as it reaches them, so no march holds
+more than one block of rows.  scipy, which provides the solvers, is imported
+on the first march, not with this module.
 
-build_geometry lays out symmetric Y-splitters: a dual-mode stem, a
+build_geometry lays out a symmetric Y-splitter: a dual-mode stem, a
 phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
-phase 2*theta controlled by delta_n.  It numbers the row keys of a list of
-geometries in one key table; the fig2 experiment passes one per delta_n: all
-share the stem and branch-taper keys, each adds only its own phase-section
-key, and each marches with its own row index.
+phase 2*theta controlled by delta_n.  The fig2 experiment builds the map of
+each delta_n just before it marches it.
 A row starts as cladding; its wholly covered cells copy one fully covered
 row, and only the few partly covered cells at each core edge are area
 weighted, so each row is bit-identical to area-weighting every cell.
@@ -125,37 +122,36 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class RIMap:
-    """Refractive-index landscape n(x_i, z_j): row keys[index[j]] rasterized over cladding n_clad
+    """Refractive-index landscape n(x_i, z_j): the row of keys[j] rasterized over cladding n_clad
     (see _rows), plus the reference index.
 
-    A key is (value, lo1, hi1, lo2, hi2): the core index n_clad + value over the intervals
-    [lo1, hi1] and [lo2, hi2] in x (m), lo1 <= lo2.  The map holds read-only views of the arrays
-    it is given, not copies.  A rasterized cell is n_clad + value * coverage with coverage in
-    [0, 1], so it lies within bounds = (n_clad + min(0, value), n_clad + max(0, value)).
+    A key is (value, lo1, hi1, lo2, hi2), one per z step: the core index n_clad + value over the
+    intervals [lo1, hi1] and [lo2, hi2] in x (m), lo1 <= hi1, lo2 <= hi2 and lo1 <= lo2.  The map
+    holds a read-only view of the keys it is given, not a copy.  A rasterized cell is n_clad +
+    value * coverage with coverage in [0, 1], so it lies within bounds = (n_clad + min(0, value),
+    n_clad + max(0, value)).
     """
 
     keys: np.ndarray
-    index: np.ndarray
     n_clad: float
     reference_n0: float
 
     def __post_init__(self):
-        keys, index = np.asarray(self.keys, dtype=np.float64).view(), np.asarray(self.index).view()
-        if keys.ndim != 2 or keys.shape[1] != 5 or index.ndim != 1 or index.dtype.kind not in "iu":
-            raise ValueError("index map needs row keys (rows, 5) and a 1D integer row index (nz,)")
-        if not (len(index) and 0 <= index.min() and index.max() < len(keys)):
-            raise ValueError(f"row index entries must lie in [0, {len(keys)})")
+        keys = np.asarray(self.keys, dtype=np.float64).view()
+        if keys.ndim != 2 or keys.shape[1] != 5 or not len(keys):
+            raise ValueError("index map needs one row key (value, lo1, hi1, lo2, hi2) per z step")
         check_finite(self, "n_clad", "reference_n0")
         if np.isnan(keys).any():
             raise ValueError("row keys must not be NaN")
-        values = keys[:, 0]
+        values, lo1, hi1, lo2, hi2 = keys.T
+        if not ((lo1 <= hi1) & (lo2 <= hi2) & (lo1 <= lo2)).all():
+            raise ValueError("row key intervals need lo1 <= hi1, lo2 <= hi2 and lo1 <= lo2")
         object.__setattr__(self, "bounds", (self.n_clad + min(0.0, float(values.min())),
                                             self.n_clad + max(0.0, float(values.max()))))
         if not (self.bounds[0] > 0 and self.reference_n0 > 0):
             raise ValueError("refractive index (every row and reference_n0) must be positive")
-        for name, array in (("keys", keys), ("index", index)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        keys.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +221,10 @@ class YSplitterGeometry:
 
 
 def straight_slab_map(grid: Grid, spec: SlabSpec, reference_n0: float | None = None) -> RIMap:
-    """z-invariant slab profile of the given spec on the grid."""
+    """z-invariant slab profile of the given spec on the grid: one key, broadcast to every step."""
     half = spec.core_width / 2.0
-    return RIMap(np.array([[spec.n_core - spec.n_clad, -half, half, -half, half]]),
-                 np.zeros(grid.nz, dtype=np.intp), spec.n_clad,
+    key = np.array([spec.n_core - spec.n_clad, -half, half, -half, half])
+    return RIMap(np.broadcast_to(key, (grid.nz, 5)), spec.n_clad,
                  spec.n_core if reference_n0 is None else reference_n0)
 
 
@@ -242,35 +238,25 @@ def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
     check_core_sampling(geometry.branch_separation_final + geometry.core_width, grid.waveguide_grid(), 0)
 
 
-def build_geometry(geometries, grid: Grid, base: SlabSpec) -> list[RIMap]:
-    """Lay out Y-splitters on the grid: one map per geometry, reference index base.n_core.
+def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> RIMap:
+    """Lay out a Y-splitter on the grid: its map, reference index base.n_core.
 
     Core cells take n_core (plus delta_n inside the phase section); edge cells are area weighted
     so the raster integrates to the analytic core area and the discrete mode constants are free
     of staircase bias.  A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice,
-    or the branch cores.  One dict numbers the distinct keys in order of first use, one geometry
-    at a time, reading only the steps whose key differs from the step before; every map shares
-    the one key table, and no row is rasterized here.  Equal float tuples are equal keys, -0.0
-    and 0.0 too, as numpy's != finds them.
+    or the branch cores, computed for every step at once; no row is rasterized here.
     """
+    check_geometry_fits(geometry, grid)
     z, contrast, stem_half = grid.z, base.n_core - base.n_clad, base.core_width / 2.0
-    first_use, indices = {}, []
-    for geometry in geometries:
-        check_geometry_fits(geometry, grid)
-        half = geometry.core_width / 2.0
-        center = half + np.minimum((z - geometry.stem_length) * math.tan(geometry.branch_half_angle),
-                                   (geometry.branch_separation_final - geometry.core_width) / 2.0)
-        step_keys = np.stack([np.full(grid.nz, contrast), -center - half, -center + half,
-                              center - half, center + half], axis=1)
-        step_keys[z < geometry.stem_length, 1:] = (-stem_half, stem_half, -stem_half, stem_half)
-        phase = geometry.phase_section  # it ends inside the stem
-        step_keys[(phase.z_start <= z) & (z < phase.z_start + phase.length), 0] = contrast + phase.delta_n
-        starts = np.flatnonzero(np.r_[True, (step_keys[1:] != step_keys[:-1]).any(axis=1)])
-        numbers = np.fromiter((first_use.setdefault(key, len(first_use))
-                               for key in zip(*step_keys[starts].T.tolist())), np.intp, len(starts))
-        indices.append(np.repeat(numbers, np.diff(np.r_[starts, grid.nz])))
-    keys = np.array(list(first_use), dtype=np.float64).reshape(-1, 5)
-    return [RIMap(keys, index, base.n_clad, base.n_core) for index in indices]
+    half = geometry.core_width / 2.0
+    center = half + np.minimum((z - geometry.stem_length) * math.tan(geometry.branch_half_angle),
+                               (geometry.branch_separation_final - geometry.core_width) / 2.0)
+    keys = np.stack([np.full(grid.nz, contrast), -center - half, -center + half,
+                     center - half, center + half], axis=1)
+    keys[z < geometry.stem_length, 1:] = (-stem_half, stem_half, -stem_half, stem_half)
+    phase = geometry.phase_section  # it ends inside the stem
+    keys[(phase.z_start <= z) & (z < phase.z_start + phase.length), 0] = contrast + phase.delta_n
+    return RIMap(keys, base.n_clad, base.n_core)
 
 
 def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
@@ -358,10 +344,11 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     guide conserves power to rounding.  A step allocates nothing, and the
     monitor is one dot product; each snapshot's power is the exact _power.
     The runs are taken in blocks of at most BLOCK_CELLS cells: a block
-    rasterizes the rows its runs use that the block before did not, and builds
-    the step matrices' diagonals of all its runs at once.
+    rasterizes the rows of its runs, and builds the step matrices' diagonals
+    of all its runs at once.
     """
-    if len(ri_map.index) != grid.nz:
+    keys = ri_map.keys
+    if len(keys) != grid.nz:
         raise ValueError("index map length does not match grid")
     if field.values.shape != (grid.nx,):
         raise ValueError("field length does not match grid")
@@ -379,39 +366,31 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
     coupling = 0.5j * grid.dz * off_diag
     lower = np.full(grid.nx - 1, coupling)
-    # a run is a stretch of steps between the same pair of rows, so with one step matrix
-    before, after = ri_map.index[:-1], ri_map.index[1:]
-    starts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | (after[1:] != after[:-1])])
-    stops = np.r_[starts[1:], grid.nz - 1]
-    per_block = min(len(starts), max(1, BLOCK_CELLS // grid.nx))
+    # a run is a stretch of steps between the same pair of keys, so with one step matrix.  A run of
+    # two or more steps has one row on both sides; a one-step run's second row is the next run's
+    # first, or the last step's.  edges holds each run's first step, then the last step
+    differs = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    edges = np.r_[np.flatnonzero(differs[:-1] | differs[1:]), grid.nz - 1]
+    per_block = min(len(edges) - 1, max(1, BLOCK_CELLS // grid.nx))
     # (1 + i dz/2 A) u' = (1 - i dz/2 A) u: real diagonal parts 1 +/- (dz/2) absorber in every run;
     # scaled is the imaginary part of each run of a block
     half_absorber = 0.5 * grid.dz * _absorber(grid)
     scaled = np.empty((per_block, grid.nx))
     diags, rhs_diags = np.empty((2, per_block, grid.nx), dtype=np.complex128)
     np.subtract(1.0, half_absorber, out=rhs_diags.real)
-    held, held_rows = np.array([-1]), np.empty((1, grid.nx))  # the rows of the block before: none
 
     values = np.array(field.values, dtype=np.complex128)
     rhs, coupled = np.empty_like(values), np.empty_like(values)
     snapshots = [Field(values, 0.0, _power(values, grid.dx))]
     power_prev = snapshots[0].power
 
-    for first in range(0, len(starts), per_block):
-        runs = starts[first:first + per_block]
-        n = len(runs)
-        used, pair = np.unique(np.r_[before[runs], after[runs]], return_inverse=True)
-        at = np.minimum(np.searchsorted(held, used), len(held) - 1)  # both sorted, so a row held
-        fresh = held[at] != used  # by the block before sits where searchsorted puts it
-        rows = np.empty((len(used), grid.nx))
-        rows[~fresh] = held_rows[at[~fresh]]
-        rows[fresh] = _rows(ri_map.keys[used[fresh]], grid, ri_map.n_clad)
-        held, held_rows = used, rows
+    for first in range(0, len(edges) - 1, per_block):
+        runs = edges[first:first + per_block + 1]  # n runs, and the step after the last
+        n = len(runs) - 1
+        rows = _rows(keys[runs], grid, ri_map.n_clad)
         # n_mid = (row_before + row_after) / 2; potential = k / (2 n0) (n0^2 - n_mid^2)
         block = scaled[:n]
-        # take's "clip" writes into block unbuffered; the indices are in range, so it never clips
-        np.take(rows, pair[:n], axis=0, out=block, mode="clip")
-        block += rows[pair[n:]]
+        np.add(rows[:n], rows[np.arange(n) + (np.diff(runs) == 1)], out=block)
         block *= 0.5
         np.multiply(block, block, out=block)
         np.subtract(n0 * n0, block, out=block)
@@ -421,8 +400,7 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
         np.subtract(0.0, block, out=rhs_diags.imag[:n])  # 0 - x and 0 + x: the zeros of 1 -/+ i x
         np.add(1.0, half_absorber, out=diags.real[:n])  # a one-step run's zgtsv overwrites diag
         np.add(0.0, block, out=diags.imag[:n])
-        for start, stop, diag, rhs_diag in zip(runs.tolist(), stops[first:first + n].tolist(),
-                                               diags, rhs_diags):
+        for start, stop, diag, rhs_diag in zip(runs[:-1].tolist(), runs[1:].tolist(), diags, rhs_diags):
             if stop - start > 1:
                 *factors, info = zgttrf(lower, diag, lower)
                 _check_nonsingular(info, grid.dz * start)
@@ -494,20 +472,20 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     """
     for core_width in (base.core_width, geometry.core_width):  # the stem and a branch, before the solve
         check_core_sampling(core_width, grid.waveguide_grid())
-    modes = solve_slab_te_modes(base, grid=grid.waveguide_grid())
+    modes = solve_slab_te_modes(base, grid=grid.waveguide_grid(), count=2)
     if len(modes) < 2:
         raise ValueError("base guide must carry two modes")
-    launch = field_from_modes(modes[:2], [1 / math.sqrt(2.0), 1 / math.sqrt(2.0)], grid)
+    launch = field_from_modes(modes, [1 / math.sqrt(2.0), 1 / math.sqrt(2.0)], grid)
     # 2 theta = ([beta1 - beta0](n_core + delta_n) - [beta1 - beta0](n_core)) length: the solves refuse,
     # before any march, a bump in the section that leaves the guide single-mode
     length = geometry.phase_section.length
     thetas = [(delta_beta(replace(base, n_core=base.n_core + float(delta_n))) - delta_beta(base))
               * length / 2.0 if length else 0.0 for delta_n in delta_n_list]
-    bumps = [replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
-             for delta_n in delta_n_list]
     rows = []
-    for delta_n, theta, ri_map in zip(delta_n_list, thetas, build_geometry(bumps, grid, base)):
-        final = propagate(launch, ri_map, grid, base.wavelength, snapshot_every=grid.nz)[-1]
+    for delta_n, theta in zip(delta_n_list, thetas):
+        bump = replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
+        final = propagate(launch, build_geometry(bump, grid, base), grid, base.wavelength,
+                          snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, grid)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))
     return rows

@@ -307,18 +307,18 @@ def _build(config: RunConfig) -> SimpleNamespace:
         b.memory += 256 * b.grid.nx  # the march's work arrays
     if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
         # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects; 24 B a z step for
-        # the map's row index and the march's run table
+        # the march's run detection over the straight map's one broadcast key (6 B traced)
         b.memory += (512 * b.grid.nx + 24 * b.grid.nz
                      + (24 * b.grid.nx + 512) * ((b.grid.nz - 1) // params["snapshot_every"] + 2))
-    if "stem_length_um" in params:  # fig2: 16 B a z step and bump, a row index and a run table;
-        # a march's block of runs, at most BLOCK_CELLS cells (or one row) at 80 B a cell (73 B
-        # traced); and 8 B a cell of at most nz + bumps distinct rows.  The march holds a block of
-        # rows at a time, so this last term bounds the cells the marches cross, not memory held
+    if "stem_length_um" in params:  # fig2 builds and marches one bump's map at a time: 96 B a z
+        # step for build_geometry's step keys and temporaries (96 B traced; the march holds the
+        # 40 B keys and a run table of 16 B); a march's block of runs, at most BLOCK_CELLS cells
+        # (or one row) at 80 B a cell (73 B traced); and 8 B a cell of nz + bumps rows, which
+        # bounds the cells the marches cross, not memory held
         check_geometry_fits(b.geometry, b.grid)
         check_core_sampling(b.geometry.core_width, b.grid.waveguide_grid())  # a branch
-        bumps = len(params["delta_n_list"])
-        b.memory += (2 * bumps * b.grid.nz * 8 + 80 * min(max(b.grid.nx, BLOCK_CELLS), b.grid.nz * b.grid.nx)
-                     + (b.grid.nz + bumps) * b.grid.nx * 8)
+        b.memory += (96 * b.grid.nz + 80 * min(max(b.grid.nx, BLOCK_CELLS), b.grid.nz * b.grid.nx)
+                     + (b.grid.nz + len(params["delta_n_list"])) * b.grid.nx * 8)
     if b.memory > MEMORY_BUDGET:
         raise ValueError(f"the run needs about {b.memory / 1e9:.3g} GB, over the "
                          f"{MEMORY_BUDGET / 1e9:g} GB budget")
@@ -403,8 +403,8 @@ def _run_fig2(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
 
 def _run_bpm(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
     spec, grid = b.spec, b.grid
-    modes = solve_slab_te_modes(spec, grid=grid.waveguide_grid())
-    launch = field_from_modes(modes[:2], b.coeffs, grid)
+    modes = solve_slab_te_modes(spec, grid=grid.waveguide_grid(), count=2)
+    launch = field_from_modes(modes, b.coeffs, grid)
     ri_map = straight_slab_map(grid, spec)
     snapshots = propagate(launch, ri_map, grid, spec.wavelength,
                           snapshot_every=config.parameters["snapshot_every"])

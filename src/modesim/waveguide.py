@@ -196,21 +196,22 @@ def _dispersion(spec: SlabSpec, count: float) -> tuple[tuple[int, float, float, 
     return _solved(spec, min(max(count, 2), branches))[:min(count, branches)]
 
 
-def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = None) -> list[GuidedMode]:
-    """All guided TE modes of a symmetric slab, sorted by descending beta.
+def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = None,
+                        count: float = math.inf) -> list[GuidedMode]:
+    """The first count guided TE modes of a symmetric slab (all by default), by descending beta.
 
-    The profiles are sampled on grid (x_min, dx, count), or on default_grid(core_width).
+    The profiles are sampled on grid (x_min, dx, points), or on default_grid(core_width).
     Returns an empty list below normalized frequency 1e-6, and raises ValueError if a beta
     below the top mode's is not resolvable in float64.  Each returned beta satisfies the
     dispersion relation to residual below 1e-12 and lies strictly inside (k n_clad, k n_core).
     """
-    x_min, dx, count = default_grid(spec.core_width) if grid is None else grid
-    x = x_min + dx * np.arange(count)
+    x_min, dx, points = default_grid(spec.core_width) if grid is None else grid
+    x = x_min + dx * np.arange(points)
     half = spec.core_width / 2.0
     inside = np.abs(x) <= half
     modes: list[GuidedMode] = []
-    for m, u, v, beta in _dispersion(spec, math.inf):
-        profile = np.empty(count, dtype=np.float64)
+    for m, u, v, beta in _dispersion(spec, count):
+        profile = np.empty(points, dtype=np.float64)
         tail = np.exp(-(v / half) * (np.abs(x[~inside]) - half))
         if m % 2 == 0:
             profile[inside] = np.cos((u / half) * x[inside])
@@ -219,7 +220,7 @@ def solve_slab_te_modes(spec: SlabSpec, grid: tuple[float, float, int] | None = 
             profile[inside] = np.sin((u / half) * x[inside])
             profile[~inside] = math.sin(u) * np.sign(x[~inside]) * tail
         norm = math.sqrt(float(np.trapezoid(np.abs(profile) ** 2, dx=dx)))
-        modes.append(GuidedMode(index=m, beta=beta, profile=profile / norm, grid=(x_min, dx, count)))
+        modes.append(GuidedMode(index=m, beta=beta, profile=profile / norm, grid=(x_min, dx, points)))
     return modes
 
 

@@ -384,6 +384,29 @@ class TestMain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert abs(manifest["derived"]["power_drift"]) < 1e-6
 
+    @pytest.mark.parametrize("text,guided", [
+        ("experiment=bpm-run\ncore_width_um=2000\nwindow_um=4000\nnx=32768\nlength_um=2\n", 447),
+        ("experiment=fig2\ncore_width_um=30\n", 7),
+    ], ids=["bpm-run", "fig2"])
+    def test_wide_slab_samples_only_the_launched_profiles(self, tmp_path, monkeypatch, text, guided):
+        # the runs launch TE0 and TE1: the 2 mm bpm-run core once sampled all 447 guided profiles
+        # at nx=32768 (117 MB) to launch two.  fig2's march does not touch the solver, so it is stubbed
+        sampled, original = [], bpm.solve_slab_te_modes
+
+        def solve(*args, **kwargs):
+            modes = original(*args, **kwargs)
+            sampled.append(len(modes))
+            return modes
+
+        for module in (bpm, cli):
+            monkeypatch.setattr(module, "solve_slab_te_modes", solve)
+        monkeypatch.setattr(bpm, "propagate", lambda field, *args, **kwargs: [field])
+        config = parse_config_text(text)
+        assert validate(config) == []
+        assert math.ceil(2.0 * cli._build(config).spec.v_number / math.pi) == guided
+        run(config, tmp_path / "out", quiet=True)
+        assert sampled == [2]
+
     def test_config_error_exit_and_no_outputs(self, tmp_path):
         config = write_config(tmp_path, "experiment=chsh-scan\nbogus=1\n")
         out = tmp_path / "out"
@@ -870,9 +893,9 @@ class TestMemoryEstimate:
         ("experiment=decohere\nlength_max_m=0.2\nn_realizations=8\n", 2),
         ("experiment=modes\ncore_width_um=400\n", 1),
         ("experiment=delays\nn_lengths=2000\n", 1),
-        # two snapshots of 64 points: the row index of 100001 z steps holds most of the peak
-        ("experiment=bpm-run\nnx=64\nwindow_um=16\nlength_um=50000\nsnapshot_every=1000000\n", 1),
-        # 20 bumps: each its own row index
+        # two snapshots of 64 points: the run detection over 200001 z steps holds most of the peak
+        ("experiment=bpm-run\nnx=64\nwindow_um=16\nlength_um=100000\nsnapshot_every=1000000\n", 1),
+        # 20 bumps, each marched on its own map
         ("experiment=fig2\ndelta_n_list=" + ";".join(f"{i}e-7" for i in range(20))
          + "\nstem_length_um=400\nphase_length_um=300\nnx=256\nwindow_um=48\n", 1),
         # a short splitter on a coarse grid: the march's block of runs holds most of the peak

@@ -516,8 +516,8 @@ INF, NAN = math.inf, math.nan
     lambda: PerturbationModel(0.05, 100e-6, complex(500.0, INF)),
     lambda: YSplitterGeometry(INF, 0.007, 24e-6, 4e-6),
     lambda: YSplitterGeometry(1e-3, 0.007, INF, 4e-6),
-    lambda: bpm.RIMap(np.zeros((1, 5)), np.zeros(2, dtype=int), 1.5, INF),
-    lambda: bpm.RIMap(np.zeros((1, 5)), np.zeros(2, dtype=int), INF, 1.5),
+    lambda: bpm.RIMap(np.zeros((2, 5)), 1.5, INF),
+    lambda: bpm.RIMap(np.zeros((2, 5)), INF, 1.5),
 ], ids=["slab_core_width_inf", "slab_wavelength_inf", "phase_delta_n_nan", "phase_delta_n_inf",
         "phase_length_inf", "phase_start_inf", "grid_x_min_nan", "grid_x_min_inf", "grid_dx_inf",
         "grid_dz_inf", "model_sigma_inf", "model_corr_length_inf", "model_k_ab_nan",
