@@ -21,10 +21,16 @@ of the window on each side) removes radiation before it can wrap around.
 An index map stores one row key (core value and core intervals) per z step.
 The march takes its steps in runs between the same pair of consecutive
 keys: it LU-factors a run's tridiagonal step matrix once (LAPACK ?gttrf) and
-solves each step with ?gttrs, or solves a one-step run with ?gtsv.  It
-rasterizes the rows of a block of runs as it reaches them, so no march holds
-more than one block of rows.  scipy, which provides the solvers, is imported
-on the first march, not with this module.
+solves each step with ?gttrs, or solves a one-step run with ?gtsv.  A block
+of runs builds its step matrices' diagonals as it reaches them, and only over
+its core window, the cells between its outermost core edges: the diagonal of a
+wholly covered core cell is computed once per core value and copied, and the
+area-weighted diagonal is computed only at the cells near a core edge, or where
+a run's two rows differ.  The diagonal buffers keep the cladding's value
+outside the window from block to block, and the solvers copy them rather than
+overwrite them.  Every diagonal is bit-identical to one built from both rows of
+its run, each area-weighted over every cell.  scipy, which provides the
+solvers, is imported on the first march, not with this module.
 
 build_geometry lays out a symmetric Y-splitter: a dual-mode stem, a
 phase section where the core index is raised by delta_n, and two
@@ -32,10 +38,8 @@ single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
 phase 2*theta controlled by delta_n.  The fig2 experiment builds the map of
-each delta_n just before it marches it.
-A row starts as cladding; its wholly covered cells copy one fully covered
-row, and only the few partly covered cells at each core edge are area
-weighted, so each row is bit-identical to area-weighting every cell.
+each delta_n just before it marches it, and checks every bump's paraxial
+step limit before the first march.
 """
 from __future__ import annotations
 
@@ -123,7 +127,7 @@ class Grid:
 @dataclass(frozen=True, eq=False)
 class RIMap:
     """Refractive-index landscape n(x_i, z_j): the row of keys[j] rasterized over cladding n_clad
-    (see _rows), plus the reference index.
+    (see _raster), plus the reference index.
 
     A key is (value, lo1, hi1, lo2, hi2), one per z step: the core index n_clad + value over the
     intervals [lo1, hi1] and [lo2, hi2] in x (m), lo1 <= hi1, lo2 <= hi2 and lo1 <= lo2.  The map
@@ -152,6 +156,10 @@ class RIMap:
             raise ValueError("refractive index (every row and reference_n0) must be positive")
         keys.setflags(write=False)
         object.__setattr__(self, "keys", keys)
+
+    @property
+    def contrast(self) -> float:  # the largest |n - reference_n0| of a rasterized cell, by the bounds
+        return max(self.bounds[1] - self.reference_n0, self.reference_n0 - self.bounds[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,43 +267,56 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> R
     return RIMap(keys, base.n_clad, base.n_core)
 
 
-def _rows(keys: np.ndarray, grid: Grid, n_clad: float) -> np.ndarray:
-    """One row n_clad + value * coverage per key (value, lo1, hi1, lo2, hi2), lo1 <= lo2: the
-    fraction of each cell [left, right] inside the intervals, merged where they touch.  In a whole
-    cell the overlap clip(min(right, hi) - max(left, lo), 0, dx) / dx is clip(right - left, 0, dx)
-    / dx, so only the few partly covered cells take the overlap, summed where two share one."""
+def _raster(grid: Grid, n_clad: float, f=lambda n: n):
+    """Rasterizer of row keys (value, lo1, hi1, lo2, hi2), lo1 <= lo2, whose row is n_clad + value *
+    coverage, the fraction of each cell [left, right] inside the intervals, merged where they touch.
+
+    raster(keys, pair) returns the first cell of the keys' core window, from the leftmost core edge
+    to the rightmost, and f((row[i] + row[pair[i]]) / 2) over it for each i < len(pair); each cell
+    outside it is f(n_clad).  A whole cell's overlap clip(min(right, hi) - max(left, lo), 0, dx) / dx
+    is full = clip(right - left, 0, dx) / dx, so row i copies its whole cells from f(n_clad + value *
+    full), kept per core value.  Rows of one value differ only between their matching interval ends,
+    and (x + x) / 2 = x: so only those cells, or all of both cores where the values differ, take the
+    overlap summed over both intervals, which gives any cell its row's value.
+    """
     left, right = grid.x - grid.dx / 2.0, grid.x + grid.dx / 2.0
     full = np.clip(right - left, 0.0, grid.dx) / grid.dx
-    joined = keys[:, 3] <= keys[:, 2]
-    lo, hi = keys[:, [1, 3]], keys[:, [2, 4]]
-    hi[joined, 0] = np.maximum(hi[joined, 0], hi[joined, 1])
-    lo[joined, 1] = hi[joined, 1] = -np.inf  # merged into the first: no cells
-    enter, inside = np.searchsorted(right, lo, "right"), np.searchsorted(left, lo)
-    leave, past = np.searchsorted(right, hi, "right"), np.searchsorted(left, hi)
-    rows = np.empty((len(keys), grid.nx))
-    step = max(1, BLOCK_CELLS // grid.nx)
-    for start in range(0, len(keys), step):  # cladding, and the wholly covered cells
-        block, cut = rows[start:start + step], slice(start, start + step)
-        block.fill(n_clad)
-        span, column = _cells(inside[cut], leave[cut])
-        block.reshape(-1)[span // 2 * grid.nx + column] = n_clad + keys[cut, 0][span // 2] * full[column]
-    # the few partly covered cells: [enter, inside) and [leave, past), or [enter, past) if none is whole
-    solid = inside < leave
-    span, column = _cells(np.stack([enter, np.where(solid, leave, past)], axis=2),
-                          np.stack([np.where(solid, inside, past), past], axis=2))
-    overlap = (np.minimum(right[column], hi.ravel()[span // 2])
-               - np.maximum(left[column], lo.ravel()[span // 2]))
-    cell, shared = np.unique(span // 4 * grid.nx + column, return_inverse=True)
-    fraction = np.bincount(shared, np.clip(overlap, 0.0, grid.dx) / grid.dx, len(cell))
-    rows.reshape(-1)[cell] = n_clad + keys[cell // grid.nx, 0] * np.clip(fraction, 0.0, 1.0)
-    return rows
+    cladding = f(np.float64(n_clad))
+    by_value = {}  # core value -> f of its whole cells, for at most BLOCK_CELLS cells of values
 
+    def raster(keys: np.ndarray, pair: np.ndarray) -> tuple[int, np.ndarray]:
+        n, values, ends = len(pair), keys[:, 0], keys[:, [1, 3, 2, 4]]  # lo1, lo2, hi1, hi2
+        joined = ends[:, 1] <= ends[:, 2]  # merged into the first: the second empty, at its end
+        np.maximum(ends[:, 2], ends[:, 3], out=ends[:, 2], where=joined)
+        np.copyto(ends[:, 1::2], ends[:, 2, None], where=joined[:, None])
+        # a cell is whole from the first with left >= lo to the last with right <= hi; each end's
+        # cells [first, last) hold the others, and any of zero width (right == left)
+        after, before = np.searchsorted(left, ends), np.searchsorted(right, ends, "right")
+        first, last = np.minimum(after, before), np.maximum(after, before)
+        start = int(first[:, 0].min())
+        rows = np.full((n, int(last.max()) - start), cladding)
+        for row, value, cut, end in zip(rows, values.tolist(), after[:, :2].tolist(), before[:, 2:].tolist()):
+            whole = by_value.get(value)
+            if whole is None:
+                if len(by_value) * grid.nx >= BLOCK_CELLS:
+                    by_value.clear()
+                whole = by_value[value] = f(n_clad + value * full)
+            for a, b in zip(cut, end):
+                row[a - start:b - start] = whole[a:b]
+        # the cells between a pair's matching ends, or from its first end to its last
+        first, last = np.minimum(first[:n], first[pair]), np.maximum(last[:n], last[pair])
+        np.copyto(last[:, 0], last.max(axis=1), where=values[:n] != values[pair])
+        counts = (last - first).ravel()
+        owner = np.repeat(np.arange(n), counts.reshape(n, 4).sum(axis=1))
+        cells = np.arange(len(owner)) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
+        twins = np.stack([owner, pair[owner]])
+        overlap = np.clip(np.minimum(right[cells, None], ends[twins, 2:])
+                          - np.maximum(left[cells, None], ends[twins, :2]), 0.0, grid.dx) / grid.dx
+        index = n_clad + values[twins] * np.clip(overlap[..., 0] + overlap[..., 1], 0.0, 1.0)
+        rows[owner, cells - start] = f((index[0] + index[1]) * 0.5)
+        return start, rows
 
-def _cells(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat span number and column of each cell start <= column < stop of every span."""
-    counts = np.maximum(stop - start, 0).ravel()
-    span = np.repeat(np.arange(counts.size), counts)
-    return span, np.arange(len(span)) - (np.cumsum(counts) - counts - start.ravel())[span]
+    return raster
 
 
 def _power(values: np.ndarray, dx: float) -> float:
@@ -343,9 +364,9 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     above 1e-6 per step aborts with diagnostics, and a lossless straight
     guide conserves power to rounding.  A step allocates nothing, and the
     monitor is one dot product; each snapshot's power is the exact _power.
-    The runs are taken in blocks of at most BLOCK_CELLS cells: a block
-    rasterizes the rows of its runs, and builds the step matrices' diagonals
-    of all its runs at once.
+    The runs are taken in blocks of at most BLOCK_CELLS cells: a block builds
+    the step matrices' diagonals of all its runs at once, over its core window
+    (see _raster), in buffers that hold the cladding's diagonal elsewhere.
     """
     keys = ri_map.keys
     if len(keys) != grid.nz:
@@ -358,26 +379,32 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
 
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    low, high = ri_map.bounds
-    contrast = max(high - n0, n0 - low)  # bounds every |n - n0| the rows hold
-    check_paraxial_dz(grid.dz, wavelength, contrast)
+    check_paraxial_dz(grid.dz, wavelength, ri_map.contrast)
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
     coupling = 0.5j * grid.dz * off_diag
     lower = np.full(grid.nx - 1, coupling)
+
+    def diagonal(n_mid):  # dz/2 times the laplacian and the potential k / (2 n0) (n0^2 - n_mid^2)
+        return ((n0 * n0 - n_mid * n_mid) * (k / (2.0 * n0)) + laplacian_diag) * (0.5 * grid.dz)
+
     # a run is a stretch of steps between the same pair of keys, so with one step matrix.  A run of
     # two or more steps has one row on both sides; a one-step run's second row is the next run's
     # first, or the last step's.  edges holds each run's first step, then the last step
     differs = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
     edges = np.r_[np.flatnonzero(differs[:-1] | differs[1:]), grid.nz - 1]
     per_block = min(len(edges) - 1, max(1, BLOCK_CELLS // grid.nx))
-    # (1 + i dz/2 A) u' = (1 - i dz/2 A) u: real diagonal parts 1 +/- (dz/2) absorber in every run;
-    # scaled is the imaginary part of each run of a block
+    raster = _raster(grid, ri_map.n_clad, diagonal)
+    # (1 + i dz/2 A) u' = (1 - i dz/2 A) u: real diagonal parts 1 +/- (dz/2) absorber in every run,
+    # and imaginary parts 0 +/- diagonal, the cladding's outside the block's core window [start, stop)
+    cladding = diagonal(ri_map.n_clad)
     half_absorber = 0.5 * grid.dz * _absorber(grid)
-    scaled = np.empty((per_block, grid.nx))
     diags, rhs_diags = np.empty((2, per_block, grid.nx), dtype=np.complex128)
+    np.add(1.0, half_absorber, out=diags.real)
     np.subtract(1.0, half_absorber, out=rhs_diags.real)
+    diags.imag, rhs_diags.imag = 0.0 + cladding, 0.0 - cladding
+    start = stop = 0
 
     values = np.array(field.values, dtype=np.complex128)
     rhs, coupled = np.empty_like(values), np.empty_like(values)
@@ -387,32 +414,26 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
     for first in range(0, len(edges) - 1, per_block):
         runs = edges[first:first + per_block + 1]  # n runs, and the step after the last
         n = len(runs) - 1
-        rows = _rows(keys[runs], grid, ri_map.n_clad)
-        # n_mid = (row_before + row_after) / 2; potential = k / (2 n0) (n0^2 - n_mid^2)
-        block = scaled[:n]
-        np.add(rows[:n], rows[np.arange(n) + (np.diff(runs) == 1)], out=block)
-        block *= 0.5
-        np.multiply(block, block, out=block)
-        np.subtract(n0 * n0, block, out=block)
-        block *= k / (2.0 * n0)
-        block += laplacian_diag
-        block *= 0.5 * grid.dz
-        np.subtract(0.0, block, out=rhs_diags.imag[:n])  # 0 - x and 0 + x: the zeros of 1 -/+ i x
-        np.add(1.0, half_absorber, out=diags.real[:n])  # a one-step run's zgtsv overwrites diag
-        np.add(0.0, block, out=diags.imag[:n])
-        for start, stop, diag, rhs_diag in zip(runs[:-1].tolist(), runs[1:].tolist(), diags, rhs_diags):
-            if stop - start > 1:
+        # n_mid is the mean of a run's rows: a one-step run's second row is the next key's
+        window, run_diags = raster(keys[runs], np.arange(n) + (np.diff(runs) == 1))
+        for low, high in ((start, min(stop, window)), (max(start, window + run_diags.shape[1]), stop)):
+            diags.imag[:, low:high], rhs_diags.imag[:, low:high] = 0.0 + cladding, 0.0 - cladding
+        start, stop = window, window + run_diags.shape[1]
+        np.add(0.0, run_diags, out=diags.imag[:n, start:stop])  # 0 + x and 0 - x: the zeros of 1 +/- i x
+        np.subtract(0.0, run_diags, out=rhs_diags.imag[:n, start:stop])
+        for begin, end, diag, rhs_diag in zip(runs[:-1].tolist(), runs[1:].tolist(), diags, rhs_diags):
+            if end - begin > 1:
                 *factors, info = zgttrf(lower, diag, lower)
-                _check_nonsingular(info, grid.dz * start)
-            for j in range(start, stop):
+                _check_nonsingular(info, grid.dz * begin)
+            for j in range(begin, end):
                 np.multiply(rhs_diag, values, out=rhs)
                 np.multiply(coupling, values, out=coupled)
                 rhs[:-1] -= coupled[1:]
                 rhs[1:] -= coupled[:-1]
-                if stop - start > 1:
+                if end - begin > 1:
                     solved, _ = zgttrs(*factors, rhs, overwrite_b=1)
-                else:  # lower is shared by every run, so only the main diagonal is overwritten
-                    *_, solved, info = zgtsv(lower, diag, lower, rhs, overwrite_d=1, overwrite_b=1)
+                else:  # f2py copies the diagonals it is not told to overwrite, so each is kept
+                    *_, solved, info = zgtsv(lower, diag, lower, rhs, overwrite_b=1)
                     _check_nonsingular(info, grid.dz * j)
                 values, rhs = solved, values
                 power = np.vdot(values, values).real * grid.dx
@@ -481,9 +502,12 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     length = geometry.phase_section.length
     thetas = [(delta_beta(replace(base, n_core=base.n_core + float(delta_n))) - delta_beta(base))
               * length / 2.0 if length else 0.0 for delta_n in delta_n_list]
+    bumps = [replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
+             for delta_n in delta_n_list]
+    for bump in bumps:  # the march's paraxial step limit, for every bump before the first march
+        check_paraxial_dz(grid.dz, base.wavelength, build_geometry(bump, grid, base).contrast)
     rows = []
-    for delta_n, theta in zip(delta_n_list, thetas):
-        bump = replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
+    for delta_n, theta, bump in zip(delta_n_list, thetas, bumps):
         final = propagate(launch, build_geometry(bump, grid, base), grid, base.wavelength,
                           snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, grid)

@@ -313,7 +313,7 @@ def _build(config: RunConfig) -> SimpleNamespace:
     if "stem_length_um" in params:  # fig2 builds and marches one bump's map at a time: 96 B a z
         # step for build_geometry's step keys and temporaries (96 B traced; the march holds the
         # 40 B keys and a run table of 16 B); a march's block of runs, at most BLOCK_CELLS cells
-        # (or one row) at 80 B a cell (73 B traced); and 8 B a cell of nz + bumps rows, which
+        # (or one row) at 80 B a cell (39 B traced); and 8 B a cell of nz + bumps rows, which
         # bounds the cells the marches cross, not memory held
         check_geometry_fits(b.geometry, b.grid)
         check_core_sampling(b.geometry.core_width, b.grid.waveguide_grid())  # a branch
@@ -514,6 +514,22 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> dict:
     return manifest
 
 
+def default_threads(config: RunConfig) -> int:
+    """--threads' default: the usable CPUs, at most one per seed pair of the run's ensemble (see
+    stochastic.pair_seed) and as many as the memory budget allows; 1 for a run without one."""
+    if "n_realizations" not in config.parameters:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    last = config.seed + config.parameters["n_realizations"] - 1
+    for threads in range(min(cpus, last // 2 - config.seed // 2 + 1), 1, -1):
+        try:
+            _build(replace(config, threads=threads))
+            return threads
+        except (ValueError, ArithmeticError):  # over budget, or a config validate refuses at one thread too
+            pass
+    return 1
+
+
 def main(argv=None) -> int:
     import argparse  # deferred, like json in _io: importing modesim.cli loads neither
     parser = argparse.ArgumentParser(
@@ -523,13 +539,15 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for ensembles")
+    parser.add_argument("--threads", type=int, default=None, help="worker threads for ensembles (default: "
+                        "the usable CPUs, at most one per seed pair and as many as the memory budget allows)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
-        config = replace(config, seed=config.seed if args.seed is None else args.seed, threads=args.threads)
+        config = replace(config, seed=config.seed if args.seed is None else args.seed)
+        config = replace(config, threads=default_threads(config) if args.threads is None else args.threads)
         diagnostics = validate(config)
         for diag in diagnostics:
             if not args.quiet or diag.severity == "error":

@@ -38,9 +38,18 @@ def straight_grid(nz=801, nx=1024, window=80e-6, dz=0.5e-6):
     return Grid(-window / 2, window / (nx - 1), nx, dz, nz)
 
 
+def raster_rows(keys, grid, n_clad):
+    """The full-width row of each key: bpm._raster's rows over the keys' core window, cladding
+    around it."""
+    start, window = bpm._raster(grid, n_clad)(np.asarray(keys, dtype=np.float64), np.arange(len(keys)))
+    rows = np.full((len(keys), grid.nx), n_clad)
+    rows[:, start:start + window.shape[1]] = window
+    return rows
+
+
 def full_map(ri_map, grid):
     """The (nz, nx) index map that ri_map stores as one row key per z step."""
-    return bpm._rows(ri_map.keys, grid, ri_map.n_clad)
+    return raster_rows(ri_map.keys, grid, ri_map.n_clad)
 
 
 def uniform_map(grid, index):
@@ -177,7 +186,7 @@ def default_geometry(stem_um=400.0, delta_n=0.0, phase_len_um=200.0):
 
 def coverage(x, dx, intervals):
     """Fraction of each cell [x - dx/2, x + dx/2] covered by the intervals, merged where
-    they touch: the full-width rasterization that bpm._rows must match bit for bit."""
+    they touch: the full-width rasterization that bpm._raster must match bit for bit."""
     merged = []
     for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
@@ -417,6 +426,15 @@ class TestPropagation:
         with pytest.raises(ValueError, match="points across the core"):
             fig2_experiment([0.0], stem, geometry, grid)
 
+    def test_splitter_checks_every_bump_step_limit_before_marching(self, default_slab, monkeypatch):
+        # at dz = 7 um the bump 0.02 breaks the paraxial step limit (3.9 um) that the bump 0 keeps
+        # (7.75 um): the experiment once marched the first bump, then refused the second
+        geometry = default_geometry(stem_um=400.0)
+        grid = Grid(-32e-6, 64e-6 / 511, 512, 7e-6, int(geometry.separation_end_z() / 7e-6) + 2)
+        monkeypatch.setattr(bpm, "propagate", None)  # refused before any march
+        with pytest.raises(ValueError, match="paraxial accuracy limit"):
+            fig2_experiment([0.0, 0.02], default_slab, geometry, grid)
+
 
 @st.composite
 def row_keys(draw):
@@ -436,7 +454,7 @@ def row_keys(draw):
 
 
 class TestRIMap:
-    # _rows merges a key's intervals on the assumption lo1 <= lo2: the cores listed right first
+    # _raster merges a key's intervals on the assumption lo1 <= lo2: the cores listed right first
     # once rasterized only one core (5 core cells instead of 10), and a reversed core none
     @pytest.mark.parametrize("keys", [
         np.zeros((1, 2, 5)),
@@ -473,7 +491,7 @@ class TestRIMap:
     def test_bounds_enclose_every_rasterized_cell(self, case, data):
         keys, grid, n_clad = case
         low, high = RIMap(keys, n_clad, 1.5).bounds
-        rows = bpm._rows(keys, grid, n_clad)
+        rows = raster_rows(keys, grid, n_clad)
         assert low <= rows.min() and rows.max() <= high
         assert (low, high) == (n_clad + min(0.0, keys[:, 0].min()), n_clad + max(0.0, keys[:, 0].max()))
         broken = keys.copy()
@@ -591,6 +609,20 @@ class TestKeptFactorization:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bpm, "BLOCK_CELLS", runs_per_block * grid.nx)
             self._assert_matches_step_loop(launch, RIMap(keys, 1.49, 1.5), grid, 1.55e-6, every)
+
+    @given(splitters(), st.integers(1, 3), st.sampled_from([1, 4, "nz"]))
+    @settings(max_examples=100, deadline=None)
+    def test_splitter_blocks_match_step_loop_oracle(self, case, runs_per_block, every):
+        # blocks of 1 to 3 runs: each block's core window moves, the cells it leaves are reset to
+        # the cladding's diagonal, and blocks split the phase section's edges, where the value changes
+        geometry, grid, base = case
+        ri_map = build_geometry(geometry, grid, base)
+        wavelength = max(base.wavelength, 25.0 * grid.dz * ri_map.contrast)  # within the step limit
+        values = np.exp(-(grid.x / base.core_width) ** 2).astype(complex)
+        launch = Field(values, 0.0, bpm._power(values, grid.dx))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bpm, "BLOCK_CELLS", runs_per_block * grid.nx)
+            self._assert_matches_step_loop(launch, ri_map, grid, wavelength, grid.nz if every == "nz" else every)
 
     def test_lossless_straight_guide_matches_step_loop_oracle(self, default_slab, monkeypatch):
         monkeypatch.setattr(bpm, "DEFAULT_ABSORBER_STRENGTH", 0.0)
@@ -764,9 +796,9 @@ def taper_march_peak(default_slab, angle_deg, nz):
 class TestFigTwoSharedRaster:
     def test_map_memory_at_benchmark_size(self, default_slab):
         # fig2 at the benchmark's bpm_splitter size: 2814 z steps of 2048 points.
-        # Each bump's march holds its 2814 step keys and rasterizes its rows a block of at
-        # most 2^16 cells at a time: 4.7 MB traced, where the rows array of the 1437 distinct
-        # rows alone took 23.5 MB.  scipy.linalg is imported at the top of this module, so its
+        # Each bump's march holds its 2814 step keys and builds its step-matrix diagonals a block
+        # of at most 2^16 cells at a time: 3.3 MB traced, where the rows array of the 1437
+        # distinct rows alone took 23.5 MB.  scipy.linalg is imported at the top of this module, so its
         # import is not counted.
         geometry = YSplitterGeometry(1130e-6, math.radians(0.4), 24e-6, 4e-6,
                                      phase_section=PhaseSection(0.0, 1000e-6, z_start=50e-6))

@@ -669,6 +669,36 @@ class TestMain:
                      "--quiet"]) == EXIT_OK
         assert (out1 / "decohere.csv").read_bytes() == (out2 / "decohere.csv").read_bytes()
 
+    @pytest.mark.parametrize("text,budget_threads,expected", [
+        ("experiment=decohere\nlength_max_m=0.02\nn_lengths=3\nn_realizations=7\nseed=7\n", None, 4),
+        ("experiment=decohere\nlength_max_m=0.02\nn_lengths=3\nn_realizations=3\n", None, 2),
+        ("experiment=decohere\nlength_max_m=0.02\nn_lengths=3\nn_realizations=7\nseed=7\n", 2, 2),
+        ("experiment=decohere\nlength_max_m=0.02\nn_lengths=3\nn_realizations=7\nseed=7\n", 1, 1),
+    ], ids=["cpus", "seed_pairs", "budget_of_two", "budget_of_one"])
+    def test_default_threads_give_the_bytes_of_one_thread(self, tmp_path, monkeypatch, text, budget_threads,
+                                                          expected):
+        # four usable CPUs; seeds 7 to 13 share four seed pairs (the first and last split), and
+        # seeds 0 to 2 two.  A budget that holds the run at one or two threads caps the default,
+        # so a config that fits only at one thread still runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        config = parse_config_text(text)
+        if budget_threads is not None:
+            monkeypatch.setattr(cli, "MEMORY_BUDGET", cli._build(replace(config, threads=budget_threads)).memory)
+        assert cli.default_threads(config) == expected
+        jobs, scan = [], cli.ensemble_scan
+        monkeypatch.setattr(cli, "ensemble_scan", lambda *args, **kwargs: jobs.append(kwargs["n_jobs"])
+                            or scan(*args, **kwargs))
+        path = write_config(tmp_path, text)
+        for name, extra in (("default", []), ("one", ["--threads", "1"])):
+            assert main(["--config", str(path), "--out", str(tmp_path / name), "--quiet", *extra]) == EXIT_OK
+        assert jobs == [expected, 1]
+        for file in ("decohere.csv", "manifest.json"):
+            assert (tmp_path / "default" / file).read_bytes() == (tmp_path / "one" / file).read_bytes()
+
+    def test_default_threads_of_a_run_without_an_ensemble(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert cli.default_threads(parse_config_text("experiment=fig2\n")) == 1
+
     def test_manifest_schema(self, tmp_path):
         config = write_config(tmp_path, "experiment=rates\nseed=5\n")
         out = tmp_path / "out"
