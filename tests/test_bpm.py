@@ -622,7 +622,8 @@ class TestKeptFactorization:
         launch = Field(values, 0.0, bpm._power(values, grid.dx))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bpm, "BLOCK_CELLS", runs_per_block * grid.nx)
-            self._assert_matches_step_loop(launch, ri_map, grid, wavelength, grid.nz if every == "nz" else every)
+            every = grid.nz if every == "nz" else every
+            self._assert_matches_step_loop(launch, ri_map, grid, wavelength, every)
 
     def test_lossless_straight_guide_matches_step_loop_oracle(self, default_slab, monkeypatch):
         monkeypatch.setattr(bpm, "DEFAULT_ABSORBER_STRENGTH", 0.0)
@@ -798,8 +799,8 @@ class TestFigTwoSharedRaster:
         # fig2 at the benchmark's bpm_splitter size: 2814 z steps of 2048 points.
         # Each bump's march holds its 2814 step keys and builds its step-matrix diagonals a block
         # of at most 2^16 cells at a time: 3.3 MB traced, where the rows array of the 1437
-        # distinct rows alone took 23.5 MB.  scipy.linalg is imported at the top of this module, so its
-        # import is not counted.
+        # distinct rows alone took 23.5 MB.  scipy.linalg is imported at the top of this module,
+        # so its import is not counted.
         geometry = YSplitterGeometry(1130e-6, math.radians(0.4), 24e-6, 4e-6,
                                      phase_section=PhaseSection(0.0, 1000e-6, z_start=50e-6))
         nz = int(math.ceil((geometry.separation_end_z() + 250e-6) / 1e-6)) + 1

@@ -683,7 +683,8 @@ class TestMain:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         config = parse_config_text(text)
         if budget_threads is not None:
-            monkeypatch.setattr(cli, "MEMORY_BUDGET", cli._build(replace(config, threads=budget_threads)).memory)
+            budget = cli._build(replace(config, threads=budget_threads)).memory
+            monkeypatch.setattr(cli, "MEMORY_BUDGET", budget)
         assert cli.default_threads(config) == expected
         jobs, scan = [], cli.ensemble_scan
         monkeypatch.setattr(cli, "ensemble_scan", lambda *args, **kwargs: jobs.append(kwargs["n_jobs"])
