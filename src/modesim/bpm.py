@@ -29,8 +29,9 @@ area-weighted diagonal is computed only at the cells near a core edge, or where
 a run's two rows differ.  The diagonal buffers keep the cladding's value
 outside the window from block to block, and the solvers copy them rather than
 overwrite them.  Every diagonal is bit-identical to one built from both rows of
-its run, each area-weighted over every cell.  scipy, which provides the
-solvers, is imported on the first march, not with this module.
+its run, each area-weighted over every cell.  The solvers come from scipy's
+LAPACK extension alone (_flapack), loaded on the first march, not with this
+module.
 
 build_geometry lays out a symmetric Y-splitter: a dual-mode stem, a
 phase section where the core index is raised by delta_n, and two
@@ -43,8 +44,12 @@ step limit before the first march.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -350,6 +355,23 @@ def _absorber(grid: Grid) -> np.ndarray:
     return DEFAULT_ABSORBER_STRENGTH * (left ** 2 + right ** 2)
 
 
+def _flapack():
+    """scipy.linalg._flapack, the f2py extension whose zgtsv, zgttrf and zgttrs
+    scipy.linalg.lapack exports: found in scipy's linalg directory and loaded (24
+    modules) without running scipy/linalg/__init__.py (about 330), and kept in
+    sys.modules, where later calls and a later import of scipy.linalg find it."""
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(path, "linalg") for path in scipy.__path__])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 def _check_nonsingular(info: int, z: float) -> None:
     if info != 0:
         raise NumericalError(f"singular step matrix at z={z:g} m (info={info})")
@@ -375,7 +397,8 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
         raise ValueError("field length does not match grid")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be at least 1")
-    from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs  # deferred: importing scipy costs about 0.3 s
+    flapack = _flapack()  # its first call loads scipy's LAPACK extension, about 0.02 s
+    zgtsv, zgttrf, zgttrs = flapack.zgtsv, flapack.zgttrf, flapack.zgttrs
 
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0

@@ -1,16 +1,21 @@
 import itertools
+import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+import modesim
 from modesim import bpm
 from modesim._errors import NumericalError
 from modesim.bpm import (
@@ -160,7 +165,7 @@ def step_pairs(ri_map):
 
 
 def count_lapack_calls(monkeypatch, *names):
-    """Calls of each named scipy.linalg.lapack routine; propagate imports them from there."""
+    """Calls of each named LAPACK routine; propagate takes them from bpm._flapack()."""
     calls = dict.fromkeys(names, 0)
 
     def spy(name, original):
@@ -170,8 +175,29 @@ def count_lapack_calls(monkeypatch, *names):
         return counting
 
     for name in names:
-        monkeypatch.setattr(scipy.linalg.lapack, name, spy(name, getattr(scipy.linalg.lapack, name)))
+        monkeypatch.setattr(bpm._flapack(), name, spy(name, getattr(bpm._flapack(), name)))
     return calls
+
+
+# In a fresh interpreter, loads scipy's LAPACK extension through bpm._flapack and
+# scipy.linalg.lapack in the order the argument names ("loader" or "lapack" first);
+# prints whether both give the same routines and module, as JSON.
+_LOAD_ORDER = """
+import json, sys
+from modesim import bpm
+if sys.argv[1] == "loader":
+    flapack, package = bpm._flapack(), "scipy.linalg" in sys.modules
+import scipy.linalg.lapack
+if sys.argv[1] == "lapack":
+    flapack, package = bpm._flapack(), "scipy.linalg" in sys.modules
+print(json.dumps({
+    "same": [getattr(scipy.linalg.lapack, name) is getattr(flapack, name)
+             for name in ("zgtsv", "zgttrf", "zgttrs")],
+    "cached": bpm._flapack() is flapack is sys.modules["scipy.linalg._flapack"],
+    "package_loaded_first": package,
+    "solve": scipy.linalg.solve([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]).tolist(),
+}))
+"""
 
 
 def default_geometry(stem_um=400.0, delta_n=0.0, phase_len_um=200.0):
@@ -559,15 +585,15 @@ class TestKeptFactorization:
 
     def test_singular_factorization_raises(self, default_slab, monkeypatch):
         ri_map, grid, launch, wavelength = self._case("straight", default_slab)
-        original = scipy.linalg.lapack.zgttrf
-        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", lambda *args: (*original(*args)[:-1], 5))
+        original = bpm._flapack().zgttrf
+        monkeypatch.setattr(bpm._flapack(), "zgttrf", lambda *args: (*original(*args)[:-1], 5))
         with pytest.raises(NumericalError, match="singular step matrix"):
             propagate(launch, ri_map, grid, wavelength)
 
     def test_singular_one_step_solve_raises(self, default_slab, monkeypatch):
         ri_map, grid, launch, wavelength = self._case("splitter", default_slab)
-        original = scipy.linalg.lapack.zgtsv
-        monkeypatch.setattr(scipy.linalg.lapack, "zgtsv",
+        original = bpm._flapack().zgtsv
+        monkeypatch.setattr(bpm._flapack(), "zgtsv",
                             lambda *args, **kwargs: (*original(*args, **kwargs)[:-1], 3))
         with pytest.raises(NumericalError, match="singular step matrix at z=.* m \\(info=3\\)"):
             propagate(launch, ri_map, grid, wavelength)
@@ -649,15 +675,29 @@ class TestKeptFactorization:
             if length == 1:
                 break
             first += length
-        original = scipy.linalg.lapack.zgtsv
+        original = bpm._flapack().zgtsv
 
         def nan_solve(*args, **kwargs):
             *rest, values, info = original(*args, **kwargs)
             values[len(values) // 2] = np.nan
             return (*rest, values, info)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", nan_solve)
+        monkeypatch.setattr(bpm._flapack(), "zgtsv", nan_solve)
         assert unstable_at(propagate, launch, ri_map, grid, wavelength) == f"{grid.dz * (first + 1):g}"
+
+    @pytest.mark.parametrize("first", ["loader", "lapack"])
+    def test_loader_gives_scipy_linalg_lapacks_routines(self, first):
+        # the march's zgtsv, zgttrf and zgttrs are the very objects scipy.linalg.lapack
+        # exports, whichever is loaded first, and the loader leaves scipy.linalg usable
+        src = str(Path(modesim.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", _LOAD_ORDER, first],
+                                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        assert loaded["same"] == [True, True, True]
+        assert loaded["cached"] is True
+        assert loaded["package_loaded_first"] is (first == "lapack")
+        assert loaded["solve"] == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_bpm_run_default_map_and_march_memory(self, default_slab):
         # bpm-run defaults: 1000 um at dz = 0.5 um across a 96 um window of 2048 points

@@ -728,7 +728,7 @@ class TestMain:
 # Imports modesim.cli in a fresh interpreter, then parses and validates the
 # default config of each experiment named after the first argument, and runs it
 # into <first argument>/<experiment> unless that argument is empty; prints the
-# scipy modules loaded after each one, as JSON.
+# modules loaded after each one, as JSON.
 _COLD_START = """
 import json, sys
 import modesim.cli as cli
@@ -739,7 +739,7 @@ for experiment in sys.argv[2:]:
     assert not [d for d in diagnostics if d.severity == "error"], diagnostics
     if out:
         cli.run(config, f"{out}/{experiment}", quiet=True)
-    loaded[experiment] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded[experiment] = sorted(sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -831,13 +831,18 @@ class TestStagedRun:
 
 class TestColdStart:
     @staticmethod
-    def _scipy_loaded(*experiments, out=""):
+    def _loaded(*experiments, out=""):
         src = str(Path(modesim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run([sys.executable, "-c", _COLD_START, str(out), *experiments],
                                 env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout)
+
+    @classmethod
+    def _scipy_loaded(cls, *experiments, out=""):
+        return {experiment: [m for m in modules if m.split(".")[0] == "scipy"]
+                for experiment, modules in cls._loaded(*experiments, out=out).items()}
 
     def test_short_experiments_validate_without_scipy(self):
         loaded = self._scipy_loaded("modes", "bell", "bpm-run", "fig2")
@@ -858,6 +863,17 @@ class TestColdStart:
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == []
+
+    def test_bpm_runs_load_only_scipys_lapack_extension(self, tmp_path):
+        # the march's solvers come from scipy.linalg._flapack alone: the scipy.linalg package
+        # would load about 330 modules, concurrent.futures, logging, argparse and gettext among
+        # them.  json comes from write_json.  The fig2 entry also holds what bpm-run loaded
+        loaded = self._loaded("bpm-run", "fig2", out=tmp_path)
+        for experiment, modules in loaded.items():
+            assert [m for m in modules if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
+            assert {"concurrent.futures", "logging", "argparse", "gettext"}.isdisjoint(modules)
+            assert "json" in modules
+            assert (tmp_path / experiment / "manifest.json").exists()
 
     def test_rate_based_runs_without_scipy(self, tmp_path):
         experiments = ("rates", "chsh-scan", "delays")
@@ -938,7 +954,7 @@ class TestMemoryEstimate:
     def test_estimate_bounds_the_traced_peak(self, tmp_path, text, threads):
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted
-        import scipy.linalg.lapack  # noqa: F401
+        bpm._flapack()
         config = replace(parse_config_text(text), threads=threads)
         estimate = cli._build(config).memory
         tracemalloc.start()
