@@ -38,9 +38,9 @@ phase section where the core index is raised by delta_n, and two
 single-mode branches separating linearly to a final spacing.  Launching the
 equal superposition (TE0 + TE1)/sqrt(2) reproduces the branch-intensity
 interference law of the ideal analyzer, with the accumulated differential
-phase 2*theta controlled by delta_n.  The fig2 experiment builds the map of
-each delta_n just before it marches it, and checks every bump's paraxial
-step limit before the first march.
+phase 2*theta controlled by delta_n.  The fig2 experiment runs check_march
+over every bump before the first march, then builds the map of each delta_n
+just before it marches it.
 """
 from __future__ import annotations
 
@@ -66,8 +66,7 @@ __all__ = [
     "YSplitterGeometry",
     "FigTwoRow",
     "straight_slab_map",
-    "check_geometry_fits",
-    "check_paraxial_dz",
+    "check_march",
     "build_geometry",
     "field_from_modes",
     "propagate",
@@ -155,16 +154,16 @@ class RIMap:
         values, lo1, hi1, lo2, hi2 = keys.T
         if not ((lo1 <= hi1) & (lo2 <= hi2) & (lo1 <= lo2)).all():
             raise ValueError("row key intervals need lo1 <= hi1, lo2 <= hi2 and lo1 <= lo2")
-        object.__setattr__(self, "bounds", (self.n_clad + min(0.0, float(values.min())),
-                                            self.n_clad + max(0.0, float(values.max()))))
+        object.__setattr__(self, "bounds", _bounds(self.n_clad, float(values.min()), float(values.max())))
         if not (self.bounds[0] > 0 and self.reference_n0 > 0):
             raise ValueError("refractive index (every row and reference_n0) must be positive")
         keys.setflags(write=False)
         object.__setattr__(self, "keys", keys)
 
-    @property
-    def contrast(self) -> float:  # the largest |n - reference_n0| of a rasterized cell, by the bounds
-        return max(self.bounds[1] - self.reference_n0, self.reference_n0 - self.bounds[0])
+
+def _bounds(n_clad: float, least: float, greatest: float) -> tuple[float, float]:
+    """The least and greatest n_clad + value * coverage, coverage in [0, 1], value in [least, greatest]."""
+    return n_clad + min(0.0, least), n_clad + max(0.0, greatest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +240,7 @@ def straight_slab_map(grid: Grid, spec: SlabSpec, reference_n0: float | None = N
                  spec.n_core if reference_n0 is None else reference_n0)
 
 
-def check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
+def _check_geometry_fits(geometry: YSplitterGeometry, grid: Grid) -> None:
     """Raise ValueError unless the grid holds the branches' full separation in z and their outer
     edges in x, as check_core_sampling holds a core; the raster takes cores of any width."""
     sep_end = geometry.separation_end_z()
@@ -259,7 +258,7 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> R
     of staircase bias.  A z step's key is (core value, lo1, hi1, lo2, hi2): the stem core twice,
     or the branch cores, computed for every step at once; no row is rasterized here.
     """
-    check_geometry_fits(geometry, grid)
+    _check_geometry_fits(geometry, grid)
     z, contrast, stem_half = grid.z, base.n_core - base.n_clad, base.core_width / 2.0
     half = geometry.core_width / 2.0
     center = half + np.minimum((z - geometry.stem_length) * math.tan(geometry.branch_half_angle),
@@ -272,7 +271,7 @@ def build_geometry(geometry: YSplitterGeometry, grid: Grid, base: SlabSpec) -> R
     return RIMap(keys, base.n_clad, base.n_core)
 
 
-def _raster(grid: Grid, n_clad: float, f=lambda n: n):
+def _raster(grid: Grid, n_clad: float, f):
     """Rasterizer of row keys (value, lo1, hi1, lo2, hi2), lo1 <= lo2, whose row is n_clad + value *
     coverage, the fraction of each cell [left, right] inside the intervals, merged where they touch.
 
@@ -330,6 +329,8 @@ def _power(values: np.ndarray, dx: float) -> float:
 
 def field_from_modes(modes, coefficients, grid: Grid) -> Field:
     """Launch field sum_i c_i psi_i(x) at z = 0."""
+    if len(coefficients) > len(modes):
+        raise ValueError(f"a launch of {len(coefficients)} modes, but the guide carries {len(modes)}")
     values = np.zeros(grid.nx, dtype=np.complex128)
     for mode, coeff in zip(modes, coefficients):
         if mode.grid != grid.waveguide_grid():
@@ -338,13 +339,29 @@ def field_from_modes(modes, coefficients, grid: Grid) -> Field:
     return Field(values, 0.0, _power(values, grid.dx))
 
 
-def check_paraxial_dz(dz: float, wavelength: float, contrast: float) -> None:
-    """Raise ValueError if dz exceeds the paraxial step limit for an index
-    contrast max|n - n0|: dz <= SAFETY * wavelength / (2 contrast)."""
+def _check_paraxial_dz(dz: float, wavelength: float, bounds: tuple[float, float], n0: float) -> None:
+    """Raise ValueError if dz exceeds the paraxial step limit SAFETY * wavelength / (2 contrast),
+    with contrast max|n - n0| over the indices n within bounds."""
+    contrast = max(bounds[1] - n0, n0 - bounds[0])
     if contrast > 0:
         dz_limit = PARAXIAL_DZ_SAFETY * wavelength / (2.0 * contrast)
         if dz > dz_limit * (1 + 1e-12):
             raise ValueError(f"dz={dz:g} exceeds the paraxial accuracy limit {dz_limit:g}")
+
+
+def check_march(base: SlabSpec, grid: Grid, geometry: YSplitterGeometry | None = None,
+                delta_ns=()) -> None:
+    """Raise ValueError unless the grid suits a march of base's straight slab, or of the splitter
+    geometry with each phase-section bump delta_n: dz within the paraxial step limit of every map
+    the march builds (core values n_core - n_clad and that plus each delta_n), then the slab's (or
+    the stem's) core sampled, then the splitter inside the grid and its branch core sampled."""
+    value = base.n_core - base.n_clad  # as straight_slab_map and build_geometry set it
+    values = [value, *(value + float(dn) for dn in delta_ns)]
+    _check_paraxial_dz(grid.dz, base.wavelength, _bounds(base.n_clad, min(values), max(values)), base.n_core)
+    check_core_sampling(base.core_width, grid.waveguide_grid())
+    if geometry is not None:
+        _check_geometry_fits(geometry, grid)
+        check_core_sampling(geometry.core_width, grid.waveguide_grid())
 
 
 def _absorber(grid: Grid) -> np.ndarray:
@@ -402,7 +419,7 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
 
     k = 2.0 * math.pi / wavelength
     n0 = ri_map.reference_n0
-    check_paraxial_dz(grid.dz, wavelength, ri_map.contrast)
+    _check_paraxial_dz(grid.dz, wavelength, ri_map.bounds, n0)
 
     off_diag = -1.0 / (2.0 * k * n0 * grid.dx ** 2)
     laplacian_diag = 1.0 / (k * n0 * grid.dx ** 2)
@@ -514,23 +531,17 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     split; the row records the final branch powers and the solver-predicted
     controller angle theta.
     """
-    for core_width in (base.core_width, geometry.core_width):  # the stem and a branch, before the solve
-        check_core_sampling(core_width, grid.waveguide_grid())
+    check_march(base, grid, geometry, delta_n_list)  # before the solve
     modes = solve_slab_te_modes(base, grid=grid.waveguide_grid(), count=2)
-    if len(modes) < 2:
-        raise ValueError("base guide must carry two modes")
     launch = field_from_modes(modes, [1 / math.sqrt(2.0), 1 / math.sqrt(2.0)], grid)
     # 2 theta = ([beta1 - beta0](n_core + delta_n) - [beta1 - beta0](n_core)) length: the solves refuse,
     # before any march, a bump in the section that leaves the guide single-mode
     length = geometry.phase_section.length
     thetas = [(delta_beta(replace(base, n_core=base.n_core + float(delta_n))) - delta_beta(base))
               * length / 2.0 if length else 0.0 for delta_n in delta_n_list]
-    bumps = [replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
-             for delta_n in delta_n_list]
-    for bump in bumps:  # the march's paraxial step limit, for every bump before the first march
-        check_paraxial_dz(grid.dz, base.wavelength, build_geometry(bump, grid, base).contrast)
     rows = []
-    for delta_n, theta, bump in zip(delta_n_list, thetas, bumps):
+    for delta_n, theta in zip(delta_n_list, thetas):
+        bump = replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
         final = propagate(launch, build_geometry(bump, grid, base), grid, base.wavelength,
                           snapshot_every=grid.nz)[-1]
         left, right = branch_powers(final, grid)

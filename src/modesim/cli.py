@@ -34,17 +34,17 @@ import numpy as np
 from . import __version__
 from ._errors import NumericalError
 from ._io import write_csv, write_json
-from .bpm import (BLOCK_CELLS, Grid, PhaseSection, YSplitterGeometry, branch_powers,
-                  check_geometry_fits, check_paraxial_dz, export_field_csv, export_raster,
-                  field_from_modes, fig2_experiment, propagate, straight_slab_map)
+from .bpm import (BLOCK_CELLS, Grid, PhaseSection, YSplitterGeometry, branch_powers, check_march,
+                  export_field_csv, export_raster, field_from_modes, fig2_experiment, propagate,
+                  straight_slab_map)
 from .correlation import (DelayPair, chsh_optimum, chsh_scan, delay_covariance, export_bell_csv,
                           export_chsh_csv)
 from .decoherence import (TWO_RAIL_STATES, EvolutionParams, ensemble_scan, ensemble_steps, export_scan_csv,
                           two_rail_evolve)
 from .states import bell_state, density_of, product_state, superpose
-from .stochastic import PerturbationModel, rates
-from .waveguide import (DEFAULT_GRID_POINTS, DEFAULT_SPAN_FACTOR, SlabSpec, check_core_sampling, default_grid,
-                        delta_beta, export_mode_csv, group_delay, solve_slab_te_modes)
+from .stochastic import PerturbationModel, pair_seed, rates
+from .waveguide import (DEFAULT_GRID_POINTS, DEFAULT_SPAN_FACTOR, SlabSpec, default_grid, delta_beta,
+                        export_mode_csv, group_delay, solve_slab_te_modes)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -246,16 +246,15 @@ def _build(config: RunConfig) -> SimpleNamespace:
     A bad or over-budget config raises ValueError (or ArithmeticError) here, before any output.
     """
     # memory: 1 MiB for numpy's reduction buffers and small objects, then each term below
-    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20, dual=[])
+    params, b = config.parameters, SimpleNamespace(rates=None, memory=2.0 ** 20, dual=[], geometry=None)
     if "n_core" in params:
         b.spec = SlabSpec(core_width=params["core_width_um"] * 1e-6, n_core=params["n_core"],
                           n_clad=params["n_clad"], wavelength=params["wavelength_um"] * 1e-6)
     if "span_factor" in params:  # modes: grid_points samples over span_factor core widths
         b.mode_grid = default_grid(b.spec.core_width, params["span_factor"], params["grid_points"])
         b.memory += 400 * params["grid_points"]  # one mode file's CSV text, 400 B a point
-    points = params.get("grid_points", params.get("nx"))  # modes, bpm-run and fig2 sample profiles
-    if points is not None:  # of each of the ceil(2V / pi) guided modes: 8 B a point, 1 KB of objects
-        b.memory += (2.0 * b.spec.v_number / math.pi + 1.0) * (8 * points + 1000)
+        # the profile of each of the ceil(2V / pi) guided modes: 8 B a point, 1 KB of objects
+        b.memory += (2.0 * b.spec.v_number / math.pi + 1.0) * (8 * params["grid_points"] + 1000)
     if "sigma" in params:
         b.model = PerturbationModel(sigma=params["sigma"], k_ab=params["k_ab_per_m"],
                                     corr_length=params["corr_length_um"] * 1e-6)
@@ -299,12 +298,9 @@ def _build(config: RunConfig) -> SimpleNamespace:
         window, dz = params["window_um"] * 1e-6, params["dz_um"] * 1e-6
         nz = int(math.ceil(length / dz)) + 1 if dz > 0 else 0  # Grid rejects dz <= 0
         b.grid = Grid(-window / 2.0, window / (params["nx"] - 1), params["nx"], dz, nz)
-        # the largest |n - n_core| of the index map: the cladding, or a phase-section bump
-        contrast = max([b.spec.n_core - b.spec.n_clad]
-                       + [abs(dn) for dn in params.get("delta_n_list", [])])
-        check_paraxial_dz(dz, b.spec.wavelength, contrast)
-        check_core_sampling(b.spec.core_width, b.grid.waveguide_grid())  # the slab, or fig2's stem
-        b.memory += 256 * b.grid.nx  # the march's work arrays
+        check_march(b.spec, b.grid, b.geometry, params.get("delta_n_list", ()))
+        # the march's work arrays, and the two launched profiles at 8 B a point and 1 KB of objects
+        b.memory += 256 * b.grid.nx + 2 * (8 * b.grid.nx + 1000)
     if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
         # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects; 24 B a z step for
         # the march's run detection over the straight map's one broadcast key (6 B traced)
@@ -315,8 +311,6 @@ def _build(config: RunConfig) -> SimpleNamespace:
         # 40 B keys and a run table of 16 B); a march's block of runs, at most BLOCK_CELLS cells
         # (or one row) at 80 B a cell (39 B traced); and 8 B a cell of nz + bumps rows, which
         # bounds the cells the marches cross, not memory held
-        check_geometry_fits(b.geometry, b.grid)
-        check_core_sampling(b.geometry.core_width, b.grid.waveguide_grid())  # a branch
         b.memory += (96 * b.grid.nz + 80 * min(max(b.grid.nx, BLOCK_CELLS), b.grid.nz * b.grid.nx)
                      + (b.grid.nz + len(params["delta_n_list"])) * b.grid.nx * 8)
     if b.memory > MEMORY_BUDGET:
@@ -521,7 +515,7 @@ def default_threads(config: RunConfig) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     last = config.seed + config.parameters["n_realizations"] - 1
-    for threads in range(min(cpus, last // 2 - config.seed // 2 + 1), 1, -1):
+    for threads in range(min(cpus, (pair_seed(last) - pair_seed(config.seed)) // 2 + 1), 1, -1):
         try:
             _build(replace(config, threads=threads))
             return threads

@@ -46,7 +46,8 @@ def straight_grid(nz=801, nx=1024, window=80e-6, dz=0.5e-6):
 def raster_rows(keys, grid, n_clad):
     """The full-width row of each key: bpm._raster's rows over the keys' core window, cladding
     around it."""
-    start, window = bpm._raster(grid, n_clad)(np.asarray(keys, dtype=np.float64), np.arange(len(keys)))
+    raster = bpm._raster(grid, n_clad, lambda n: n)
+    start, window = raster(np.asarray(keys, dtype=np.float64), np.arange(len(keys)))
     rows = np.full((len(keys), grid.nx), n_clad)
     rows[:, start:start + window.shape[1]] = window
     return rows
@@ -461,6 +462,23 @@ class TestPropagation:
         with pytest.raises(ValueError, match="paraxial accuracy limit"):
             fig2_experiment([0.0, 0.02], default_slab, geometry, grid)
 
+    def test_splitter_builds_each_bump_map_once(self, default_slab, monkeypatch):
+        # the experiment once built every bump's map twice: first only to read its step limit
+        geometry = default_geometry(stem_um=400.0)
+        grid = Grid(-32e-6, 64e-6 / 511, 512, 1e-6, int(geometry.separation_end_z() / 1e-6) + 2)
+        built = []
+        monkeypatch.setattr(bpm, "build_geometry", lambda *args: built.append(args) or build_geometry(*args))
+        monkeypatch.setattr(bpm, "propagate", lambda launch, *args, **kwargs: [launch])
+        assert len(fig2_experiment([0.0, 1.0e-4, 2.1e-4], default_slab, geometry, grid)) == 3
+        assert len(built) == 3
+
+    def test_launch_of_more_modes_than_the_guide_carries_rejected(self, default_slab):
+        # the second coefficient was once dropped without a word
+        grid = straight_grid(nz=2)
+        modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid(), count=1)
+        with pytest.raises(ValueError, match="a launch of 2 modes"):
+            field_from_modes(modes, [INV_SQRT2, INV_SQRT2], grid)
+
 
 @st.composite
 def row_keys(draw):
@@ -643,7 +661,8 @@ class TestKeptFactorization:
         # the cladding's diagonal, and blocks split the phase section's edges, where the value changes
         geometry, grid, base = case
         ri_map = build_geometry(geometry, grid, base)
-        wavelength = max(base.wavelength, 25.0 * grid.dz * ri_map.contrast)  # within the step limit
+        contrast = max(ri_map.bounds[1] - ri_map.reference_n0, ri_map.reference_n0 - ri_map.bounds[0])
+        wavelength = max(base.wavelength, 25.0 * grid.dz * contrast)  # within the step limit
         values = np.exp(-(grid.x / base.core_width) ** 2).astype(complex)
         launch = Field(values, 0.0, bpm._power(values, grid.dx))
         with pytest.MonkeyPatch.context() as patch:

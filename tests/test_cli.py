@@ -213,11 +213,12 @@ class TestValidate:
     def test_wide_core_culprits_fail_before_a_full_solve(self):
         # a 20 mm core (V = 7009) in a 40 mm window at nx=1e8 is over budget.  Probing
         # core_width_um alone once solved all 4463 dispersion branches, about 4 s; each key alone
-        # now fails on the window or the budget (the profile of every guided mode), and a probe
-        # that builds solves only the two branches a bpm-run reads
+        # now fails on the window or the budget, and a probe that builds solves only the two
+        # branches a bpm-run reads.  The estimate counts the two profiles a bpm-run samples, not
+        # every guided mode's, so the core width does not change it and is not named
         text = "experiment=bpm-run\ncore_width_um=20000\nwindow_um=40000\nnx=100000000\n"
         diags = validate(parse_config_text(text))
-        assert [d.key for d in diags] == ["core_width_um", "window_um", "nx"]
+        assert [d.key for d in diags] == ["window_um", "nx"]
         assert all("GB budget" in d.message for d in diags)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -609,6 +610,19 @@ class TestMain:
         assert marches == []
         assert not out.exists()
 
+    def test_bump_past_the_marchs_step_limit_exits_2(self, tmp_path):
+        # _build once read the contrast as max(n_core - n_clad, |delta_n|) = 8.0003e-05, where the
+        # bumped map's bounds give n_clad + (contrast + delta_n) - n_core, about 1.3e-12 more
+        # relative: the config validated clean and the march refused it, exit 3
+        text = ("experiment=fig2\ncore_width_um=200\nn_core=1.49001\nn_clad=1.49\n"
+                "branch_core_width_um=100\nbranch_separation_um=240\nwindow_um=600\nnx=2048\n"
+                "delta_n_list=0;8.000300000000001e-05\ndz_um=968.7136732372478\n")
+        diags = validate(parse_config_text(text))
+        assert any(d.key == "dz_um" and "paraxial accuracy limit" in d.message for d in diags)
+        config, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,code", [
         ("experiment=bpm-run\ncore_width_um=2\n", EXIT_CONFIG),
         ("experiment=fig2\ncore_width_um=2\n", EXIT_CONFIG),
@@ -948,9 +962,12 @@ class TestMemoryEstimate:
         # a short splitter on a coarse grid: the march's block of runs holds most of the peak
         ("experiment=fig2\nnx=256\nwindow_um=48\nbranch_half_angle_deg=1.9\nstem_length_um=100\n"
          "phase_length_um=40\nlead_out_um=0\n", 1),
+        # a 140 mm slab guides about 31000 modes, of which the run samples two; counting them all
+        # once put it over the budget
+        ("experiment=bpm-run\ncore_width_um=140000\nwindow_um=154000\nnx=4096\n", 1),
     ], ids=["bpm-run", "fig2", "decohere", "decohere-realizations", "decohere-threads",
             "decohere-long-threads", "modes-many", "delays-long", "bpm-run-sparse", "fig2-bumps",
-            "fig2-short"])
+            "fig2-short", "bpm-run-wide"])
     def test_estimate_bounds_the_traced_peak(self, tmp_path, text, threads):
         # the estimate _build checks against MEMORY_BUDGET is an upper bound of what a run
         # holds; scipy is imported first, so its modules are not counted
