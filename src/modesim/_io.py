@@ -1,7 +1,8 @@
 """Shared output helpers: deterministic CSV formatting and file writes.
 
-Each writer builds and checks its whole payload before it opens the file, so a
-refused value writes nothing; ``modesim.cli.run`` stages a run's files.  All
+Each writer's payload is whole and checked before it opens the file, so a
+refused value writes nothing; ``write_bytes`` takes it as several buffers and
+writes them in one open, uncopied.  ``modesim.cli.run`` stages a run's files.  All
 floats are written in scientific notation with 17 significant digits so that a
 CSV written twice from the same inputs is byte identical and survives a float64
 round trip.
@@ -39,5 +40,7 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_bytes((text + "\n").encode("utf-8"))
 
 
-def write_bytes(path, data: bytes) -> None:
-    Path(path).write_bytes(data)
+def write_bytes(path, *parts) -> None:
+    """Write the buffers (bytes, or C-contiguous arrays) one after another in one open, uncopied."""
+    with open(path, "wb") as handle:
+        handle.writelines(parts)

@@ -31,7 +31,7 @@ outside the window from block to block, and the solvers copy them rather than
 overwrite them.  Every diagonal is bit-identical to one built from both rows of
 its run, each area-weighted over every cell.  The solvers come from scipy's
 LAPACK extension alone (_flapack), loaded on the first march, not with this
-module.
+module.  The march fills an intensity raster as it goes.
 
 build_geometry lays out a symmetric Y-splitter: a dual-mode stem, a
 phase section where the core index is raised by delta_n, and two
@@ -395,14 +395,16 @@ def _check_nonsingular(info: int, z: float) -> None:
 
 
 def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
-              snapshot_every: int = 1) -> list[Field]:
+              snapshot_every: int = 1) -> tuple[Field, np.ndarray]:
     """Crank-Nicolson march of the reduced field through the index map.
 
-    Returns snapshots every `snapshot_every` steps (the launch field first,
-    the final field always).  Power is tracked each step; relative growth
-    above 1e-6 per step aborts with diagnostics, and a lossless straight
-    guide conserves power to rounding.  A step allocates nothing, and the
-    monitor is one dot product; each snapshot's power is the exact _power.
+    Returns the last step's field, its power the exact _power, and the
+    intensity raster: (nz - 2) // snapshot_every + 2 float64 rows |u|^2 of nx,
+    at the launch, every `snapshot_every` steps and the last step, each filled
+    as the march reaches it.  Power is tracked each step; relative growth
+    above 1e-6 per step (or a non-finite power) aborts with diagnostics before
+    the step's row is recorded, and a lossless straight guide conserves power
+    to rounding.  A step allocates nothing, and the monitor is one dot product.
     The runs are taken in blocks of at most BLOCK_CELLS cells: a block builds
     the step matrices' diagonals of all its runs at once, over its core window
     (see _raster), in buffers that hold the cladding's diagonal elsewhere.
@@ -448,8 +450,12 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
 
     values = np.array(field.values, dtype=np.complex128)
     rhs, coupled = np.empty_like(values), np.empty_like(values)
-    snapshots = [Field(values, 0.0, _power(values, grid.dx))]
-    power_prev = snapshots[0].power
+    power_prev = _power(values, grid.dx)
+    intensity = np.empty(((grid.nz - 2) // snapshot_every + 2, grid.nx))
+
+    def record(row, values):  # |u|^2 into the row; export_raster refuses any that overflows
+        with np.errstate(over="ignore"):
+            np.square(np.abs(values, out=row), out=row)
 
     for first in range(0, len(edges) - 1, per_block):
         runs = edges[first:first + per_block + 1]  # n runs, and the step after the last
@@ -466,6 +472,8 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
                 *factors, info = zgttrf(lower, diag, lower)
                 _check_nonsingular(info, grid.dz * begin)
             for j in range(begin, end):
+                if j % snapshot_every == 0:  # the field at step j: the launch, or one of a finite power
+                    record(intensity[j // snapshot_every], values)
                 np.multiply(rhs_diag, values, out=rhs)
                 np.multiply(coupling, values, out=coupled)
                 rhs[:-1] -= coupled[1:]
@@ -483,10 +491,8 @@ def propagate(field: Field, ri_map: RIMap, grid: Grid, wavelength: float,
                         f"{power_prev:g} -> {power:g}"
                     )
                 power_prev = power
-                step = j + 1
-                if step % snapshot_every == 0 or step == grid.nz - 1:
-                    snapshots.append(Field(values, grid.dz * step, _power(values, grid.dx)))
-    return snapshots
+    record(intensity[-1], values)
+    return Field(values, grid.z_max, _power(values, grid.dx)), intensity
 
 
 def decompose(field: Field, modes, grid: Grid) -> tuple[np.ndarray, float]:
@@ -542,8 +548,8 @@ def fig2_experiment(delta_n_list, base: SlabSpec, geometry: YSplitterGeometry,
     rows = []
     for delta_n, theta in zip(delta_n_list, thetas):
         bump = replace(geometry, phase_section=replace(geometry.phase_section, delta_n=float(delta_n)))
-        final = propagate(launch, build_geometry(bump, grid, base), grid, base.wavelength,
-                          snapshot_every=grid.nz)[-1]
+        final, _ = propagate(launch, build_geometry(bump, grid, base), grid, base.wavelength,
+                             snapshot_every=grid.nz)
         left, right = branch_powers(final, grid)
         rows.append(FigTwoRow(float(delta_n), left, right, theta))
     return rows
@@ -560,21 +566,12 @@ def export_field_csv(field: Field, grid: Grid, destination) -> None:
     write_csv(destination, ("x_m", "re", "im", "intensity"), rows)
 
 
-def export_raster(snapshots, grid: Grid, destination) -> None:
-    """Write an intensity raster: header (int64 nx, int64 nz, float64 dx,
-    float64 dz), then nz rows of nx row-major float64 intensity values.
-
-    nz here is the number of snapshots and dz their z spacing (snapshot
-    stride times the grid step for uniform snapshots).
-    """
-    nz = len(snapshots)
-    dz_out = snapshots[1].z - snapshots[0].z if nz > 1 else grid.dz
-    data = bytearray(32 + 8 * grid.nx * nz)  # the file: a 32-byte header, then the raster
-    struct.pack_into("<qqdd", data, 0, grid.nx, nz, grid.dx, dz_out)
-    raster = np.frombuffer(data, dtype="<f8", offset=32).reshape(nz, grid.nx)
-    with np.errstate(over="ignore"):  # a finite field's |v|^2 may overflow: refused below
-        for row, snapshot in zip(raster, snapshots):
-            np.square(np.abs(snapshot.values), out=row)
-    if not math.isfinite(raster.max()):  # intensities are >= 0: the max is inf or NaN if any is
+def export_raster(intensity: np.ndarray, grid: Grid, snapshot_every: int, destination) -> None:
+    """Write propagate's intensity raster: header (int64 nx, int64 nz, float64 dx, float64 dz),
+    then nz rows of nx row-major float64 intensity values.  nz here is the number of rows and dz
+    their z spacing, the snapshot stride (at most the march's nz - 1 steps) times the grid step."""
+    if not math.isfinite(intensity.max()):  # intensities are >= 0: the max is inf or NaN if any is
         raise NumericalError("raster intensity overflows float64")
-    write_bytes(destination, data)
+    header = struct.pack("<qqdd", grid.nx, len(intensity), grid.dx,
+                         grid.dz * min(snapshot_every, grid.nz - 1))
+    write_bytes(destination, header, np.ascontiguousarray(intensity, dtype="<f8"))

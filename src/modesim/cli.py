@@ -301,11 +301,11 @@ def _build(config: RunConfig) -> SimpleNamespace:
         check_march(b.spec, b.grid, b.geometry, params.get("delta_n_list", ()))
         # the march's work arrays, and the two launched profiles at 8 B a point and 1 KB of objects
         b.memory += 256 * b.grid.nx + 2 * (8 * b.grid.nx + 1000)
-    if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; each
-        # snapshot at 16 B a cell, its raster row at 8 B, and 512 B of objects; 24 B a z step for
-        # the march's run detection over the straight map's one broadcast key (6 B traced)
+    if "snapshot_every" in params:  # bpm-run: field_final.csv's text at 512 B a point; the
+        # march's intensity raster, one row of 8 B a cell per snapshot; 24 B a z step for the
+        # march's run detection over the straight map's one broadcast key (6 B traced)
         b.memory += (512 * b.grid.nx + 24 * b.grid.nz
-                     + (24 * b.grid.nx + 512) * ((b.grid.nz - 1) // params["snapshot_every"] + 2))
+                     + 8 * b.grid.nx * ((b.grid.nz - 1) // params["snapshot_every"] + 2))
     if "stem_length_um" in params:  # fig2 builds and marches one bump's map at a time: 96 B a z
         # step for build_geometry's step keys and temporaries (96 B traced; the march holds the
         # 40 B keys and a run table of 16 B); a march's block of runs, at most BLOCK_CELLS cells
@@ -396,16 +396,15 @@ def _run_fig2(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
 
 
 def _run_bpm(config: RunConfig, b: SimpleNamespace, stage: Path) -> dict:
-    spec, grid = b.spec, b.grid
+    spec, grid, every = b.spec, b.grid, config.parameters["snapshot_every"]
     modes = solve_slab_te_modes(spec, grid=grid.waveguide_grid(), count=2)
     launch = field_from_modes(modes, b.coeffs, grid)
     ri_map = straight_slab_map(grid, spec)
-    snapshots = propagate(launch, ri_map, grid, spec.wavelength,
-                          snapshot_every=config.parameters["snapshot_every"])
-    left, right = branch_powers(snapshots[-1], grid)
-    export_field_csv(snapshots[-1], grid, stage / "field_final.csv")
-    export_raster(snapshots, grid, stage / "raster.bin")
-    return {"power_drift": snapshots[-1].power / snapshots[0].power - 1.0,
+    final, intensity = propagate(launch, ri_map, grid, spec.wavelength, snapshot_every=every)
+    left, right = branch_powers(final, grid)
+    export_field_csv(final, grid, stage / "field_final.csv")
+    export_raster(intensity, grid, every, stage / "raster.bin")
+    return {"power_drift": final.power / launch.power - 1.0,
             "branch_left": left, "branch_right": right}
 
 

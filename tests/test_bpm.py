@@ -36,6 +36,8 @@ from modesim.bpm import (
 )
 from modesim.waveguide import SlabSpec, check_core_sampling, solve_slab_te_modes
 
+from conftest import snapshot_march, snapshot_steps
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -353,10 +355,10 @@ class TestPropagation:
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         ri_map = straight_slab_map(grid, default_slab)
         check_core_sampling(default_slab.core_width, grid.waveguide_grid())
-        snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid,
-                          default_slab.wavelength, snapshot_every=200)
-        assert abs(snaps[-1].power / snaps[0].power - 1.0) < 1e-6
-        coeffs, residual = decompose(snaps[-1], modes, grid)
+        launch = field_from_modes([modes[0]], [1.0], grid)
+        final, _ = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=200)
+        assert abs(final.power / launch.power - 1.0) < 1e-6
+        coeffs, residual = decompose(final, modes, grid)
         assert abs(coeffs[0]) >= 0.999
         assert residual < 1e-6
 
@@ -367,8 +369,11 @@ class TestPropagation:
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         n_eff = modes[0].beta / default_slab.k
         ri_map = straight_slab_map(grid, default_slab, reference_n0=n_eff)
-        snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid,
-                          default_slab.wavelength, snapshot_every=10)
+        launch = field_from_modes([modes[0]], [1.0], grid)
+        snaps = snapshot_march(launch, ri_map, grid, default_slab.wavelength, snapshot_every=10)
+        final, intensity = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=10)
+        assert np.array_equal(final.values, snaps[-1].values)
+        assert np.array_equal(intensity, np.square(np.abs([s.values for s in snaps])))
         phases = np.unwrap([np.angle(decompose(s, [modes[0]], grid)[0][0]) for s in snaps])
         accumulated = default_slab.k * n_eff * snaps[-1].z + (phases[-1] - phases[0])
         assert abs(accumulated - modes[0].beta * snaps[-1].z) < 1e-3
@@ -383,24 +388,28 @@ class TestPropagation:
         ri_map = uniform_map(grid, 1.0)
         values = np.exp(-(grid.x / waist) ** 2).astype(complex)
         launch = Field(values, 0.0, float(np.sum(np.abs(values) ** 2) * grid.dx))
-        snaps = propagate(launch, ri_map, grid, wavelength, snapshot_every=200)
+        _, raster = propagate(launch, ri_map, grid, wavelength, snapshot_every=200)
 
-        def width(field):
-            intensity = np.abs(field.values) ** 2
+        def width(intensity):
             center = np.sum(grid.x * intensity) / np.sum(intensity)
             return 2.0 * math.sqrt(np.sum((grid.x - center) ** 2 * intensity)
                                    / np.sum(intensity))
 
-        for snap in snaps:
-            expected = waist * math.sqrt(1.0 + (snap.z / rayleigh) ** 2)
-            assert abs(width(snap) - expected) / expected < 0.01
+        steps = snapshot_steps(grid.nz, 200)
+        assert len(raster) == len(steps)
+        for row, step in zip(raster, steps):
+            expected = waist * math.sqrt(1.0 + (grid.dz * step / rayleigh) ** 2)
+            assert abs(width(row) - expected) / expected < 0.01
 
     def test_dual_mode_beat_length(self, default_slab):
         grid = straight_grid(nz=2001)
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
         ri_map = straight_slab_map(grid, default_slab)
-        snaps = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
+        snaps = snapshot_march(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
+        final, intensity = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
+        assert np.array_equal(final.values, snaps[-1].values)
+        assert np.array_equal(intensity, np.square(np.abs([s.values for s in snaps])))
         lefts = np.array([branch_powers(s, grid)[0] for s in snaps])
         zs = np.array([s.z for s in snaps])
         osc = lefts - lefts.mean()
@@ -468,7 +477,7 @@ class TestPropagation:
         grid = Grid(-32e-6, 64e-6 / 511, 512, 1e-6, int(geometry.separation_end_z() / 1e-6) + 2)
         built = []
         monkeypatch.setattr(bpm, "build_geometry", lambda *args: built.append(args) or build_geometry(*args))
-        monkeypatch.setattr(bpm, "propagate", lambda launch, *args, **kwargs: [launch])
+        monkeypatch.setattr(bpm, "propagate", lambda launch, *args, **kwargs: (launch, None))
         assert len(fig2_experiment([0.0, 1.0e-4, 2.1e-4], default_slab, geometry, grid)) == 3
         assert len(built) == 3
 
@@ -576,11 +585,8 @@ class TestKeptFactorization:
     @pytest.mark.parametrize("name", ["straight", "splitter", "free", "splitter_wide"])
     def test_snapshots_match_solve_banded_march(self, name, default_slab):
         ri_map, grid, launch, wavelength = self._case(name, default_slab)
-        snaps = propagate(launch, ri_map, grid, wavelength, snapshot_every=7)
         expected = reference_propagate(launch, ri_map, grid, wavelength, snapshot_every=7)
-        assert len(snaps) == len(expected)
-        for snap, values in zip(snaps, expected):
-            assert np.array_equal(snap.values, values)
+        self._assert_matches_reference(launch, ri_map, grid, wavelength, 7, expected)
 
     def test_straight_guide_factors_once(self, default_slab, monkeypatch):
         ri_map, grid, launch, wavelength = self._case("straight", default_slab)
@@ -630,10 +636,7 @@ class TestKeptFactorization:
         ri_map, grid, launch = small_splitter(default_slab)
         expected = reference_propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
         monkeypatch.setattr(bpm, "BLOCK_CELLS", runs_per_block * grid.nx)
-        snaps = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=5)
-        assert len(snaps) == len(expected)
-        for snap, values in zip(snaps, expected):
-            assert np.array_equal(snap.values, values)
+        self._assert_matches_reference(launch, ri_map, grid, default_slab.wavelength, 5, expected)
         self._assert_matches_step_loop(launch, ri_map, grid, default_slab.wavelength, 5)
 
     @given(st.lists(st.tuples(st.integers(0, len(RUN_KEYS) - 1), st.integers(1, 4)), min_size=1, max_size=12),
@@ -676,14 +679,30 @@ class TestKeptFactorization:
         self._assert_matches_step_loop(launch, ri_map, grid, wavelength, 5)
 
     @staticmethod
+    def _assert_matches_reference(launch, ri_map, grid, wavelength, every, expected):
+        # the solve_banded oracle's values at each snapshot step: propagate's final field and
+        # raster rows, and the field of the chained march at each step
+        snaps = snapshot_march(launch, ri_map, grid, wavelength, snapshot_every=every)
+        assert len(snaps) == len(expected)
+        for snap, values in zip(snaps, expected):
+            assert np.array_equal(snap.values, values)
+        final, intensity = propagate(launch, ri_map, grid, wavelength, snapshot_every=every)
+        assert np.array_equal(final.values, expected[-1])
+        assert np.array_equal(intensity, np.square(np.abs(expected)))
+
+    @staticmethod
     def _assert_matches_step_loop(launch, ri_map, grid, wavelength, every):
-        snaps = propagate(launch, ri_map, grid, wavelength, snapshot_every=every)
         expected = step_loop_propagate(launch, ri_map, grid, wavelength, snapshot_every=every)
+        snaps = snapshot_march(launch, ri_map, grid, wavelength, snapshot_every=every)
         assert len(snaps) == len(expected) > 1
         for snap, oracle in zip(snaps, expected):
             assert np.array_equal(snap.values, oracle.values)
             assert (snap.z, snap.power) == (oracle.z, oracle.power)
             assert snap.power == bpm._power(snap.values, grid.dx)
+        final, intensity = propagate(launch, ri_map, grid, wavelength, snapshot_every=every)
+        assert np.array_equal(final.values, expected[-1].values)
+        assert (final.z, final.power) == (expected[-1].z, expected[-1].power)
+        assert np.array_equal(intensity, np.square(np.abs([oracle.values for oracle in expected])))
 
     def test_nan_from_one_step_solve_raises_at_that_step(self, default_slab, monkeypatch):
         ri_map, grid, launch, wavelength = self._case("splitter", default_slab)
@@ -727,12 +746,12 @@ class TestKeptFactorization:
         tracemalloc.start()
         try:
             ri_map = straight_slab_map(grid, default_slab)
-            snaps = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=16)
+            _, intensity = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert ri_map.keys.shape == (nz, 5) and ri_map.keys.strides[0] == 0  # one key, broadcast
-        assert len(snaps) == 127
+        assert intensity.shape == (127, grid.nx)
         assert peak < 16e6
 
 
@@ -785,8 +804,8 @@ class TestBranchPowers:
         for name, coeffs in (("plus", [INV_SQRT2, INV_SQRT2]),
                              ("minus", [INV_SQRT2, -INV_SQRT2])):
             launch = field_from_modes(modes[:2], coeffs, grid)
-            final = propagate(launch, ri_map, grid, default_slab.wavelength,
-                              snapshot_every=grid.nz)[-1]
+            final, _ = propagate(launch, ri_map, grid, default_slab.wavelength,
+                                 snapshot_every=grid.nz)
             # adiabatic transition: radiation loss below 5 percent
             assert final.power / launch.power > 0.95
             outcomes[name] = branch_powers(final, grid)
@@ -810,8 +829,8 @@ def test_grid_convergence_of_branch_powers(default_slab):
         modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
         launch = field_from_modes(modes[:2], [INV_SQRT2, INV_SQRT2], grid)
         ri_map = build_geometry(geometry, grid, default_slab)
-        final = propagate(launch, ri_map, grid, default_slab.wavelength,
-                          snapshot_every=grid.nz)[-1]
+        final, _ = propagate(launch, ri_map, grid, default_slab.wavelength,
+                             snapshot_every=grid.nz)
         results.append(branch_powers(final, grid))
     print("\nconvergence table (dx, dz halved):")
     for (nx, dz), (left, right) in zip(((2048, 1e-6), (4095, 0.5e-6)), results):
@@ -900,24 +919,59 @@ def test_export_raster_round_trip(tmp_path, default_slab):
     grid = straight_grid(nz=41, nx=64, window=80e-6)
     ri_map = straight_slab_map(grid, default_slab)
     modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid())
-    snaps = propagate(field_from_modes([modes[0]], [1.0], grid), ri_map, grid,
-                      default_slab.wavelength, snapshot_every=10)
+    launch = field_from_modes([modes[0]], [1.0], grid)
+    _, intensity = propagate(launch, ri_map, grid, default_slab.wavelength, snapshot_every=10)
     target = tmp_path / "raster.bin"
-    export_raster(snaps, grid, target)
+    export_raster(intensity, grid, 10, target)
     blob = target.read_bytes()
     nx, nz, dx, dz = struct.unpack_from("<qqdd", blob)
-    assert (nx, nz) == (grid.nx, len(snaps))
-    assert dx == grid.dx
+    assert (nx, nz) == (grid.nx, len(intensity)) == (64, 5)
+    assert (dx, dz) == (grid.dx, 10 * grid.dz)
     data = np.frombuffer(blob, dtype="<f8", offset=32).reshape(nz, nx)
-    assert np.allclose(data[0], np.abs(snaps[0].values) ** 2)
+    assert np.array_equal(data, intensity)
+    assert np.allclose(data[0], np.abs(launch.values) ** 2)
+
+
+@pytest.mark.parametrize("every,rows,dz_steps",
+                         [(1, 41, 1), (7, 7, 7), (40, 2, 40), (41, 2, 40), (10 ** 18, 2, 40)])
+def test_export_raster_header_spacing(tmp_path, default_slab, every, rows, dz_steps):
+    # the header's dz is the stride times the grid step, at most the march's 40 steps: the z
+    # spacing of the rows after the launch
+    grid = straight_grid(nz=41, nx=64, window=80e-6)
+    modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid(), count=1)
+    launch = field_from_modes(modes, [1.0], grid)
+    _, intensity = propagate(launch, straight_slab_map(grid, default_slab), grid,
+                             default_slab.wavelength, snapshot_every=every)
+    export_raster(intensity, grid, every, tmp_path / "raster.bin")
+    nx, nz, dx, dz = struct.unpack_from("<qqdd", (tmp_path / "raster.bin").read_bytes())
+    assert (nx, nz, dz) == (grid.nx, rows, grid.dz * dz_steps)
+
+
+def test_export_raster_writes_the_file_in_one_call(tmp_path, monkeypatch, default_slab):
+    # a benchmark counts the raster's bytes as the file's size after each write_bytes call, so
+    # the header and rows go out in one call, never row by row
+    grid = straight_grid(nz=41, nx=64, window=80e-6)
+    modes = solve_slab_te_modes(default_slab, grid=grid.waveguide_grid(), count=1)
+    _, intensity = propagate(field_from_modes(modes, [1.0], grid), straight_slab_map(grid, default_slab),
+                             grid, default_slab.wavelength, snapshot_every=3)
+    sizes, original = [], bpm.write_bytes
+
+    def counting(path, *parts):
+        original(path, *parts)
+        sizes.append(os.path.getsize(path))
+
+    monkeypatch.setattr(bpm, "write_bytes", counting)
+    target = tmp_path / "raster.bin"
+    export_raster(intensity, grid, 3, target)
+    assert sizes == [target.stat().st_size] == [32 + 8 * grid.nx * len(intensity)]
 
 
 def test_export_raster_refuses_overflowing_intensity(tmp_path):
-    # a Field guarantees finite amplitudes only: |1e200|^2 overflows to inf
+    # a finite field's |u|^2 may overflow to inf (|1e200|^2); a NaN is refused as well
     grid = straight_grid(nz=41, nx=64, window=80e-6)
-    values = np.full(grid.nx, 1e200 + 1e200j)
-    snaps = [Field(values, 0.0, 1.0), Field(values, grid.dz, 1.0)]
-    target = tmp_path / "raster.bin"
-    with pytest.raises(NumericalError, match="raster"):
-        export_raster(snaps, grid, target)
-    assert list(tmp_path.iterdir()) == []
+    for bad in (math.inf, math.nan):
+        intensity = np.ones((2, grid.nx))
+        intensity[1, 7] = bad
+        with pytest.raises(NumericalError, match="raster"):
+            export_raster(intensity, grid, 40, tmp_path / "raster.bin")
+        assert list(tmp_path.iterdir()) == []

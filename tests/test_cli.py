@@ -223,13 +223,14 @@ class TestValidate:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_every_culprit_is_named(self, threads):
-        # each key alone on the defaults is over budget (62.1 GB and 384 GB), so each is named,
-        # with the config's one message; a key that only adds to another's error is not
+        # each key alone on the defaults is over budget (21 GB and 180 GB), so each is named,
+        # with the config's one message; a key that only adds to another's error is not.  The
+        # message counts each of the 2e7 raster rows of 1e8 cells at 8 B a cell
         text = "experiment=bpm-run\nlength_um=1e7\nnx=100000000\nsnapshot_every=1\n"
         diags = validate(replace(parse_config_text(text), threads=threads))
         assert [(d.key, d.severity) for d in diags] == [("length_um", "error"), ("nx", "error")]
         assert diags[0].message == diags[1].message
-        assert "4.8e+07 GB, over the 1 GB budget" in diags[0].message
+        assert "1.6e+07 GB, over the 1 GB budget" in diags[0].message
 
     @pytest.mark.parametrize("text,threads,key", [
         ("experiment=decohere\n", 100, "threads"),  # fits at one thread
@@ -401,7 +402,8 @@ class TestMain:
 
         for module in (bpm, cli):
             monkeypatch.setattr(module, "solve_slab_te_modes", solve)
-        monkeypatch.setattr(bpm, "propagate", lambda field, *args, **kwargs: [field])
+        monkeypatch.setattr(bpm, "propagate",
+                            lambda field, *args, **kwargs: (field, np.square(np.abs([field.values]))))
         config = parse_config_text(text)
         assert validate(config) == []
         assert math.ceil(2.0 * cli._build(config).spec.v_number / math.pi) == guided
@@ -981,6 +983,21 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         assert 1e6 < peak <= estimate < cli.MEMORY_BUDGET
+
+    def test_bpm_run_holds_one_raster_cell_at_8_bytes(self, tmp_path):
+        # 401 snapshots of 2048 cells, held once as float64 intensities (8 B a cell); a complex
+        # Field per snapshot (16 B) or a copy of the raster (8 B) would exceed the bound
+        bpm._flapack()
+        config = parse_config_text("experiment=bpm-run\nsnapshot_every=1\nlength_um=200\n")
+        tracemalloc.start()
+        try:
+            run(config, tmp_path, quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = 401 * 2048
+        assert (tmp_path / "raster.bin").stat().st_size == 32 + 8 * cells
+        assert peak < 12 * cells
 
 
 class TestOutputValues:

@@ -326,7 +326,7 @@ class TestSlabSolver:
 
         for module in (waveguide, bpm, cli):
             monkeypatch.setattr(module, "solve_slab_te_modes", solve)
-        monkeypatch.setattr(bpm, "propagate", lambda field, *args, **kwargs: [field])
+        monkeypatch.setattr(bpm, "propagate", lambda field, *args, **kwargs: (field, None))
         waveguide._solved.cache_clear()
         config = cli.parse_config_text("experiment=fig2\n")
         assert cli.validate(config) == []
