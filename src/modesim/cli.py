@@ -271,7 +271,8 @@ def _build(config: RunConfig) -> SimpleNamespace:
     if config.experiment == "delays":  # mode 1 guided at k (1 +- dk_rel), tau1 - tau0 largest at L_max
         DelayPair(*(group_delay(b.spec, mode, params["length_max_m"]) for mode in (0, 1)))
         b.memory += 640.0 * params["n_lengths"]  # a row of five floats and its CSV text
-    if "n_realizations" in params:  # decohere: 190 B a step per loop; 96 B a state, in the stack and np.var
+    # decohere: 190 B a step per loop (133 B traced at one loop); 96 B a state, in the stack and np.var
+    if "n_realizations" in params:
         steps = ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"],
                                params["n_realizations"])
         b.memory += 190.0 * steps * config.threads + 96.0 * params["n_realizations"] * params["n_lengths"]

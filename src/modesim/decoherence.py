@@ -28,9 +28,11 @@ with identity quaternions.  Every row is reduced pairwise (a balanced tree,
 which keeps rounding growth logarithmic) in one pass per tree level; the
 identity padding is exact, so each segment gets the bits of its own tree.
 ensemble_scan, the one Monte Carlo entry point, runs on this reducer.  Each
-thread of a scan reduces every realization in one workspace (the block, the
-tree levels and their intermediates) and writes its checkpoint states into one
-(realizations, checkpoints, 2, 2) stack, the scan's only per-realization array.
+thread of a scan reduces every realization in one workspace: the path values,
+copied into their rows a segment slice at a time, two buffers that the tree
+levels (the block first) take in turn, and the products' intermediates.  It
+writes its checkpoint states into one (realizations, checkpoints, 2, 2) stack,
+the scan's only per-realization array.
 
 Realization i always uses seed = base_seed + i and writes only row i of the
 stack, so the thread count and the schedule cannot move a bit of the result;
@@ -73,6 +75,7 @@ MIN_STEPS_PER_BEAT = 16
 TWO_RAIL_STATES = ("phi_plus", "product")
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
+_IDENTITY_COLUMN = np.array(_IDENTITY)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -113,34 +116,36 @@ def analytic_single_rail(rho0: DensityMatrix, params: EvolutionParams) -> Densit
 
 
 class _Workspace:
-    """One thread's buffers for every realization of a (segments, width) segment index.
+    """One thread's buffers for every realization of a scan's segments [0, m0), [m0, m1), ...
 
-    levels[0] is the (4, S, W) step block and levels[k] the output of tree
-    level k.  A level of odd width above 1 has a spare column, set here to the
-    identity quaternion, which its last element pairs with.  scratch holds the
-    three partial products of a quaternion product.  The float buffers are views
-    of one allocation: with glibc, separate arrays left the FFT scratch of
-    sample_path faulting in fresh pages on every transform.
+    steps is the (4, S, W) step block, W the longest segment: row s holds
+    segment s's step quaternions, then identity quaternions.  Tree level 0 (the
+    block) and every even level live in buffer A, every odd level in buffer B,
+    so each level is written over the one two below it.  A level of odd width
+    above 1 has a spare column, which its last element pairs with; the other
+    levels of its buffer write over it, so _segment_products sets it to the
+    identity before it reads the level.  values holds the path cells of the
+    block, and scratch the three partial products of a quaternion product: the
+    values are done with before the tree needs its scratch, so they share
+    storage.  All of it is one allocation: with glibc, separate arrays left the
+    FFT scratch of sample_path faulting in fresh pages on every transform.
     """
 
-    def __init__(self, index: np.ndarray):
-        segments, width = index.shape
-        self.index = index
-        self.pad = index < 0
+    def __init__(self, marks: list[int]):
+        self.bounds = list(zip([0] + marks[:-1], marks))
+        segments, width = len(marks), max(end - start for start, end in self.bounds)
         self.positive = np.empty((segments, width), dtype=bool)
-        widths = [width]
-        while widths[-1] > 1:
-            widths.append((widths[-1] + 1) // 2)
-        padded = [w + w % 2 if w > 1 else w for w in widths]
+        self.widths = [width]
+        while self.widths[-1] > 1:
+            self.widths.append((self.widths[-1] + 1) // 2)
+        padded = [w + w % 2 if w > 1 else w for w in self.widths]
         half = segments * ((width + 1) // 2)
-        sizes = [max(segments * width, 3 * half)] + [4 * segments * p for p in padded]
-        block = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])  # one allocation
-        # the values are done with before the tree needs its scratch, so they share storage
-        self.values = block[0][:segments * width].reshape(segments, width)
-        self.scratch = block[0][:3 * half].reshape(3, half)
-        self.levels = [part.reshape(4, segments, p) for part, p in zip(block[1:], padded)]
-        for level, w in zip(self.levels, widths):
-            level[:, :, w:] = np.array(_IDENTITY)[:, None, None]
+        sizes = [max(segments * width, 3 * half)] + [4 * segments * p for p in padded[:2]]
+        region, *buffers = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])  # one allocation
+        self.values = region[:segments * width].reshape(segments, width)
+        self.scratch = region[:3 * half].reshape(3, half)
+        self.levels = [buffers[k % 2][:4 * segments * p].reshape(4, segments, p)
+                       for k, p in enumerate(padded)]
         self.steps = self.levels[0][:, :, :width]
 
 
@@ -176,15 +181,6 @@ def _step_quaternions(work: _Workspace, dz: float, delta_beta: float,
     return q
 
 
-def _segment_index(marks: list[int]) -> np.ndarray:
-    """Step indices of the segments [0, m0), [m0, m1), ... as rows; -1 past a segment's end."""
-    starts = np.array([0] + marks[:-1])[:, None]
-    ends = np.array(marks)[:, None]
-    index = starts + np.arange(int((ends - starts).max()))
-    index[index >= ends] = -1
-    return index
-
-
 def _segment_products(work: _Workspace) -> np.ndarray:
     """Ordered SU(2) products q[:, s, n-1] * ... * q[:, s, 0] of each row s of work.steps.
 
@@ -194,7 +190,8 @@ def _segment_products(work: _Workspace) -> np.ndarray:
     each row gets the same bits as its own unpadded tree.
     """
     q = work.levels[0]
-    for level in work.levels[1:]:
+    for level, width in zip(work.levels[1:], work.widths):
+        q[:, :, width:] = _IDENTITY_COLUMN  # the spare column, which the buffer's other levels write
         first, second = q[:, :, 0::2], q[:, :, 1::2]
         out = level[:, :, :first.shape[2]]
         a, b, c = (part[:out[0].size].reshape(out[0].shape) for part in work.scratch)
@@ -237,12 +234,15 @@ def _quaternion_to_matrix(q) -> np.ndarray:
     )
 
 
-def _conjugations(rho: np.ndarray, values: np.ndarray, dz: float, delta_beta: float,
+def _conjugations(rho: np.ndarray, path: np.ndarray, dz: float, delta_beta: float,
                   k_ab: complex, work: _Workspace, out: np.ndarray) -> None:
-    """rho conjugated by the path unitary up to the end of each segment of work.index, into out."""
-    np.take(values, work.index, out=work.values, mode="wrap")  # wrap: unbuffered, -1 as values[-1]
-    for component, identity in zip(_step_quaternions(work, dz, delta_beta, k_ab), _IDENTITY):
-        np.copyto(component, identity, where=work.pad)
+    """rho conjugated by the path unitary up to the end of each segment of work, into out."""
+    for row, (start, end) in zip(work.values, work.bounds):
+        row[:end - start] = path[start:end]
+        row[end - start:] = 0.0  # any finite value: these cells' steps become identities
+    q = _step_quaternions(work, dz, delta_beta, k_ab)
+    for s, (start, end) in enumerate(work.bounds):
+        q[:, s, end - start:] = _IDENTITY_COLUMN[:, 0]
     segments = _segment_products(work)
     cumulative = _IDENTITY
     for idx, segment in enumerate(segments.T.tolist()):
@@ -308,7 +308,6 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     marks = sorted({max(1, int(round(total * (j + 1) / n_lengths))) for j in range(n_lengths)})
     lengths = np.array([m * dz for m in marks])
     rate_consts = rates(model, delta_beta)
-    index = _segment_index(marks)
     k_ab = complex(model.k_ab)
     stack = np.empty((n_realizations, len(marks), 2, 2), dtype=np.complex128)
     pairs = (list(group) for _, group in
@@ -327,7 +326,7 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
                 for i in pair:
                     values = sample_path(model, dz, marks[-1], base_seed + i)
                     if work is None:  # built after the first path and its embedding's temporaries
-                        work = _Workspace(index)
+                        work = _Workspace(marks)
                     _conjugations(rho0.matrix, values, dz, delta_beta, k_ab, work, stack[i])
         except BaseException as exc:  # Ctrl-C too: it reaches the calling thread's loop
             errors.append(exc)

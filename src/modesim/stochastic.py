@@ -98,10 +98,11 @@ def _embedding_scale(sigma: float, corr_length: float, dz: float, count: int) ->
     window >= 20 D) it is positive semidefinite to rounding, so no larger one is tried."""
     # cached: an ensemble draws thousands of paths from one embedding
     size = 1 << max(1, int(math.ceil(math.log2(2 * (count - 1)))))
-    j = np.arange(size)
-    lag = np.minimum(j, size - j) * dz
-    first_row = sigma * sigma * np.exp(-((lag / corr_length) ** 2))
-    eig = np.fft.fft(first_row).real
+    lag = np.minimum(np.arange(size), np.arange(size, 0, -1)) * dz  # min(j, size - j) dz
+    first_row = np.zeros(size, dtype=np.complex128)  # the complex input fft casts a real row to
+    first_row.real = sigma * sigma * np.exp(-((lag / corr_length) ** 2))
+    del lag  # freed before the transform's own scratch is taken
+    eig = np.fft.fft(first_row, out=first_row).real
     if not eig.min() >= -1e-12 * eig.max():
         raise NumericalError("circulant embedding not positive semidefinite")
     scale = np.sqrt(np.clip(eig, 0.0, None) / size)
@@ -111,6 +112,8 @@ def _embedding_scale(sigma: float, corr_length: float, dz: float, count: int) ->
 
 #: one-entry memo per thread: the key and the transform of the last seed pair
 _last_pair = threading.local()
+#: held around _embedding_scale, so that concurrent loops that miss its cache build it once
+_embedding_lock = threading.Lock()
 
 
 def pair_seed(seed: int) -> int:
@@ -164,7 +167,8 @@ def sample_path(model: PerturbationModel, dz: float, count: int, seed: int) -> n
         key = (model.sigma, model.corr_length, dz, count, pair)
         if getattr(_last_pair, "key", None) != key:
             _last_pair.key = _last_pair.transform = None  # freed before the next pair is drawn
-            scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
+            with _embedding_lock:
+                scale = _embedding_scale(model.sigma, model.corr_length, dz, count)
             _last_pair.transform = _pair_transform(scale, count, pair)
             _last_pair.key = key
         transform = _last_pair.transform

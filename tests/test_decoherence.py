@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from modesim.decoherence import (
     two_rail_evolve,
 )
 from modesim import decoherence, stochastic
-from modesim.decoherence import _segment_index, _segment_products, _Workspace
+from modesim.decoherence import _conjugations, _segment_products, _Workspace
 from modesim.states import DensityMatrix, bell_state, density_of, product_state, purity, superpose
 from modesim.stochastic import PerturbationModel, RateConstants, pair_seed, rates, sample_path
 
@@ -308,6 +309,13 @@ class TestEnsemble:
         serial = ensemble_scan(EQUAL, default_model, delta_beta, 0.01, 3, 7, base_seed=base_seed)
         assert np.array_equal(scan.mean, serial.mean)
 
+    def test_threaded_scan_builds_the_embedding_once(self, default_model):
+        # both loops miss the embedding's cache at their first path: one builds the
+        # 131072-point embedding while the other waits for it (each once built its own)
+        stochastic._embedding_scale.cache_clear()
+        ensemble_scan(EQUAL, default_model, 2.0e4, 0.8192, 2, 8, base_seed=0, n_jobs=2)
+        assert stochastic._embedding_scale.cache_info().misses == 1
+
     def test_reused_buffers_leave_no_trace(self, default_model):
         # on one thread: a path, then a scan at shape A, one at shape B (other
         # segments, odd widths) and A again; nothing returned earlier may move
@@ -387,10 +395,10 @@ class TestSegmentReducer:
     @settings(max_examples=60, deadline=None)
     def test_matches_sequential_product(self, case):
         steps, marks = case
-        index = _segment_index(marks)
-        work = _Workspace(index)
-        work.steps[...] = steps[:, index]
-        work.steps[:, index < 0] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
+        work = _Workspace(marks)
+        for s, (start, end) in enumerate(work.bounds):
+            work.steps[:, s, :end - start] = steps[:, start:end]
+            work.steps[:, s, end - start:] = np.array([1.0, 0.0, 0.0, 0.0])[:, None]
         products = _segment_products(work)
         start = 0
         for s, mark in enumerate(marks):
@@ -400,6 +408,34 @@ class TestSegmentReducer:
             assert np.abs(su2_matrix(products[:, s]) - expected).max() < 1e-12
             assert abs(np.linalg.norm(products[:, s]) - 1.0) < 1e-12
             start = mark
+
+    def test_reused_workspace_matches_a_fresh_one(self, default_model):
+        # segments of 5, 13 and 11 steps: widths 13 and 7 take a spare column, which levels 2
+        # and 3 write over in the two shared buffers.  Every realization must get the bits a
+        # fresh workspace gives it
+        marks, dz, delta_beta = [5, 18, 29], 1.0e-5, 2.0e4
+        shared, rho = _Workspace(marks), EQUAL.matrix
+        assert shared.widths == [13, 7, 4, 2, 1]
+        for seed in range(4):
+            path = sample_path(default_model, dz, 2000, seed)[:marks[-1]]
+            reused, fresh = (np.empty((len(marks), 2, 2), dtype=np.complex128) for _ in range(2))
+            _conjugations(rho, path, dz, delta_beta, complex(default_model.k_ab), shared, reused)
+            _conjugations(rho, path, dz, delta_beta, complex(default_model.k_ab),
+                          _Workspace(marks), fresh)
+            assert reused.tobytes() == fresh.tobytes()
+
+    def test_default_workspace_holds_two_tree_buffers(self):
+        # the decohere defaults cut 65536 steps into 20 segments of up to 3277: the values and
+        # scratch (0.79 MB), buffer A for the step block (2.10 MB) and buffer B for level 1
+        # (1.05 MB).  A buffer per tree level took 5.12 MB, and the gather index 0.52 MB more
+        marks = [max(1, int(round(65536 * (j + 1) / 20))) for j in range(20)]
+        tracemalloc.start()
+        try:
+            work = _Workspace(marks)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert max(work.widths) == 3277 and held <= 4.1e6
 
     def test_scan_bytes_pinned(self, default_model, monkeypatch):
         # 1096 steps in checkpoint segments of 157 and 156 steps; the digest of
