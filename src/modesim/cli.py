@@ -271,7 +271,7 @@ def _build(config: RunConfig) -> SimpleNamespace:
     if config.experiment == "delays":  # mode 1 guided at k (1 +- dk_rel), tau1 - tau0 largest at L_max
         DelayPair(*(group_delay(b.spec, mode, params["length_max_m"]) for mode in (0, 1)))
         b.memory += 640.0 * params["n_lengths"]  # a row of five floats and its CSV text
-    # decohere: 190 B a step per loop (133 B traced at one loop); 96 B a state, in the stack and np.var
+    # decohere: 190 B a step per loop (101 B traced at one loop); 96 B a state, in the stack and np.var
     if "n_realizations" in params:
         steps = ensemble_steps(b.model, b.dbeta, params["length_max_m"], params["n_lengths"],
                                params["n_realizations"])
@@ -436,13 +436,15 @@ def _culprits(config: RunConfig, message: str) -> list[str]:
     params, defaults = config.parameters, {key: d for key, (_, d) in _SCHEMAS[config.experiment].items()}
     if error(params, 1) is None:
         return ["threads"]
-    culprits = [key for key in defaults if error({**defaults, key: params[key]}, 1) is not None
+    # a key that holds the schema's own default object builds as the defaults do: no probe
+    keys = [key for key in defaults if params[key] is not defaults[key]]
+    culprits = [key for key in keys if error({**defaults, key: params[key]}, 1) is not None
                 and error({**params, key: defaults[key]}) != message]
     if culprits:
         return culprits
     reset = dict(params)
-    for key, default in defaults.items():
-        reset[key] = default
+    for key in keys:
+        reset[key] = defaults[key]
         if error(reset) != message:
             return [key]
     return ["experiment"]

@@ -28,11 +28,12 @@ with identity quaternions.  Every row is reduced pairwise (a balanced tree,
 which keeps rounding growth logarithmic) in one pass per tree level; the
 identity padding is exact, so each segment gets the bits of its own tree.
 ensemble_scan, the one Monte Carlo entry point, runs on this reducer.  Each
-thread of a scan reduces every realization in one workspace: the path values,
-copied into their rows a segment slice at a time, two buffers that the tree
-levels (the block first) take in turn, and the products' intermediates.  It
-writes its checkpoint states into one (realizations, checkpoints, 2, 2) stack,
-the scan's only per-realization array.
+seed pair of a scan is reduced in one workspace, built after the pair's
+transform and freed before the next pair's: the path values, copied into their
+rows a segment slice at a time, two buffers that the tree levels (the block
+first) take in turn, and the products' intermediates.  The scan writes its
+checkpoint states into one (realizations, checkpoints, 2, 2) stack, its only
+per-realization array.
 
 Realization i always uses seed = base_seed + i and writes only row i of the
 stack, so the thread count and the schedule cannot move a bit of the result;
@@ -116,7 +117,7 @@ def analytic_single_rail(rho0: DensityMatrix, params: EvolutionParams) -> Densit
 
 
 class _Workspace:
-    """One thread's buffers for every realization of a scan's segments [0, m0), [m0, m1), ...
+    """One seed pair's buffers for the two realizations of a scan's segments [0, m0), [m0, m1), ...
 
     steps is the (4, S, W) step block, W the longest segment: row s holds
     segment s's step quaternions, then identity quaternions.  Tree level 0 (the
@@ -128,7 +129,10 @@ class _Workspace:
     block, and scratch the three partial products of a quaternion product: the
     values are done with before the tree needs its scratch, so they share
     storage.  All of it is one allocation: with glibc, separate arrays left the
-    FFT scratch of sample_path faulting in fresh pages on every transform.
+    FFT scratch of sample_path faulting in fresh pages on every transform.  The
+    scan frees it, and the pair's last path, before the next pair's transform,
+    whose scratch then takes its pages: a pull loop peaks in the larger of the
+    two phases, not in their sum.
     """
 
     def __init__(self, marks: list[int]):
@@ -316,18 +320,19 @@ def ensemble_scan(rho0: DensityMatrix, model: PerturbationModel, delta_beta: flo
     errors: list[BaseException] = []
 
     def pull() -> None:  # takes seed pairs until none is left; a pair runs in order on one thread
-        work = None
         try:
             while True:
                 with lock:
                     pair = next(pairs, None)
                 if pair is None:
                     return
+                work = None  # the last pair's, freed before this pair's transform takes its pages
                 for i in pair:
                     values = sample_path(model, dz, marks[-1], base_seed + i)
-                    if work is None:  # built after the first path and its embedding's temporaries
+                    if work is None:  # built after the pair's transform, shared by its two paths
                         work = _Workspace(marks)
                     _conjugations(rho0.matrix, values, dz, delta_beta, k_ab, work, stack[i])
+                    del values  # freed before the next path, or the next pair's transform
         except BaseException as exc:  # Ctrl-C too: it reaches the calling thread's loop
             errors.append(exc)
         finally:  # a loop that stops leaves the others no pair to take

@@ -232,6 +232,22 @@ class TestValidate:
         assert diags[0].message == diags[1].message
         assert "1.6e+07 GB, over the 1 GB budget" in diags[0].message
 
+    @pytest.mark.parametrize("text,key", [
+        ("experiment=fig2\ndz_um=50\n", "dz_um"),
+        ("experiment=bpm-run\nnx=64\n", "nx"),
+        ("experiment=decohere\nn_realizations=1000000000\n", "n_realizations"),
+    ], ids=["fig2", "bpm-run", "decohere"])
+    def test_culprits_probe_only_the_keys_a_config_sets(self, monkeypatch, text, key):
+        # validate's build, the build at one thread, the key alone on the defaults and the
+        # config with the key reset: a key left at its default builds as the defaults do, so it
+        # is never probed (probing every key took 17, 13 and 10 builds)
+        built = []
+        build = cli._build
+        monkeypatch.setattr(cli, "_build", lambda config: built.append(config) or build(config))
+        diags = validate(parse_config_text(text))
+        assert [d.key for d in diags] == [key]
+        assert len(built) == 4
+
     @pytest.mark.parametrize("text,threads,key", [
         ("experiment=decohere\n", 100, "threads"),  # fits at one thread
         ("experiment=decohere\nn_realizations=1000000000\n", 2, "n_realizations"),  # at none

@@ -316,6 +316,23 @@ class TestEnsemble:
         ensemble_scan(EQUAL, default_model, 2.0e4, 0.8192, 2, 8, base_seed=0, n_jobs=2)
         assert stochastic._embedding_scale.cache_info().misses == 1
 
+    @pytest.mark.parametrize("n_jobs,bound_mib", [(1, 5.6), (2, 11.2)])
+    def test_default_scan_drops_each_pair_before_the_next_transform(self, default_model,
+                                                                     monkeypatch, n_jobs, bound_mib):
+        # at the decohere defaults a loop peaks in the larger of a pair's two phases: its
+        # transform (the 2 MiB spectrum and 1 MiB of draws) or its reduction (the 3.8 MiB
+        # workspace, the 1 MiB transform memo and one 0.5 MiB path), 5.4 MiB.  A loop that kept
+        # its workspace and last path through the next transform peaked at 7.3 MiB
+        ensemble_scan(EQUAL, default_model, 2.0e4, 0.8192, 20, 8, base_seed=0)  # the embedding
+        monkeypatch.setattr(stochastic, "_last_pair", threading.local())
+        tracemalloc.start()
+        try:
+            ensemble_scan(EQUAL, default_model, 2.0e4, 0.8192, 20, 8, base_seed=0, n_jobs=n_jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20
+
     def test_reused_buffers_leave_no_trace(self, default_model):
         # on one thread: a path, then a scan at shape A, one at shape B (other
         # segments, odd widths) and A again; nothing returned earlier may move
